@@ -1,35 +1,21 @@
 """Command-line entry points.
 
-Subcommands mirror the pipeline stages plus `run` (everything) and `report`.
+Each stage of the pipeline's stage table is a subcommand, plus `run` (every
+stage) and `report`. A stage's subcommand takes a flag for each config field
+the stage reads and one for each of its files that may live outside --outdir.
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 stage failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
+from .communities import RULES
 from .config import PipelineConfig, validate_config
-from .graph import build_retweet_graph, symmetrize
-from .pipeline import (
-    StageError,
-    load_undirected_graph,
-    render_report,
-    run_pipeline,
-    stage_topics,
-    write_community_outputs,
-    write_graph_outputs,
-)
-from .profiles import DEFAULT_STOPLIST, description_term_proportions
-from .records import (
-    ParseStats,
-    corpus_summary,
-    keyword_filter,
-    read_records,
-    record_to_json,
-)
+from .pipeline import TABLE, Stage, StageError, render_report, run_pipeline, run_stage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,92 +27,86 @@ class ConfigError(Exception):
     pass
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--outdir", help="output directory")
-    parser.add_argument("--threads", type=int, help="worker count for parallel stages")
-    parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument("--resume", action="store_true", default=None,
-                        help="skip stages whose outputs already exist")
+def comma_list(text: str) -> tuple[str, ...]:
+    return tuple(t for t in text.split(",") if t)
+
+
+def number_or_auto(text: str) -> float | str:
+    return text if text == "auto" else float(text)
+
+
+def _stoplist(text: str) -> str | None:
+    # 'default' leaves the built-in list in place; 'none' reads an empty file
+    return {"default": None, "none": os.devnull}.get(text, text)
+
+
+# the flag for each config field; a subcommand takes those of its stage's fields
+FIELD_FLAGS = {
+    "outdir": ("--outdir", {"help": "output directory"}),
+    "threads": ("--threads", {"type": int, "help": "worker count for parallel stages"}),
+    "seed": ("--seed", {"type": int, "help": "base RNG seed"}),
+    "resume": ("--resume", {"action": "store_true", "default": None,
+                            "help": "reuse stages whose config, input and outputs are unchanged"}),
+    "input": ("--input", {"help": "JSONL or CSV record file"}),
+    "keywords": ("--keywords", {"type": comma_list, "help": "comma-separated filter terms"}),
+    "tau": ("--tau", {"type": float, "help": "role threshold in (0, 1]"}),
+    "min_weight": ("--min-weight", {"type": int}),
+    "k": ("--k", {"type": int}),
+    "rule": ("--rule", {"choices": RULES}),
+    "k_min": ("--k-min", {"type": int}),
+    "k_max": ("--k-max", {"type": int}),
+    "max_cliques": ("--max-cliques", {"type": int}),
+    "n_topics": ("--n-topics", {"type": int}),
+    "top_n_keywords": ("--top-n", {"type": int}),
+    "alpha": ("--alpha", {"type": number_or_auto, "help": "positive float or 'auto'"}),
+    "beta": ("--beta", {"type": float}),
+    "iterations": ("--iters", {"type": int}),
+    "per_user_docs": ("--per-user", {"action": "store_true", "default": None}),
+    "top_n_terms": ("--top-n", {"type": int}),
+}
+COMMON_FIELDS = ("outdir", "threads", "seed", "resume")
+# --top-n sets a different field in topics and profiles, so `run` leaves it out
+RUN_FIELDS = tuple(
+    f for stage in TABLE.values() for f in stage.fields if FIELD_FLAGS[f][0] != "--top-n"
+)
+
+_REDIRECT_ARGS = {"--stoplist": {"type": _stoplist, "help": "'default', 'none', or a file path"}}
+
+
+def _redirect_flags(stage: Stage) -> dict[str, list[str]]:
+    """flag -> the templates of the files it points elsewhere"""
+    flags: dict[str, list[str]] = {}
+    for template, flag in {**stage.reads, **stage.writes}.items():
+        if flag:
+            flags.setdefault(flag, []).append(template)
+    return flags
+
+
+def _add_parser(sub, name: str, summary: str, fields=(), redirects=None) -> None:
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--config", help="JSON config file; flags override it")
+    for field in dict.fromkeys(COMMON_FIELDS + tuple(fields)):
+        option, kwargs = FIELD_FLAGS[field]
+        p.add_argument(option, dest=field, **kwargs)
+    for flag, templates in (redirects or {}).items():
+        names = " and ".join(templates)
+        where = f"path of {names}" if len(templates) == 1 else f"directory holding {names}"
+        p.add_argument(flag, **{"help": where, **_REDIRECT_ARGS.get(flag, {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="echonet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse, keyword-filter, and summarize records")
-    _common_flags(p)
-    p.add_argument("--input", help="JSONL or CSV record file")
-    p.add_argument("--keywords", help="comma-separated filter terms")
-    p.add_argument("--output", help="filtered JSONL path")
-    p.add_argument("--stats", help="stats JSON path")
-
-    p = sub.add_parser("graph", help="build retweet digraph and degree reports")
-    _common_flags(p)
-    p.add_argument("--input", help="filtered JSONL records")
-    p.add_argument("--tau", type=float, help="role threshold in (0, 1]")
-    p.add_argument("--min-weight", type=int, dest="min_weight")
-
-    p = sub.add_parser("communities", help="k-clique percolation communities")
-    _common_flags(p)
-    p.add_argument("--graph", dest="graph_dir", help="directory with graph outputs")
-    p.add_argument("--k", type=int)
-    p.add_argument("--rule", choices=["standard", "loose"])
-    p.add_argument("--k-min", type=int, dest="k_min")
-    p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--max-cliques", type=int, dest="max_cliques")
-
-    p = sub.add_parser("topics", help="fit per-community hashtag topic models")
-    _common_flags(p)
-    p.add_argument("--records", help="filtered JSONL records")
-    p.add_argument("--communities", help="communities JSON file")
-    p.add_argument("--k", type=int, help="community level the input file was built at")
-    p.add_argument("--rule", choices=["standard", "loose"])
-    p.add_argument("--n-topics", type=int, dest="n_topics")
-    p.add_argument("--top-n", type=int, dest="top_n_keywords")
-    p.add_argument("--alpha", help="positive float or 'auto'")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--iters", type=int, dest="iterations")
-    p.add_argument("--per-user", action="store_true", default=None, dest="per_user_docs")
-
-    p = sub.add_parser("profiles", help="most frequent profile-description terms")
-    _common_flags(p)
-    p.add_argument("--records", help="filtered JSONL records")
-    p.add_argument("--top-n", type=int, dest="top_n_terms")
-    p.add_argument("--stoplist", default=None, help="'default', 'none', or a file path")
-
-    p = sub.add_parser("run", help="run the full pipeline")
-    _common_flags(p)
-    p.add_argument("--input", help="JSONL or CSV record file")
-    p.add_argument("--keywords", help="comma-separated filter terms")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--min-weight", type=int, dest="min_weight")
-    p.add_argument("--k", type=int)
-    p.add_argument("--rule", choices=["standard", "loose"])
-    p.add_argument("--k-min", type=int, dest="k_min")
-    p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--max-cliques", type=int, dest="max_cliques")
-    p.add_argument("--n-topics", type=int, dest="n_topics")
-    p.add_argument("--alpha", help="positive float or 'auto'")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--iters", type=int, dest="iterations")
-    p.add_argument("--per-user", action="store_true", default=None, dest="per_user_docs")
-
-    p = sub.add_parser("report", help="summarize an existing bundle")
-    _common_flags(p)
-
+    for stage in TABLE.values():
+        _add_parser(sub, stage.name, stage.func.__doc__.split("\n")[0],
+                    stage.fields, _redirect_flags(stage))
+    _add_parser(sub, "run", "Run every stage and write the manifest.", RUN_FIELDS)
+    _add_parser(sub, "report", "Summarize an existing bundle.")
     return parser
 
 
-_OVERRIDE_FIELDS = (
-    "outdir", "threads", "seed", "resume", "input", "tau", "min_weight", "k",
-    "rule", "k_min", "k_max", "max_cliques", "n_topics", "top_n_keywords",
-    "beta", "iterations", "per_user_docs", "top_n_terms",
-)
-
-
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             config = PipelineConfig.from_file(args.config)
         except FileNotFoundError as exc:
@@ -135,120 +115,24 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigError(f"bad config file: {exc}") from exc
     else:
         config = PipelineConfig()
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
+    for field in dataclasses.fields(config):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(config, name, value)
-    if getattr(args, "keywords", None):
-        config.keywords = tuple(t for t in args.keywords.split(",") if t)
-    if getattr(args, "alpha", None) is not None:
-        config.alpha = args.alpha if args.alpha == "auto" else float(args.alpha)
+            setattr(config, field.name, value)
     errors = validate_config(config)
     if errors:
         raise ConfigError("; ".join(errors))
     return config
 
 
-def _cmd_ingest(args, config: PipelineConfig) -> None:
-    parse_stats = ParseStats()
-    records = read_records(config.input, parse_stats)
-    kept = [r for r in records if keyword_filter(r, config.keywords)]
-    out_path = args.output or os.path.join(config.outdir, "filtered.jsonl")
-    stats_path = args.stats or os.path.join(config.outdir, "ingest_stats.json")
-    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for rec in kept:
-            fh.write(record_to_json(rec) + "\n")
-    stats = corpus_summary(kept).to_dict()
-    stats["malformed_lines"] = parse_stats.malformed
-    stats["input_records"] = len(records)
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"kept {len(kept)}/{len(records)} records ({parse_stats.malformed} malformed)")
-
-
-def _cmd_graph(args, config: PipelineConfig) -> None:
-    records = read_records(config.input)
-    g = build_retweet_graph(records)
-    if not g.nodes:
-        raise ValueError("input produced an empty graph")
-    ug = symmetrize(g, config.min_weight)
-    os.makedirs(config.outdir, exist_ok=True)
-    files = write_graph_outputs(g, ug, config.tau, config.outdir)
-    print(f"wrote {', '.join(files)} to {config.outdir}")
-
-
-def _cmd_communities(args, config: PipelineConfig) -> None:
-    graph_dir = args.graph_dir or config.outdir
-    ug = load_undirected_graph(graph_dir)
-    os.makedirs(config.outdir, exist_ok=True)
-    files = write_community_outputs(config, ug, config.outdir)
-    print(f"wrote {', '.join(files)} to {config.outdir}")
-
-
-def _cmd_topics(args, config: PipelineConfig) -> None:
-    # stage_topics reads filtered.jsonl and the communities file from outdir;
-    # copy explicit paths into place when given
-    outdir = config.outdir
-    os.makedirs(outdir, exist_ok=True)
-    if args.records:
-        config.input = args.records
-        import shutil
-
-        target = os.path.join(outdir, "filtered.jsonl")
-        if os.path.abspath(args.records) != os.path.abspath(target):
-            shutil.copyfile(args.records, target)
-    if args.communities:
-        import shutil
-
-        target = os.path.join(outdir, f"communities_k{config.k}_{config.rule}.json")
-        if os.path.abspath(args.communities) != os.path.abspath(target):
-            shutil.copyfile(args.communities, target)
-    files = stage_topics(config, outdir)
-    print(f"wrote {len(files)} topic files to {outdir}")
-
-
-def _cmd_profiles(args, config: PipelineConfig) -> None:
-    records = read_records(args.records or config.input)
-    if args.stoplist in (None, "default"):
-        stoplist = DEFAULT_STOPLIST
-    elif args.stoplist == "none":
-        stoplist = frozenset()
-    else:
-        with open(args.stoplist, encoding="utf-8") as fh:
-            stoplist = frozenset(w.strip().lower() for w in fh if w.strip())
-    table = description_term_proportions(records, stoplist, config.top_n_terms)
-    os.makedirs(config.outdir, exist_ok=True)
-    path = os.path.join(config.outdir, "term_frequencies.csv")
-    from .pipeline import _write_csv
-
-    _write_csv(
-        path,
-        ["rank", "term", "proportion", "user_count"],
-        [(rank, term, repr(prop), count) for rank, term, prop, count in table.to_rows()],
-    )
-    print(f"wrote {path} ({table.user_base} users with descriptions)")
-
-
-def _cmd_run(args, config: PipelineConfig) -> None:
-    manifest = run_pipeline(config)
-    print(f"bundle complete: {len(manifest['files'])} files in {config.outdir}")
-
-
-def _cmd_report(args, config: PipelineConfig) -> None:
-    print(render_report(config.outdir))
-
-
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "graph": _cmd_graph,
-    "communities": _cmd_communities,
-    "topics": _cmd_topics,
-    "profiles": _cmd_profiles,
-    "run": _cmd_run,
-    "report": _cmd_report,
-}
+def _redirects(stage: Stage, args: argparse.Namespace) -> dict[str, str]:
+    redirects = {}
+    for flag, templates in _redirect_flags(stage).items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            for template in templates:
+                redirects[template] = os.path.join(value, template) if len(templates) > 1 else value
+    return redirects
 
 
 def main(argv=None) -> int:
@@ -259,17 +143,20 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _COMMANDS[args.command](args, config)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, (FileNotFoundError, IsADirectoryError, PermissionError)):
-            return EXIT_INPUT
-        return EXIT_STAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if args.command == "run":
+            manifest = run_pipeline(config)
+            print(f"bundle complete: {len(manifest['files'])} files in {config.outdir}")
+        elif args.command == "report":
+            print(render_report(config.outdir))
+        else:
+            stage = TABLE[args.command]
+            for path in run_stage(stage.name, config, _redirects(stage, args)).values():
+                print(f"wrote {path}")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        if isinstance(cause, (FileNotFoundError, IsADirectoryError, PermissionError)):
+            return EXIT_INPUT
         return EXIT_STAGE
     return EXIT_OK
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -33,32 +34,22 @@ class SweepResult:
 
 
 def degeneracy_order(adj: dict[str, set[str]]) -> list:
-    """Repeatedly remove a minimum-degree vertex (bucket queue, O(n + m))."""
+    """Repeatedly remove the vertex with the smallest (degree, id), using a
+    heap whose stale entries are skipped when popped: O(m log n)."""
     degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    max_deg = max(degree.values(), default=0)
-    buckets: list[set] = [set() for _ in range(max_deg + 1)]
-    for v, d in degree.items():
-        buckets[d].add(v)
-    removed = set()
+    heap = [(d, v) for v, d in degree.items()]
+    heapq.heapify(heap)
     order = []
-    d = 0
-    while len(order) < len(adj):
-        while d <= max_deg and not buckets[d]:
-            d += 1
-        if d > max_deg:
-            break
-        v = min(buckets[d])  # deterministic tie-break
-        buckets[d].remove(v)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if degree.get(v) != d:  # removed, or its degree has dropped since
+            continue
+        del degree[v]
         order.append(v)
-        removed.add(v)
         for u in adj[v]:
-            if u in removed:
-                continue
-            du = degree[u]
-            buckets[du].remove(u)
-            degree[u] = du - 1
-            buckets[du - 1].add(u)
-        d = max(d - 1, 0)
+            if u in degree:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
     return order
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .records import DEFAULT_KEYWORDS
@@ -73,9 +74,38 @@ class PipelineConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+_DEFAULTS = PipelineConfig()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_field_type(name: str, value) -> bool:
+    """True iff `value` has the type of the field's default (an int counts as a float)."""
+    default = getattr(_DEFAULTS, name)
+    if name == "alpha":
+        return value == "auto" or _is_number(value)
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, float):
+        return _is_number(value)
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(isinstance(t, str) for t in value)
+    return isinstance(value, type(default)) and not isinstance(value, bool)
+
+
 def validate_config(config: PipelineConfig) -> list[str]:
     """Collect every precondition violation; empty list means valid."""
     errors = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not _has_field_type(f.name, value):
+            errors.append(f"{f.name}: wrong type {type(value).__name__}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            errors.append(f"{f.name}: must be finite")
+    if errors:
+        return errors  # the range checks below assume finite, well-typed values
     if not config.keywords:
         errors.append("keywords: must be nonempty")
     if not 0 < config.tau <= 1:
@@ -94,12 +124,8 @@ def validate_config(config: PipelineConfig) -> list[str]:
         errors.append("max_cliques: must be >= 1")
     if config.n_topics < 1:
         errors.append("n_topics: must be >= 1")
-    if config.alpha != "auto":
-        try:
-            if float(config.alpha) <= 0:
-                errors.append("alpha: must be positive or 'auto'")
-        except (TypeError, ValueError):
-            errors.append("alpha: must be positive or 'auto'")
+    if config.alpha != "auto" and config.alpha <= 0:
+        errors.append("alpha: must be positive or 'auto'")
     if config.beta <= 0:
         errors.append("beta: must be positive")
     if config.iterations < 1:

@@ -1,19 +1,25 @@
-"""Stage runners and full-pipeline orchestration.
+"""The stage table and the runners it drives.
 
-Stages communicate only through files in the output directory so each one can
-be re-run and inspected on its own.
+echonet is a fixed chain of five stages. `TABLE` lists each one once: its
+function, the config fields that shape its outputs, and the bundle files it
+reads and writes. `run_pipeline`, the subcommands, `--resume` and the manifest
+all derive from it. Stages communicate only through files, so each one can be
+re-run and inspected on its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable
 
 from . import __version__
 from .communities import community_count_sweep, detect_communities
@@ -27,7 +33,7 @@ from .graph import (
     degree_summary,
     symmetrize,
 )
-from .profiles import DEFAULT_STOPLIST, description_term_proportions
+from .profiles import DEFAULT_STOPLIST, NoDescriptionsError, description_term_proportions
 from .records import (
     ParseStats,
     corpus_summary,
@@ -44,7 +50,13 @@ from .topics import (
     topic_keywords,
 )
 
-STAGES = ("ingest", "graph", "communities", "topics", "profiles")
+# bundle files that more than one stage names
+FILTERED = "filtered.jsonl"
+NODES = "nodes.txt"
+EDGES = "undirected_edges.csv"
+COMMUNITIES = "communities_k{k}_{rule}.json"
+STOPLIST = "stoplist.txt"  # read only when the profiles subcommand points it at a file
+MANIFEST = "manifest.json"
 
 
 class StageError(RuntimeError):
@@ -54,118 +66,136 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@contextlib.contextmanager
+def atomic_open(path: str, newline: str | None = None):
+    """Open `path` for writing text through a temp file in the same directory
+    that `os.replace` moves into place on success. A killed process leaves the
+    old file or the new one, never a truncated one; without an fsync this does
+    not extend to power loss."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@dataclass
+class StageFiles:
+    """Where one stage reads and writes. A file is named by its template in
+    the stage table, filled in from the config (plus `extra` fields such as a
+    community id), and lives at `<outdir>/<name>` unless `redirects` maps its
+    template to another path. `written` maps each name written to its path."""
+
+    stage: Stage
+    config: PipelineConfig
+    redirects: dict[str, str] = field(default_factory=dict)
+    written: dict[str, str] = field(default_factory=dict)
+
+    def name(self, template: str, **extra) -> str:
+        if template not in self.stage.reads and template not in self.stage.writes:
+            raise KeyError(f"stage '{self.stage.name}' does not declare {template}")
+        return template.format_map({**vars(self.config), **extra})
+
+    def path(self, template: str, **extra) -> str:
+        name = self.name(template, **extra)
+        return self.redirects.get(template) or os.path.join(self.config.outdir, name)
+
+    @contextlib.contextmanager
+    def create(self, template: str, newline: str | None = None, **extra):
+        path = self.path(template, **extra)
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with atomic_open(path, newline) as fh:
+            yield fh
+        self.written[self.name(template, **extra)] = path
+
+
+def _write_json(files: StageFiles, template: str, payload, **extra) -> None:
+    with files.create(template, **extra) as fh:
+        fh.write(_json_text(payload))
+
+
+def _write_csv(files: StageFiles, template: str, header: list[str], rows, **extra) -> None:
+    with files.create(template, newline="", **extra) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def filtered_records_path(outdir: str) -> str:
-    return os.path.join(outdir, "filtered.jsonl")
-
-
-def communities_path(outdir: str, k: int, rule: str) -> str:
-    return os.path.join(outdir, f"communities_k{k}_{rule}.json")
-
-
-def stage_ingest(config: PipelineConfig, outdir: str) -> list[str]:
+def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
+    """Parse, keyword-filter and summarize the input records."""
     parse_stats = ParseStats()
     records = read_records(config.input, parse_stats)
     kept = [r for r in records if keyword_filter(r, config.keywords)]
-    with open(filtered_records_path(outdir), "w", encoding="utf-8") as fh:
+    with files.create(FILTERED) as fh:
         for rec in kept:
             fh.write(record_to_json(rec) + "\n")
     stats = corpus_summary(kept).to_dict()
     stats["malformed_lines"] = parse_stats.malformed
     stats["input_records"] = len(records)
-    _write_json(os.path.join(outdir, "ingest_stats.json"), stats)
-    return ["filtered.jsonl", "ingest_stats.json"]
+    _write_json(files, "ingest_stats.json", stats)
 
 
-def write_graph_outputs(g: RetweetGraph, ug: UndirectedGraph, tau: float, outdir: str) -> list[str]:
-    _write_json(os.path.join(outdir, "network_stats.json"), degree_summary(g).to_dict())
-    _write_csv(
-        os.path.join(outdir, "degree_histogram.csv"),
-        ["weighting", "degree", "out_count", "in_count"],
-        degree_histogram(g),
-    )
-    _write_csv(
-        os.path.join(outdir, "roles.csv"),
-        ["user_id", "in_deg", "out_deg", "score", "label"],
-        [
-            (r.user, r.in_deg, r.out_deg, repr(r.score), r.label)
-            for r in classify_roles(g, tau)
-        ],
-    )
-    _write_csv(
-        os.path.join(outdir, "undirected_edges.csv"),
-        ["u", "v", "weight"],
-        [(u, v, w) for (u, v), w in sorted(ug.edges.items())],
-    )
-    with open(os.path.join(outdir, "nodes.txt"), "w", encoding="utf-8") as fh:
+def write_graph_outputs(
+    g: RetweetGraph, ug: UndirectedGraph, tau: float, files: StageFiles
+) -> None:
+    _write_json(files, "network_stats.json", degree_summary(g).to_dict())
+    _write_csv(files, "degree_histogram.csv", ["weighting", "degree", "out_count", "in_count"],
+               degree_histogram(g))
+    roles = classify_roles(g, tau)
+    _write_csv(files, "roles.csv", ["user_id", "in_deg", "out_deg", "score", "label"],
+               [(r.user, r.in_deg, r.out_deg, repr(r.score), r.label) for r in roles])
+    _write_csv(files, EDGES, ["u", "v", "weight"],
+               [(u, v, w) for (u, v), w in sorted(ug.edges.items())])
+    with files.create(NODES) as fh:
         for node in sorted(ug.nodes):
             fh.write(node + "\n")
-    return [
-        "network_stats.json",
-        "degree_histogram.csv",
-        "roles.csv",
-        "undirected_edges.csv",
-        "nodes.txt",
-    ]
 
 
-def stage_graph(config: PipelineConfig, outdir: str) -> list[str]:
-    records = read_records(filtered_records_path(outdir))
+def stage_graph(config: PipelineConfig, files: StageFiles) -> None:
+    """Build the retweet digraph, its degree reports and roles, and its symmetrized form."""
+    records = read_records(files.path(FILTERED))
     g = build_retweet_graph(records)
     if not g.nodes:
         raise ValueError("no records survived ingest; graph would be empty")
     ug = symmetrize(g, config.min_weight)
-    return write_graph_outputs(g, ug, config.tau, outdir)
+    write_graph_outputs(g, ug, config.tau, files)
 
 
-def load_undirected_graph(graph_dir: str) -> UndirectedGraph:
+def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
     ug = UndirectedGraph()
-    with open(os.path.join(graph_dir, "nodes.txt"), encoding="utf-8") as fh:
+    with open(nodes_path, encoding="utf-8") as fh:
         ug.nodes = {line.rstrip("\n") for line in fh if line.strip()}
-    with open(os.path.join(graph_dir, "undirected_edges.csv"), newline="", encoding="utf-8") as fh:
+    with open(edges_path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             ug.edges[(row["u"], row["v"])] = int(row["weight"])
     return ug
 
 
-def write_community_outputs(config: PipelineConfig, ug: UndirectedGraph, outdir: str) -> list[str]:
+def write_community_outputs(config: PipelineConfig, ug: UndirectedGraph, files: StageFiles) -> None:
     cover = detect_communities(ug, config.k, config.rule, config.max_cliques)
     payload = [
         {"community_id": i, "size": len(c), "members": sorted(c)}
         for i, c in enumerate(cover.communities)
     ]
-    comm_file = f"communities_k{config.k}_{config.rule}.json"
-    _write_json(os.path.join(outdir, comm_file), payload)
-    sweep = community_count_sweep(
-        ug, config.k_min, config.k_max, config.rule, config.max_cliques
-    )
-    sweep_file = f"sweep_{config.rule}.csv"
-    _write_csv(
-        os.path.join(outdir, sweep_file),
-        ["k", "community_count", "clique_count"],
-        [
-            (k, sweep.community_counts[k], sweep.clique_counts[k])
-            for k in range(config.k_min, config.k_max + 1)
-        ],
-    )
-    return [comm_file, sweep_file]
+    _write_json(files, COMMUNITIES, payload)
+    sweep = community_count_sweep(ug, config.k_min, config.k_max, config.rule, config.max_cliques)
+    ks = range(config.k_min, config.k_max + 1)
+    _write_csv(files, "sweep_{rule}.csv", ["k", "community_count", "clique_count"],
+               [(k, sweep.community_counts[k], sweep.clique_counts[k]) for k in ks])
 
 
-def stage_communities(config: PipelineConfig, outdir: str) -> list[str]:
-    ug = load_undirected_graph(outdir)
-    return write_community_outputs(config, ug, outdir)
+def stage_communities(config: PipelineConfig, files: StageFiles) -> None:
+    """Percolate k-cliques into communities and sweep the counts over k."""
+    ug = load_undirected_graph(files.path(NODES), files.path(EDGES))
+    write_community_outputs(config, ug, files)
 
 
 def _fit_one_community(args):
@@ -175,9 +205,10 @@ def _fit_one_community(args):
     return community_id, vocab, docs, model
 
 
-def stage_topics(config: PipelineConfig, outdir: str) -> list[str]:
-    records = read_records(filtered_records_path(outdir))
-    with open(communities_path(outdir, config.k, config.rule), encoding="utf-8") as fh:
+def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
+    """Fit a hashtag topic model per community."""
+    records = read_records(files.path(FILTERED))
+    with open(files.path(COMMUNITIES), encoding="utf-8") as fh:
         communities = json.load(fh)
     jobs = []
     for entry in communities:
@@ -208,7 +239,6 @@ def stage_topics(config: PipelineConfig, outdir: str) -> list[str]:
         results = [_fit_one_community(job) for job in jobs]
     results.sort(key=lambda r: r[0])  # deterministic merge
 
-    files = []
     for cid, vocab, docs, model in results:
         summary = topic_keywords(model, vocab, config.top_n_keywords)
         payload = {
@@ -228,80 +258,139 @@ def stage_topics(config: PipelineConfig, outdir: str) -> list[str]:
             ],
             "perplexity": held_out_perplexity(model, docs),
         }
-        name = f"topics_community{cid}.json"
-        _write_json(os.path.join(outdir, name), payload)
-        files.append(name)
+        _write_json(files, "topics_community{cid}.json", payload, cid=cid)
         doc_rows = []
         for i, doc in enumerate(docs):
             theta = doc_topic_distribution(model, i)
             doc_rows.append([doc.doc_id] + [repr(float(p)) for p in theta])
-        csv_name = f"doc_topics_community{cid}.csv"
         _write_csv(
-            os.path.join(outdir, csv_name),
+            files, "doc_topics_community{cid}.csv",
             ["doc_id"] + [f"topic_{t}" for t in range(model.n_topics)],
             doc_rows,
+            cid=cid,
         )
-        files.append(csv_name)
-    return files
 
 
-def stage_profiles(config: PipelineConfig, outdir: str) -> list[str]:
-    records = read_records(filtered_records_path(outdir))
-    table = description_term_proportions(
-        records, DEFAULT_STOPLIST, config.top_n_terms
+def stage_profiles(config: PipelineConfig, files: StageFiles) -> None:
+    """Tabulate the most frequent profile-description terms."""
+    records = read_records(files.path(FILTERED))
+    stoplist = DEFAULT_STOPLIST
+    if STOPLIST in files.redirects:
+        with open(files.path(STOPLIST), encoding="utf-8") as fh:
+            stoplist = frozenset(w.strip().lower() for w in fh if w.strip())
+    try:
+        table = description_term_proportions(records, stoplist, config.top_n_terms)
+    except NoDescriptionsError as exc:
+        print(f"profiles: {exc}; writing an empty table", file=sys.stderr)
+        rows = []
+    else:
+        rows = [(rank, term, repr(prop), count) for rank, term, prop, count in table.to_rows()]
+    _write_csv(files, "term_frequencies.csv", ["rank", "term", "proportion", "user_count"], rows)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One link of the chain. `fields` are the config fields that shape its
+    outputs. `reads` and `writes` map the template of each bundle file it
+    uses to the flag of its subcommand that points that file elsewhere (None:
+    no flag); a flag given for several files names the directory holding them."""
+
+    name: str
+    func: Callable
+    fields: tuple[str, ...]
+    reads: dict[str, str | None]
+    writes: dict[str, str | None]
+
+
+TABLE = {
+    stage.name: stage
+    for stage in (
+        Stage("ingest", stage_ingest, ("input", "keywords"),
+              reads={},
+              writes={FILTERED: "--output", "ingest_stats.json": "--stats"}),
+        Stage("graph", stage_graph, ("tau", "min_weight"),
+              reads={FILTERED: "--input"},
+              writes=dict.fromkeys(("network_stats.json", "degree_histogram.csv",
+                                    "roles.csv", EDGES, NODES))),
+        Stage("communities", stage_communities, ("k", "rule", "k_min", "k_max", "max_cliques"),
+              reads={NODES: "--graph", EDGES: "--graph"},
+              writes=dict.fromkeys((COMMUNITIES, "sweep_{rule}.csv"))),
+        Stage("topics", stage_topics,
+              ("k", "rule", "n_topics", "alpha", "beta", "iterations", "seed",
+               "top_n_keywords", "per_user_docs"),
+              reads={FILTERED: "--records", COMMUNITIES: "--communities"},
+              writes=dict.fromkeys(("topics_community{cid}.json",
+                                    "doc_topics_community{cid}.csv"))),
+        Stage("profiles", stage_profiles, ("top_n_terms",),
+              reads={FILTERED: "--records", STOPLIST: "--stoplist"},
+              writes={"term_frequencies.csv": None}),
     )
-    _write_csv(
-        os.path.join(outdir, "term_frequencies.csv"),
-        ["rank", "term", "proportion", "user_count"],
-        [(rank, term, repr(prop), count) for rank, term, prop, count in table.to_rows()],
-    )
-    return ["term_frequencies.csv"]
-
-
-_STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "graph": stage_graph,
-    "communities": stage_communities,
-    "topics": stage_topics,
-    "profiles": stage_profiles,
 }
 
+STAGES = tuple(TABLE)
+# looked up at call time, so a caller may wrap a stage function in place
+_STAGE_FUNCS = {name: stage.func for name, stage in TABLE.items()}
 
-def _expected_outputs(stage: str, config: PipelineConfig, outdir: str) -> Optional[list[str]]:
-    """Predictable outputs per stage, for --resume; None means not predictable."""
-    if stage == "ingest":
-        return ["filtered.jsonl", "ingest_stats.json"]
-    if stage == "graph":
-        return [
-            "network_stats.json",
-            "degree_histogram.csv",
-            "roles.csv",
-            "undirected_edges.csv",
-            "nodes.txt",
-        ]
-    if stage == "communities":
-        return [f"communities_k{config.k}_{config.rule}.json", f"sweep_{config.rule}.csv"]
-    if stage == "topics":
-        comm_file = communities_path(outdir, config.k, config.rule)
-        if not os.path.exists(comm_file):
-            return None
-        with open(comm_file, encoding="utf-8") as fh:
-            communities = json.load(fh)
-        files = []
-        for entry in communities:
-            cid = entry["community_id"]
-            files.append(f"topics_community{cid}.json")
-            files.append(f"doc_topics_community{cid}.csv")
-        return files
-    if stage == "profiles":
-        return ["term_frequencies.csv"]
-    return None
+
+def run_stage(name: str, config: PipelineConfig, redirects: dict[str, str]) -> dict[str, str]:
+    """Run one stage on its own, with the files in `redirects` (template ->
+    path) outside the outdir; returns the name -> path of each file written.
+    Writes no manifest."""
+    files = StageFiles(TABLE[name], config, redirects)
+    _STAGE_FUNCS[name](config, files)
+    return files.written
+
+
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _stage_key(stage: Stage, config: PipelineConfig) -> dict:
+    """What a stage's outputs depend on besides the stages before it: its
+    config slice and, for a stage that reads the input file, that file's digest."""
+    values = config.to_dict()
+    key = {"config": {f: values[f] for f in stage.fields}}
+    if "input" in stage.fields:
+        key["input_sha256"] = _sha256(config.input)
+    return key
+
+
+def _reusable(previous: dict | None, key: dict, outdir: str) -> bool:
+    """An earlier run recorded this stage under the same key, and every output
+    it recorded still has the digest it was written with."""
+    if previous is None or any(previous.get(k) != v for k, v in key.items()):
+        return False
+    try:
+        return all(
+            _sha256(os.path.join(outdir, name)) == digest
+            for name, digest in previous["outputs"].items()
+        )
+    except OSError:
+        return False
+
+
+def _previous_stages(outdir: str) -> dict[str, dict]:
+    try:
+        with open(os.path.join(outdir, MANIFEST), encoding="utf-8") as fh:
+            return {s["name"]: s for s in json.load(fh)["stages"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run all stages in order and write a bundle manifest; returns it."""
+    """Run all stages in order, rewriting the manifest after each; returns it.
+
+    With `config.resume`, a stage is reused rather than run when every stage
+    before it was reused, the previous manifest recorded it with the same key
+    (see `_stage_key`), and its recorded outputs still have their digests.
+    """
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
+    previous = _previous_stages(outdir) if config.resume else {}
     manifest = {
         "tool": "echonet",
         "version": __version__,
@@ -311,43 +400,45 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "stages": [],
         "files": [],
     }
-    for stage in STAGES:
-        expected = _expected_outputs(stage, config, outdir)
-        if (
-            config.resume
-            and expected
-            and all(os.path.exists(os.path.join(outdir, f)) for f in expected)
-        ):
-            manifest["stages"].append({"name": stage, "seconds": 0.0, "resumed": True})
-            continue
+    reuse = config.resume
+    for stage in TABLE.values():
+        marker = os.path.join(outdir, f"{stage.name}.partial")
         start = time.monotonic()
         try:
-            _STAGE_FUNCS[stage](config, outdir)
+            key = _stage_key(stage, config)
+            reuse = reuse and _reusable(previous.get(stage.name), key, outdir)
+            if reuse:
+                outputs = previous[stage.name]["outputs"]
+            else:
+                written = run_stage(stage.name, config, {})
+                outputs = {name: _sha256(path) for name, path in written.items()}
         except Exception as exc:
-            open(os.path.join(outdir, f"{stage}.partial"), "w").close()
-            raise StageError(stage, exc) from exc
-        manifest["stages"].append(
-            {"name": stage, "seconds": time.monotonic() - start, "resumed": False}
-        )
-        marker = os.path.join(outdir, f"{stage}.partial")
+            open(marker, "w").close()
+            raise StageError(stage.name, exc) from exc
         if os.path.exists(marker):
             os.remove(marker)
-    manifest["files"] = sorted(
-        f
-        for f in os.listdir(outdir)
-        if f != "manifest.json" and not f.endswith(".partial")
-    )
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+        manifest["stages"].append({
+            "name": stage.name,
+            **key,
+            "outputs": outputs,
+            "seconds": time.monotonic() - start,
+            "resumed": reuse,
+        })
+        manifest["files"] = sorted({name for s in manifest["stages"] for name in s["outputs"]})
+        with atomic_open(os.path.join(outdir, MANIFEST)) as fh:
+            fh.write(_json_text(manifest))
     return manifest
 
 
 def render_report(outdir: str) -> str:
     """Human-readable bundle summary; validates the manifest's file list."""
-    with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    missing = [
-        f for f in manifest["files"] if not os.path.exists(os.path.join(outdir, f))
-    ]
+
+    def load(name):
+        with open(os.path.join(outdir, name), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    manifest = load(MANIFEST)
+    missing = [f for f in manifest["files"] if not os.path.exists(os.path.join(outdir, f))]
     lines = [
         f"echonet bundle {manifest['version']} (config {manifest['config_hash'][:12]})",
         f"created: {manifest['created_utc']}",
@@ -357,26 +448,20 @@ def render_report(outdir: str) -> str:
     for stage in manifest["stages"]:
         note = " (resumed)" if stage.get("resumed") else ""
         lines.append(f"  {stage['name']}: {stage['seconds']:.2f}s{note}")
-    stats_path = os.path.join(outdir, "ingest_stats.json")
-    if os.path.exists(stats_path):
-        with open(stats_path, encoding="utf-8") as fh:
-            stats = json.load(fh)
+    if os.path.exists(os.path.join(outdir, "ingest_stats.json")):
+        stats = load("ingest_stats.json")
         lines.append(
             f"corpus: {stats['tweet_count']} tweets, "
             f"{stats['unique_user_count']} users, {stats['retweet_count']} retweets"
         )
-    net_path = os.path.join(outdir, "network_stats.json")
-    if os.path.exists(net_path):
-        with open(net_path, encoding="utf-8") as fh:
-            net = json.load(fh)
+    if os.path.exists(os.path.join(outdir, "network_stats.json")):
+        net = load("network_stats.json")
         lines.append(
             f"network: {net['node_count']} nodes, {net['unique_edge_count']} edges "
             f"(weighted sum {net['weighted_edge_sum']})"
         )
     for name in manifest["files"]:
         if name.startswith("communities_k"):
-            with open(os.path.join(outdir, name), encoding="utf-8") as fh:
-                comms = json.load(fh)
-            lines.append(f"{name}: {len(comms)} communities")
+            lines.append(f"{name}: {len(load(name))} communities")
     lines.append(f"files: {len(manifest['files'])}")
     return "\n".join(lines)

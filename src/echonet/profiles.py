@@ -19,6 +19,10 @@ DEFAULT_STOPLIST = frozenset(
 )
 
 
+class NoDescriptionsError(ValueError):
+    """No user in the records has a nonempty profile description."""
+
+
 @dataclass
 class TermFrequencyTable:
     terms: list[tuple[str, float]]  # (term, proportion), non-increasing
@@ -52,7 +56,7 @@ def description_term_proportions(
         if prev is None or rec.created_at > prev[0]:
             latest[rec.user_id] = (rec.created_at, rec.user_description)
     if not latest:
-        raise ValueError("no users with nonempty descriptions")
+        raise NoDescriptionsError("no users with nonempty descriptions")
     user_base = len(latest)
     term_users: dict[str, int] = {}
     for _, description in latest.values():

@@ -91,3 +91,15 @@ def complete_graph(n: int) -> UndirectedGraph:
     nodes = [f"v{i}" for i in range(n)]
     edges = {(u, v): 1 for u, v in itertools.combinations(sorted(nodes), 2)}
     return UndirectedGraph(nodes=set(nodes), edges=edges)
+
+
+def brute_force_degeneracy_order(adj):
+    """Repeatedly remove the remaining vertex with the smallest (degree, id)."""
+    remaining = {v: set(nbrs) for v, nbrs in adj.items()}
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(remaining[u]), u))
+        order.append(v)
+        for u in remaining.pop(v):
+            remaining[u].discard(v)
+    return order

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from echonet.cli import main
-from echonet.pipeline import StageError, run_pipeline
+from echonet.pipeline import StageError, atomic_open, run_pipeline
 from echonet.config import PipelineConfig
 
 FIXTURE = str(Path(__file__).parent.parent / "fixtures" / "sample_tweets.jsonl")
@@ -181,3 +182,144 @@ def test_console_script_installed():
     assert proc.returncode == 0
     for cmd in ("ingest", "graph", "communities", "topics", "profiles", "run", "report"):
         assert cmd in proc.stdout
+
+
+def _stages(outdir):
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    return {s["name"]: s["resumed"] for s in manifest["stages"]}
+
+
+def test_resume_reruns_stage_whose_config_changed(tmp_path):
+    out, fresh = tmp_path / "bundle", tmp_path / "fresh"
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS) == 0
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), "--resume",
+                   "--min-weight", "3", *RUN_ARGS) == 0
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(fresh),
+                   "--min-weight", "3", *RUN_ARGS) == 0
+    edges = "undirected_edges.csv"
+    assert (out / edges).read_bytes() == (fresh / edges).read_bytes()
+    assert _stages(out) == {"ingest": True, "graph": False, "communities": False,
+                            "topics": False, "profiles": False}
+
+
+def test_resume_reruns_from_a_truncated_output(tmp_path):
+    out = tmp_path / "bundle"
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS) == 0
+    roles = (out / "roles.csv").read_bytes()
+    (out / "roles.csv").write_bytes(b"")
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), "--resume", *RUN_ARGS) == 0
+    assert (out / "roles.csv").read_bytes() == roles
+    assert _stages(out) == {"ingest": True, "graph": False, "communities": False,
+                            "topics": False, "profiles": False}
+
+
+def test_resume_reruns_ingest_when_input_changes(tmp_path):
+    source, out, fresh = tmp_path / "tweets.jsonl", tmp_path / "bundle", tmp_path / "fresh"
+    lines = Path(FIXTURE).read_text().splitlines(keepends=True)
+    source.write_text("".join(lines))
+    assert run_cli("run", "--input", str(source), "--outdir", str(out), *RUN_ARGS) == 0
+    source.write_text("".join(lines[:-40]))
+    assert run_cli("run", "--input", str(source), "--outdir", str(out), "--resume",
+                   *RUN_ARGS) == 0
+    assert run_cli("run", "--input", str(source), "--outdir", str(fresh), *RUN_ARGS) == 0
+    assert not _stages(out)["ingest"]
+    for name in ("filtered.jsonl", "ingest_stats.json"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_manifest_lists_only_files_of_this_run(tmp_path):
+    out = tmp_path / "bundle"
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS) == 0
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS,
+                   "--k", "5") == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert "communities_k5_standard.json" in files
+    assert "communities_k4_standard.json" not in files
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        return exc.code
+
+
+@pytest.mark.parametrize("flags, config_file, field", [
+    (["--alpha", "abc"], None, "alpha"),
+    ([], {"k": "4"}, "k"),
+    (["--alpha", "nan"], None, "alpha"),
+    (["--beta", "inf"], None, "beta"),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, flags, config_file, field):
+    argv = ["run", "--input", FIXTURE, "--outdir", str(tmp_path / "out"),
+            "--iters", "50", "--n-topics", "2", *flags]
+    if config_file is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_file))
+        argv += ["--config", str(path)]
+    assert _exit_code(argv) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_without_descriptions_writes_empty_profile_table(tmp_path, capsys):
+    stripped = tmp_path / "tweets.jsonl"
+    with open(FIXTURE, encoding="utf-8") as src, open(stripped, "w", encoding="utf-8") as dst:
+        for line in src:
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                dst.write(line)  # keep the malformed lines
+                continue
+            if isinstance(obj, dict):
+                obj.pop("user_description", None)
+            dst.write(json.dumps(obj) + "\n")
+    out = tmp_path / "bundle"
+    assert run_cli("run", "--input", str(stripped), "--outdir", str(out), *RUN_ARGS) == 0
+    assert (out / "term_frequencies.csv").read_text() == "rank,term,proportion,user_count\n"
+    assert "profiles:" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "term_frequencies.csv" in manifest["files"]
+
+
+def test_manifest_records_each_stage_slice_and_digests(tmp_path):
+    out = tmp_path / "bundle"
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    stages = {s["name"]: s for s in manifest["stages"]}
+    assert stages["graph"]["config"] == {"tau": 0.5, "min_weight": 1}
+    assert stages["ingest"]["input_sha256"] == hashlib.sha256(
+        Path(FIXTURE).read_bytes()).hexdigest()
+    recorded = {name: digest for s in stages.values() for name, digest in s["outputs"].items()}
+    assert sorted(recorded) == manifest["files"]
+    for name, digest in recorded.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_atomic_open_keeps_old_file_when_writer_dies(tmp_path):
+    target = tmp_path / "roles.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(target)) as fh:
+            fh.write("half a new fi")
+            raise RuntimeError("killed")
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["roles.csv"]
+
+
+def test_resume_after_a_failed_stage_reuses_the_stages_before_it(tmp_path, monkeypatch):
+    from echonet import pipeline
+
+    out = tmp_path / "bundle"
+
+    def killed(config, files):
+        raise RuntimeError("killed")
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "topics", killed)
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS) == 4
+    assert list(_stages(out)) == ["ingest", "graph", "communities"]
+    monkeypatch.undo()
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), "--resume", *RUN_ARGS) == 0
+    assert _stages(out) == {"ingest": True, "graph": True, "communities": True,
+                            "topics": False, "profiles": False}
+    assert not (out / "topics.partial").exists()

@@ -5,6 +5,7 @@ import pytest
 from echonet.communities import (
     CliqueBudgetExceeded,
     community_count_sweep,
+    degeneracy_order,
     detect_communities,
     enumerate_k_cliques,
     maximal_cliques,
@@ -12,6 +13,7 @@ from echonet.communities import (
 )
 from echonet.graph import UndirectedGraph
 from oracles import (
+    brute_force_degeneracy_order,
     brute_force_detect,
     brute_force_k_cliques,
     complete_graph,
@@ -241,3 +243,11 @@ def test_sweep_bounds_checked():
         community_count_sweep(complete_graph(3), 1, 4)
     with pytest.raises(ValueError):
         community_count_sweep(complete_graph(3), 5, 4)
+
+
+def test_degeneracy_order_oracle_random_graphs():
+    rng = random.Random(5)
+    for trial in range(300):
+        ug = random_undirected_graph(rng, rng.randint(0, 30), rng.random())
+        adj = ug.adjacency()
+        assert degeneracy_order(adj) == brute_force_degeneracy_order(adj), trial
