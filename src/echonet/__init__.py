@@ -22,6 +22,7 @@ from .communities import (  # noqa: F401
     community_count_sweep,
     detect_communities,
     enumerate_k_cliques,
+    maximal_clique_list,
     percolate,
 )
 from .topics import (  # noqa: F401

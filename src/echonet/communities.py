@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import UndirectedGraph
 
@@ -53,45 +54,60 @@ def degeneracy_order(adj: dict[str, set[str]]) -> list:
     return order
 
 
+def _expand(adj: dict[str, set[str]], r: set, p: set, x: set) -> Iterator[frozenset]:
+    if not p and not x:
+        yield frozenset(r)
+        return
+    pivot = max(p | x, key=lambda v: len(adj[v] & p))
+    for v in list(p - adj[pivot]):
+        yield from _expand(adj, r | {v}, p & adj[v], x & adj[v])
+        p.remove(v)
+        x.add(v)
+
+
 def maximal_cliques(adj: dict[str, set[str]]) -> Iterator[frozenset]:
     """Bron-Kerbosch with pivoting, outer loop in degeneracy order."""
-
-    def expand(r: set, p: set, x: set) -> Iterator[frozenset]:
-        if not p and not x:
-            yield frozenset(r)
-            return
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
-        for v in list(p - adj[pivot]):
-            yield from expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
     order = degeneracy_order(adj)
     position = {v: i for i, v in enumerate(order)}
     for v in order:
         later = {u for u in adj[v] if position[u] > position[v]}
         earlier = {u for u in adj[v] if position[u] < position[v]}
-        yield from expand({v}, later, earlier)
+        yield from _expand(adj, {v}, later, earlier)
+
+
+def maximal_clique_list(ug: UndirectedGraph) -> list[tuple[str, ...]]:
+    """Every maximal clique of `ug` as a sorted tuple: enumerate them once and
+    hand the list to `detect_communities` and `community_count_sweep`."""
+    return [tuple(sorted(mc)) for mc in maximal_cliques(ug.adjacency())]
+
+
+def _k_cliques(
+    maximal: Iterable[tuple[str, ...]], k: int, max_cliques: Optional[int]
+) -> set[tuple[str, ...]]:
+    """Every k-subset of the sorted maximal cliques, as a sorted tuple. Raises
+    CliqueBudgetExceeded as soon as more than `max_cliques` distinct ones exist."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    out: set[tuple[str, ...]] = set()
+    for mc in maximal:
+        if len(mc) < k:
+            continue
+        combos = itertools.combinations(mc, k)
+        if max_cliques is None or len(out) + math.comb(len(mc), k) <= max_cliques:
+            out.update(combos)  # cannot pass the budget
+            continue
+        for combo in combos:
+            out.add(combo)
+            if len(out) > max_cliques:
+                raise CliqueBudgetExceeded(f"more than {max_cliques} {k}-cliques materialized")
+    return out
 
 
 def enumerate_k_cliques(
     ug: UndirectedGraph, k: int, max_cliques: Optional[int] = None
 ) -> set[frozenset]:
     """All fully connected k-subsets, via expansion of maximal cliques."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    out: set[frozenset] = set()
-    adj = ug.adjacency()
-    for mc in maximal_cliques(adj):
-        if len(mc) < k:
-            continue
-        for combo in itertools.combinations(sorted(mc), k):
-            out.add(frozenset(combo))
-            if max_cliques is not None and len(out) > max_cliques:
-                raise CliqueBudgetExceeded(
-                    f"more than {max_cliques} {k}-cliques materialized"
-                )
-    return out
+    return {frozenset(c) for c in _k_cliques(maximal_clique_list(ug), k, max_cliques)}
 
 
 class _UnionFind:
@@ -116,20 +132,20 @@ def _sorted_communities(groups: dict[int, set[str]]) -> list[frozenset[str]]:
     return comms
 
 
-def percolate(cliques: set[frozenset], k: int, rule: str = "standard") -> CommunityCover:
+def percolate(cliques: Iterable[Iterable[str]], k: int, rule: str = "standard") -> CommunityCover:
     """Union k-cliques that overlap: standard rule joins cliques sharing k-1
     nodes, loose rule joins cliques sharing any node."""
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}")
-    clique_list = sorted(cliques, key=lambda c: tuple(sorted(c)))
+    clique_list = sorted(tuple(sorted(c)) for c in cliques)
     for c in clique_list:
         if len(c) != k:
-            raise ValueError(f"clique {sorted(c)} does not have {k} members")
+            raise ValueError(f"clique {list(c)} does not have {k} members")
     uf = _UnionFind(len(clique_list))
     seen: dict = {}
     if rule == "standard":
         for i, c in enumerate(clique_list):
-            for sub in itertools.combinations(sorted(c), k - 1):
+            for sub in itertools.combinations(c, k - 1):
                 j = seen.setdefault(sub, i)
                 if j != i:
                     uf.union(i, j)
@@ -151,37 +167,28 @@ def percolate(cliques: set[frozenset], k: int, rule: str = "standard") -> Commun
 
 
 def detect_communities(
-    ug: UndirectedGraph,
+    maximal: Iterable[tuple[str, ...]],
     k: int,
     rule: str = "standard",
     max_cliques: Optional[int] = None,
 ) -> CommunityCover:
-    return percolate(enumerate_k_cliques(ug, k, max_cliques), k, rule)
+    """Percolate the k-cliques of a graph, given its `maximal_clique_list`."""
+    return percolate(_k_cliques(maximal, k, max_cliques), k, rule)
 
 
 def community_count_sweep(
-    ug: UndirectedGraph,
+    maximal: Sequence[tuple[str, ...]],
     k_min: int,
     k_max: int,
     rule: str = "standard",
     max_cliques: Optional[int] = None,
 ) -> SweepResult:
-    """Community count per k; maximal cliques are enumerated once and reused."""
+    """Community and k-clique count per k, given the graph's `maximal_clique_list`."""
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
-    maximal = [c for c in maximal_cliques(ug.adjacency())]
     result = SweepResult(k_min=k_min, k_max=k_max, rule=rule)
     for k in range(k_min, k_max + 1):
-        cliques: set[frozenset] = set()
-        for mc in maximal:
-            if len(mc) < k:
-                continue
-            for combo in itertools.combinations(sorted(mc), k):
-                cliques.add(frozenset(combo))
-                if max_cliques is not None and len(cliques) > max_cliques:
-                    raise CliqueBudgetExceeded(
-                        f"more than {max_cliques} {k}-cliques materialized"
-                    )
+        cliques = _k_cliques(maximal, k, max_cliques)
         cover = percolate(cliques, k, rule)
         result.community_counts[k] = len(cover.communities)
         result.clique_counts[k] = len(cliques)

@@ -3,8 +3,10 @@
 echonet is a fixed chain of five stages. `TABLE` lists each one once: its
 function, the config fields that shape its outputs, and the bundle files it
 reads and writes. `run_pipeline`, the subcommands, `--resume` and the manifest
-all derive from it. Stages communicate only through files, so each one can be
-re-run and inspected on its own.
+all derive from it. Files are the interface between stages, so each one can be
+re-run and inspected on its own. Within one `run_pipeline` call, the records
+`ingest` kept also pass to the later stages in memory (`StageFiles.records`),
+so each record file is parsed at most once per run.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from . import __version__
-from .communities import community_count_sweep, detect_communities
+from .communities import community_count_sweep, detect_communities, maximal_clique_list
 from .config import PipelineConfig
 from .graph import (
     RetweetGraph,
@@ -36,6 +38,7 @@ from .graph import (
 from .profiles import DEFAULT_STOPLIST, NoDescriptionsError, description_term_proportions
 from .records import (
     ParseStats,
+    TweetRecord,
     corpus_summary,
     keyword_filter,
     read_records,
@@ -92,12 +95,15 @@ class StageFiles:
     """Where one stage reads and writes. A file is named by its template in
     the stage table, filled in from the config (plus `extra` fields such as a
     community id), and lives at `<outdir>/<name>` unless `redirects` maps its
-    template to another path. `written` maps each name written to its path."""
+    template to another path. `written` maps each name written to its path.
+    `parsed` maps the path of each record file parsed so far to its records;
+    the stages of one run share it."""
 
     stage: Stage
     config: PipelineConfig
     redirects: dict[str, str] = field(default_factory=dict)
     written: dict[str, str] = field(default_factory=dict)
+    parsed: dict[str, list[TweetRecord]] = field(default_factory=dict)
 
     def name(self, template: str, **extra) -> str:
         if template not in self.stage.reads and template not in self.stage.writes:
@@ -116,6 +122,14 @@ class StageFiles:
             yield fh
         self.written[self.name(template, **extra)] = path
 
+    def records(self, template: str) -> list[TweetRecord]:
+        """The records of the file `template` names: parsed on first use, then
+        taken from `parsed`."""
+        path = self.path(template)
+        if path not in self.parsed:
+            self.parsed[path] = read_records(path)
+        return self.parsed[path]
+
 
 def _write_json(files: StageFiles, template: str, payload, **extra) -> None:
     with files.create(template, **extra) as fh:
@@ -132,14 +146,14 @@ def _write_csv(files: StageFiles, template: str, header: list[str], rows, **extr
 def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
     """Parse, keyword-filter and summarize the input records."""
     parse_stats = ParseStats()
-    records = read_records(config.input, parse_stats)
-    kept = [r for r in records if keyword_filter(r, config.keywords)]
+    kept = read_records(config.input, parse_stats, lambda r: keyword_filter(r, config.keywords))
     with files.create(FILTERED) as fh:
         for rec in kept:
             fh.write(record_to_json(rec) + "\n")
+    files.parsed[files.path(FILTERED)] = kept  # what parsing the file back yields
     stats = corpus_summary(kept).to_dict()
     stats["malformed_lines"] = parse_stats.malformed
-    stats["input_records"] = len(records)
+    stats["input_records"] = parse_stats.records
     _write_json(files, "ingest_stats.json", stats)
 
 
@@ -161,8 +175,7 @@ def write_graph_outputs(
 
 def stage_graph(config: PipelineConfig, files: StageFiles) -> None:
     """Build the retweet digraph, its degree reports and roles, and its symmetrized form."""
-    records = read_records(files.path(FILTERED))
-    g = build_retweet_graph(records)
+    g = build_retweet_graph(files.records(FILTERED))
     if not g.nodes:
         raise ValueError("no records survived ingest; graph would be empty")
     ug = symmetrize(g, config.min_weight)
@@ -180,13 +193,16 @@ def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
 
 
 def write_community_outputs(config: PipelineConfig, ug: UndirectedGraph, files: StageFiles) -> None:
-    cover = detect_communities(ug, config.k, config.rule, config.max_cliques)
+    maximal = maximal_clique_list(ug)
+    cover = detect_communities(maximal, config.k, config.rule, config.max_cliques)
     payload = [
         {"community_id": i, "size": len(c), "members": sorted(c)}
         for i, c in enumerate(cover.communities)
     ]
     _write_json(files, COMMUNITIES, payload)
-    sweep = community_count_sweep(ug, config.k_min, config.k_max, config.rule, config.max_cliques)
+    sweep = community_count_sweep(
+        maximal, config.k_min, config.k_max, config.rule, config.max_cliques
+    )
     ks = range(config.k_min, config.k_max + 1)
     _write_csv(files, "sweep_{rule}.csv", ["k", "community_count", "clique_count"],
                [(k, sweep.community_counts[k], sweep.clique_counts[k]) for k in ks])
@@ -207,7 +223,7 @@ def _fit_one_community(args):
 
 def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
     """Fit a hashtag topic model per community."""
-    records = read_records(files.path(FILTERED))
+    records = files.records(FILTERED)
     with open(files.path(COMMUNITIES), encoding="utf-8") as fh:
         communities = json.load(fh)
     jobs = []
@@ -273,7 +289,7 @@ def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
 
 def stage_profiles(config: PipelineConfig, files: StageFiles) -> None:
     """Tabulate the most frequent profile-description terms."""
-    records = read_records(files.path(FILTERED))
+    records = files.records(FILTERED)
     stoplist = DEFAULT_STOPLIST
     if STOPLIST in files.redirects:
         with open(files.path(STOPLIST), encoding="utf-8") as fh:
@@ -332,11 +348,17 @@ STAGES = tuple(TABLE)
 _STAGE_FUNCS = {name: stage.func for name, stage in TABLE.items()}
 
 
-def run_stage(name: str, config: PipelineConfig, redirects: dict[str, str]) -> dict[str, str]:
-    """Run one stage on its own, with the files in `redirects` (template ->
-    path) outside the outdir; returns the name -> path of each file written.
-    Writes no manifest."""
-    files = StageFiles(TABLE[name], config, redirects)
+def run_stage(
+    name: str,
+    config: PipelineConfig,
+    redirects: dict[str, str],
+    parsed: dict[str, list[TweetRecord]] | None = None,
+) -> dict[str, str]:
+    """Run one stage, with the files in `redirects` (template -> path) outside
+    the outdir; returns the name -> path of each file written. `parsed` holds
+    the records already parsed in this run (see `StageFiles`); a stage run on
+    its own starts with none. Writes no manifest."""
+    files = StageFiles(TABLE[name], config, redirects, parsed={} if parsed is None else parsed)
     _STAGE_FUNCS[name](config, files)
     return files.written
 
@@ -373,12 +395,40 @@ def _reusable(previous: dict | None, key: dict, outdir: str) -> bool:
         return False
 
 
-def _previous_stages(outdir: str) -> dict[str, dict]:
+def _previous_manifest(outdir: str) -> tuple[dict[str, dict], list[str]]:
+    """The stages (by name) and the files of the manifest already in `outdir`."""
     try:
         with open(os.path.join(outdir, MANIFEST), encoding="utf-8") as fh:
-            return {s["name"]: s for s in json.load(fh)["stages"]}
+            manifest = json.load(fh)
+        files = [name for name in manifest["files"] if isinstance(name, str)]
+        return {s["name"]: s for s in manifest["stages"]}, files
     except (OSError, ValueError, KeyError, TypeError):
-        return {}
+        return {}, []
+
+
+def _remove_stale(outdir: str, listed: list[str], written: list[str]) -> None:
+    """Delete each file an earlier manifest listed that this run did not write,
+    such as the communities file of another `--k`. Only plain file names in
+    `outdir` are touched."""
+    for name in set(listed) - set(written):
+        path = os.path.join(outdir, name)
+        if name == os.path.basename(name) and name != MANIFEST and os.path.isfile(path):
+            os.remove(path)
+
+
+def _peak_rss_kb() -> int:
+    """This process's peak resident set size so far, in KiB: VmHWM, or
+    ru_maxrss (KiB on Linux) where /proc is not available."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -387,10 +437,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
     With `config.resume`, a stage is reused rather than run when every stage
     before it was reused, the previous manifest recorded it with the same key
     (see `_stage_key`), and its recorded outputs still have their digests.
+    The stages share the records parsed along the way. Once every stage has
+    finished, files that the previous manifest listed and this run did not
+    write are deleted.
     """
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
-    previous = _previous_stages(outdir) if config.resume else {}
+    previous, listed = _previous_manifest(outdir)
+    if not config.resume:
+        previous = {}
     manifest = {
         "tool": "echonet",
         "version": __version__,
@@ -400,6 +455,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "stages": [],
         "files": [],
     }
+    parsed: dict[str, list[TweetRecord]] = {}
     reuse = config.resume
     for stage in TABLE.values():
         marker = os.path.join(outdir, f"{stage.name}.partial")
@@ -410,7 +466,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             if reuse:
                 outputs = previous[stage.name]["outputs"]
             else:
-                written = run_stage(stage.name, config, {})
+                written = run_stage(stage.name, config, {}, parsed)
                 outputs = {name: _sha256(path) for name, path in written.items()}
         except Exception as exc:
             open(marker, "w").close()
@@ -422,11 +478,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
             **key,
             "outputs": outputs,
             "seconds": time.monotonic() - start,
+            "peak_rss_kb": _peak_rss_kb(),
             "resumed": reuse,
         })
         manifest["files"] = sorted({name for s in manifest["stages"] for name in s["outputs"]})
         with atomic_open(os.path.join(outdir, MANIFEST)) as fh:
             fh.write(_json_text(manifest))
+    _remove_stale(outdir, listed, manifest["files"])
     return manifest
 
 
@@ -447,7 +505,8 @@ def render_report(outdir: str) -> str:
         lines.append(f"MISSING FILES: {', '.join(missing)}")
     for stage in manifest["stages"]:
         note = " (resumed)" if stage.get("resumed") else ""
-        lines.append(f"  {stage['name']}: {stage['seconds']:.2f}s{note}")
+        rss = f", peak RSS {stage['peak_rss_kb'] / 1024:.1f} MB" if "peak_rss_kb" in stage else ""
+        lines.append(f"  {stage['name']}: {stage['seconds']:.2f}s{rss}{note}")
     if os.path.exists(os.path.join(outdir, "ingest_stats.json")):
         stats = load("ingest_stats.json")
         lines.append(

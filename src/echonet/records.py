@@ -6,9 +6,10 @@ import csv
 import io
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 HASHTAG_RE = re.compile(r"#([A-Za-z0-9_]+)")
 
@@ -29,7 +30,7 @@ class RecordError(ValueError):
     """A single input record violates the expected schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     tweet_id: str
     user_id: str
@@ -62,14 +63,15 @@ class CorpusStats:
 
 @dataclass
 class ParseStats:
-    """Mutable counter handed to the streaming parser."""
+    """Mutable counters handed to the streaming parser."""
 
     malformed: int = 0
+    records: int = 0  # well-formed records yielded
 
 
 def extract_hashtags(text: str) -> tuple[str, ...]:
     """Hashtags are maximal [A-Za-z0-9_]+ runs after '#', lowercased."""
-    return tuple(m.group(1).lower() for m in HASHTAG_RE.finditer(text))
+    return tuple(sys.intern(m.group(1).lower()) for m in HASHTAG_RE.finditer(text))
 
 
 def _parse_created_at(raw: str) -> datetime:
@@ -87,7 +89,7 @@ def _clean_optional(value) -> Optional[str]:
         return None
     if not isinstance(value, str):
         raise RecordError("optional field must be a string")
-    return value if value else None
+    return sys.intern(value) if value else None
 
 
 def _normalize_hashtags(raw) -> tuple[str, ...]:
@@ -98,12 +100,14 @@ def _normalize_hashtags(raw) -> tuple[str, ...]:
         tag = tag.lstrip("#").lower()
         if not tag or any(c.isspace() for c in tag) or "#" in tag:
             raise RecordError(f"bad hashtag token: {tag!r}")
-        tags.append(tag)
+        tags.append(sys.intern(tag))
     return tuple(tags)
 
 
 def record_from_mapping(obj: dict) -> TweetRecord:
-    """Build a validated TweetRecord from a parsed input mapping."""
+    """Build a validated TweetRecord from a parsed input mapping. User ids,
+    descriptions and hashtags repeat across records, so they are interned:
+    a corpus held in memory keeps one copy of each."""
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")
     for key in ("tweet_id", "user_id", "created_at", "text"):
@@ -120,7 +124,7 @@ def record_from_mapping(obj: dict) -> TweetRecord:
         raise RecordError("hashtags must be an array")
     return TweetRecord(
         tweet_id=obj["tweet_id"],
-        user_id=obj["user_id"],
+        user_id=sys.intern(obj["user_id"]),
         created_at=_parse_created_at(obj["created_at"]),
         text=obj["text"],
         hashtags=hashtags,
@@ -164,10 +168,14 @@ def parse_tweet_stream(
         if not line:
             continue
         try:
-            yield record_from_mapping(json.loads(line))
+            rec = record_from_mapping(json.loads(line))
         except (json.JSONDecodeError, RecordError):
             if stats is not None:
                 stats.malformed += 1
+            continue
+        if stats is not None:
+            stats.records += 1
+        yield rec
 
 
 def parse_tweet_csv(
@@ -180,19 +188,31 @@ def parse_tweet_csv(
         if "hashtags" in obj:
             obj["hashtags"] = obj["hashtags"].split("|")
         try:
-            yield record_from_mapping(obj)
+            rec = record_from_mapping(obj)
         except RecordError:
             if stats is not None:
                 stats.malformed += 1
+            continue
+        if stats is not None:
+            stats.records += 1
+        yield rec
 
 
-def read_records(path: str, stats: Optional[ParseStats] = None) -> list[TweetRecord]:
-    """Read a JSONL (default) or .csv record file into memory."""
+def read_records(
+    path: str,
+    stats: Optional[ParseStats] = None,
+    keep: Optional[Callable[[TweetRecord], bool]] = None,
+) -> list[TweetRecord]:
+    """Read a JSONL (default) or .csv record file into memory. With `keep`,
+    only the records it accepts are held; the others are dropped as they are
+    parsed, so the whole file is never in memory at once."""
     if str(path).endswith(".csv"):
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(parse_tweet_csv(fh, stats))
+            records = parse_tweet_csv(fh, stats)
+            return list(records if keep is None else filter(keep, records))
     with open(path, "rb") as fh:
-        return list(parse_tweet_stream(fh, stats))
+        records = parse_tweet_stream(fh, stats)
+        return list(records if keep is None else filter(keep, records))
 
 
 def keyword_filter(record: TweetRecord, keywords: Sequence[str]) -> bool:

@@ -18,6 +18,7 @@ from echonet.communities import (
     community_count_sweep,
     detect_communities,
     enumerate_k_cliques,
+    maximal_clique_list,
     maximal_cliques,
 )
 from echonet.config import PipelineConfig
@@ -157,7 +158,7 @@ def test_criterion_4_percolation_oracle():
         covers = {}
         for k in (2, 3, 4, 5):
             for rule in ("standard", "loose"):
-                cover = detect_communities(ug, k, rule)
+                cover = detect_communities(maximal_clique_list(ug), k, rule)
                 expected = brute_force_detect(ug, k, rule)
                 assert sorted(map(sorted, cover.communities)) == sorted(
                     map(sorted, expected)
@@ -181,11 +182,11 @@ def test_criterion_5_worked_example():
     ug = UndirectedGraph(
         nodes={n for p in pairs for n in p}, edges={p: 1 for p in pairs}
     )
-    loose = detect_communities(ug, 3, "loose")
+    loose = detect_communities(maximal_clique_list(ug), 3, "loose")
     assert [sorted(c) for c in loose.communities] == [
         ["v1", "v2", "v3", "v4", "v5", "v6"]
     ]
-    standard = detect_communities(ug, 3, "standard")
+    standard = detect_communities(maximal_clique_list(ug), 3, "standard")
     assert sorted(sorted(c) for c in standard.communities) == [
         ["v1", "v2", "v3"],
         ["v3", "v4", "v5", "v6"],
@@ -202,10 +203,10 @@ def test_criterion_6_sweep_boundary():
         max_clique = max(
             (len(c) for c in maximal_cliques(ug.adjacency())), default=1
         )
-        sweep = community_count_sweep(ug, 2, max_clique + 3)
+        sweep = community_count_sweep(maximal_clique_list(ug), 2, max_clique + 3)
         for k in range(max_clique + 1, max_clique + 4):
             assert sweep.community_counts[k] == 0
-    k12 = community_count_sweep(complete_graph(12), 3, 12)
+    k12 = community_count_sweep(maximal_clique_list(complete_graph(12)), 3, 12)
     assert all(k12.community_counts[k] == 1 for k in range(3, 13))
 
 
@@ -305,7 +306,9 @@ def test_criterion_10_performance_envelope():
     summary = degree_summary(g)
     assert summary.node_count == 100_000
     ug = symmetrize(g, 1)
-    sweep = community_count_sweep(ug, 3, 12, "standard", max_cliques=10_000_000)
+    sweep = community_count_sweep(
+        maximal_clique_list(ug), 3, 12, "standard", max_cliques=10_000_000
+    )
     assert sweep.community_counts[3] > 0
     elapsed = time.monotonic() - start
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from echonet.communities import (
     degeneracy_order,
     detect_communities,
     enumerate_k_cliques,
+    maximal_clique_list,
     maximal_cliques,
     percolate,
 )
@@ -84,8 +86,8 @@ def test_two_triangles_sharing_one_node():
     ug = ug_from_pairs(
         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")]
     )
-    standard = detect_communities(ug, 3, "standard")
-    loose = detect_communities(ug, 3, "loose")
+    standard = detect_communities(maximal_clique_list(ug), 3, "standard")
+    loose = detect_communities(maximal_clique_list(ug), 3, "loose")
     assert cover_sets(standard) == [["a", "b", "c"], ["c", "d", "e"]]
     assert cover_sets(loose) == [["a", "b", "c", "d", "e"]]
 
@@ -98,9 +100,9 @@ def test_worked_example_triangle_plus_k4():
             if a < b:
                 pairs.append((a, b))
     ug = ug_from_pairs(pairs)
-    loose = detect_communities(ug, 3, "loose")
+    loose = detect_communities(maximal_clique_list(ug), 3, "loose")
     assert cover_sets(loose) == [["v1", "v2", "v3", "v4", "v5", "v6"]]
-    standard = detect_communities(ug, 3, "standard")
+    standard = detect_communities(maximal_clique_list(ug), 3, "standard")
     assert cover_sets(standard) == [["v1", "v2", "v3"], ["v3", "v4", "v5", "v6"]]
 
 
@@ -123,12 +125,12 @@ def test_two_disjoint_k4s():
                     pairs.append((a, b))
     ug = ug_from_pairs(pairs)
     for rule in ("standard", "loose"):
-        cover = detect_communities(ug, 3, rule)
+        cover = detect_communities(maximal_clique_list(ug), 3, rule)
         assert cover_sets(cover) == [["a", "b", "c", "d"], ["w", "x", "y", "z"]]
 
 
 def test_empty_graph():
-    cover = detect_communities(UndirectedGraph(), 3, "standard")
+    cover = detect_communities(maximal_clique_list(UndirectedGraph()), 3, "standard")
     assert cover.communities == []
     assert cover.source_clique_count == 0
 
@@ -139,7 +141,7 @@ def test_detect_oracle_small_graphs():
         ug = random_edge_set_graph(rng, rng.randint(2, 8))
         for k in (2, 3, 4):
             for rule in ("standard", "loose"):
-                cover = detect_communities(ug, k, rule)
+                cover = detect_communities(maximal_clique_list(ug), k, rule)
                 expected = brute_force_detect(ug, k, rule)
                 assert sorted(map(sorted, cover.communities)) == sorted(
                     map(sorted, expected)
@@ -154,8 +156,8 @@ def test_standard_nesting_property():
     for _ in range(40):
         ug = random_undirected_graph(rng, 10, 0.55)
         for k in (4, 5):
-            upper = detect_communities(ug, k, "standard").communities
-            lower = detect_communities(ug, k - 1, "standard").communities
+            upper = detect_communities(maximal_clique_list(ug), k, "standard").communities
+            lower = detect_communities(maximal_clique_list(ug), k - 1, "standard").communities
             for community in upper:
                 assert any(community <= low for low in lower)
 
@@ -166,7 +168,7 @@ def test_loose_rule_partitions_covered_nodes():
         ug = random_undirected_graph(rng, 10, 0.5)
         k = 3
         cliques = enumerate_k_cliques(ug, k)
-        cover = detect_communities(ug, k, "loose")
+        cover = detect_communities(maximal_clique_list(ug), k, "loose")
         covered = set().union(*cliques) if cliques else set()
         in_cover = set().union(*cover.communities) if cover.communities else set()
         assert in_cover == covered
@@ -182,7 +184,7 @@ def test_communities_internally_connected():
     ug = random_undirected_graph(rng, 12, 0.35)
     adj = ug.adjacency()
     for rule in ("standard", "loose"):
-        for community in detect_communities(ug, 3, rule).communities:
+        for community in detect_communities(maximal_clique_list(ug), 3, rule).communities:
             # BFS within the community
             start = next(iter(community))
             seen = {start}
@@ -204,8 +206,8 @@ def test_relabel_invariance():
         nodes={mapping[n] for n in ug.nodes},
         edges={tuple(sorted((mapping[u], mapping[v]))): w for (u, v), w in ug.edges.items()},
     )
-    base = detect_communities(ug, 3, "standard")
-    other = detect_communities(relabeled, 3, "standard")
+    base = detect_communities(maximal_clique_list(ug), 3, "standard")
+    other = detect_communities(maximal_clique_list(relabeled), 3, "standard")
     expected = sorted(
         sorted(mapping[n] for n in community) for community in base.communities
     )
@@ -213,7 +215,7 @@ def test_relabel_invariance():
 
 
 def test_sweep_k6():
-    result = community_count_sweep(complete_graph(6), 3, 7)
+    result = community_count_sweep(maximal_clique_list(complete_graph(6)), 3, 7)
     assert [result.community_counts[k] for k in range(3, 8)] == [1, 1, 1, 1, 0]
 
 
@@ -221,7 +223,7 @@ def test_sweep_zero_above_max_clique():
     rng = random.Random(88)
     ug = random_undirected_graph(rng, 12, 0.4)
     max_clique = max(len(c) for c in maximal_cliques(ug.adjacency()))
-    result = community_count_sweep(ug, 2, max_clique + 4)
+    result = community_count_sweep(maximal_clique_list(ug), 2, max_clique + 4)
     for k in range(max_clique + 1, max_clique + 5):
         assert result.community_counts[k] == 0
         assert result.clique_counts[k] == 0
@@ -231,18 +233,18 @@ def test_sweep_matches_per_k_detection():
     rng = random.Random(99)
     for rule in ("standard", "loose"):
         ug = random_undirected_graph(rng, 11, 0.5)
-        result = community_count_sweep(ug, 2, 8, rule)
+        result = community_count_sweep(maximal_clique_list(ug), 2, 8, rule)
         for k in range(2, 9):
-            cover = detect_communities(ug, k, rule)
+            cover = detect_communities(maximal_clique_list(ug), k, rule)
             assert result.community_counts[k] == len(cover.communities)
             assert result.clique_counts[k] == cover.source_clique_count
 
 
 def test_sweep_bounds_checked():
     with pytest.raises(ValueError):
-        community_count_sweep(complete_graph(3), 1, 4)
+        community_count_sweep(maximal_clique_list(complete_graph(3)), 1, 4)
     with pytest.raises(ValueError):
-        community_count_sweep(complete_graph(3), 5, 4)
+        community_count_sweep(maximal_clique_list(complete_graph(3)), 5, 4)
 
 
 def test_degeneracy_order_oracle_random_graphs():
@@ -251,3 +253,20 @@ def test_degeneracy_order_oracle_random_graphs():
         ug = random_undirected_graph(rng, rng.randint(0, 30), rng.random())
         adj = ug.adjacency()
         assert degeneracy_order(adj) == brute_force_degeneracy_order(adj), trial
+
+
+def test_budget_counts_distinct_k_cliques_exactly():
+    maximal = maximal_clique_list(complete_graph(12))  # C(12, 3) = 220 triangles
+    assert detect_communities(maximal, 3, max_cliques=220).source_clique_count == 220
+    assert community_count_sweep(maximal, 3, 4, max_cliques=495).clique_counts == {3: 220, 4: 495}
+    with pytest.raises(CliqueBudgetExceeded):
+        detect_communities(maximal, 3, max_cliques=219)
+    with pytest.raises(CliqueBudgetExceeded):
+        community_count_sweep(maximal, 3, 4, max_cliques=494)
+    # two overlapping K5s share a K4: its triangles count once
+    pairs = list(itertools.combinations("abcde", 2)) + list(itertools.combinations("bcdef", 2))
+    overlapping = maximal_clique_list(ug_from_pairs(pairs))
+    assert len(enumerate_k_cliques(ug_from_pairs(pairs), 3)) == 16
+    assert detect_communities(overlapping, 3, max_cliques=16).source_clique_count == 16
+    with pytest.raises(CliqueBudgetExceeded):
+        detect_communities(overlapping, 3, max_cliques=15)

@@ -13,6 +13,7 @@ from echonet.records import (
     keyword_filter,
     parse_tweet_csv,
     parse_tweet_stream,
+    read_records,
     record_from_mapping,
     record_to_json,
 )
@@ -72,6 +73,7 @@ def test_malformed_lines_counted():
     records = list(parse_tweet_stream(lines, stats))
     assert len(records) == 1000
     assert stats.malformed == 7
+    assert stats.records == 1000
 
 
 def test_keyword_filter_hashtag_token():
@@ -185,6 +187,25 @@ def test_csv_parsing(tmp_path):
     assert records[1].retweet_of_user_id == "u1"
     # hashtags column absent -> derived from text
     assert records[1].hashtags == ()
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_read_records_with_keep_holds_only_accepted_records(tmp_path, suffix):
+    path = tmp_path / f"tweets{suffix}"
+    if suffix == ".csv":
+        path.write_text(
+            "tweet_id,user_id,created_at,text\n"
+            "t1,u1,2018-07-01T00:00:00Z,#QAnon here\n"
+            "t2,u2,not a date,qanon\n"
+            "t3,u3,2018-07-01T00:02:00Z,off topic\n"
+        )
+    else:
+        path.write_text("\n".join([GOOD_LINE, "{broken", GOOD_LINE.replace("#QAnon", "")]))
+    stats = ParseStats()
+    kept = read_records(str(path), stats, lambda r: keyword_filter(r, ["#qanon"]))
+    everything = read_records(str(path))
+    assert kept == [r for r in everything if keyword_filter(r, ["#qanon"])] != []
+    assert (stats.records, stats.malformed) == (2, 1)
 
 
 def test_provided_hashtags_normalized():
