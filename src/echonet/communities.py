@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -84,7 +83,7 @@ def maximal_clique_list(ug: UndirectedGraph) -> list[tuple[str, ...]]:
 def _k_cliques(
     maximal: Iterable[tuple[str, ...]], k: int, max_cliques: Optional[int]
 ) -> set[tuple[str, ...]]:
-    """Every k-subset of the sorted maximal cliques, as a sorted tuple. Raises
+    """Every k-subset of the maximal cliques, as a sorted tuple. Raises
     CliqueBudgetExceeded as soon as more than `max_cliques` distinct ones exist."""
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -92,13 +91,9 @@ def _k_cliques(
     for mc in maximal:
         if len(mc) < k:
             continue
-        combos = itertools.combinations(mc, k)
-        if max_cliques is None or len(out) + math.comb(len(mc), k) <= max_cliques:
-            out.update(combos)  # cannot pass the budget
-            continue
-        for combo in combos:
+        for combo in itertools.combinations(sorted(mc), k):
             out.add(combo)
-            if len(out) > max_cliques:
+            if max_cliques is not None and len(out) > max_cliques:
                 raise CliqueBudgetExceeded(f"more than {max_cliques} {k}-cliques materialized")
     return out
 

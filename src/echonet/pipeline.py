@@ -396,10 +396,13 @@ def _reusable(previous: dict | None, key: dict, outdir: str) -> bool:
 
 
 def _previous_manifest(outdir: str) -> tuple[dict[str, dict], list[str]]:
-    """The stages (by name) and the files of the manifest already in `outdir`."""
+    """The stages (by name) and the files of the echonet manifest already in
+    `outdir`; none if the manifest is missing, unreadable or another tool's."""
     try:
         with open(os.path.join(outdir, MANIFEST), encoding="utf-8") as fh:
             manifest = json.load(fh)
+        if manifest.get("tool") != "echonet":
+            return {}, []
         files = [name for name in manifest["files"] if isinstance(name, str)]
         return {s["name"]: s for s in manifest["stages"]}, files
     except (OSError, ValueError, KeyError, TypeError):
@@ -418,7 +421,7 @@ def _remove_stale(outdir: str, listed: list[str], written: list[str]) -> None:
 
 def _peak_rss_kb() -> int:
     """This process's peak resident set size so far, in KiB: VmHWM, or
-    ru_maxrss (KiB on Linux) where /proc is not available."""
+    ru_maxrss where /proc is not available (bytes on macOS, KiB elsewhere)."""
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
             for line in fh:
@@ -428,7 +431,8 @@ def _peak_rss_kb() -> int:
         pass
     import resource
 
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
 
 
 def run_pipeline(config: PipelineConfig) -> dict:

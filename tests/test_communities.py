@@ -270,3 +270,17 @@ def test_budget_counts_distinct_k_cliques_exactly():
     assert detect_communities(overlapping, 3, max_cliques=16).source_clique_count == 16
     with pytest.raises(CliqueBudgetExceeded):
         detect_communities(overlapping, 3, max_cliques=15)
+
+
+def test_unsorted_maximal_cliques_count_each_k_clique_once():
+    # two overlapping K5s share a K4; given as frozensets, or as tuples in
+    # opposite orders, the shared triangles come out in different orders
+    pairs = list(itertools.combinations("abcde", 2)) + list(itertools.combinations("bcdef", 2))
+    ug = ug_from_pairs(pairs)
+    expected = detect_communities(maximal_clique_list(ug), 3)
+    for maximal in (list(maximal_cliques(ug.adjacency())),
+                    [tuple("abcde"), tuple("fedcb")]):
+        cover = detect_communities(maximal, 3, max_cliques=16)
+        assert cover.source_clique_count == 16
+        assert cover.communities == expected.communities
+        assert community_count_sweep(maximal, 3, 5).clique_counts == {3: 16, 4: 9, 5: 2}

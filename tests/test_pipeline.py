@@ -115,10 +115,21 @@ def test_rerun_deletes_only_plain_files_in_the_outdir(tmp_path):
     (out / "sub").mkdir()
     (out / "stale.csv").write_text("x")
     listed = ["../outside.txt", "sub", "stale.csv", "manifest.json", 7]
-    (out / "manifest.json").write_text(json.dumps({"stages": [], "files": listed}))
+    manifest = {"tool": "echonet", "stages": [], "files": listed}
+    (out / "manifest.json").write_text(json.dumps(manifest))
     assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
     assert (tmp_path / "outside.txt").exists() and (out / "sub").is_dir()
     assert not (out / "stale.csv").exists()
+
+
+def test_rerun_keeps_the_files_another_tools_manifest_lists(tmp_path):
+    out = tmp_path / "bundle"
+    out.mkdir()
+    (out / "data.csv").write_text("x")
+    foreign = {"tool": "other", "stages": [], "files": ["data.csv"]}
+    (out / "manifest.json").write_text(json.dumps(foreign))
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
+    assert (out / "data.csv").read_text() == "x"
 
 
 def test_manifest_and_report_show_each_stage_peak_rss(tmp_path, capsys):
