@@ -1,9 +1,12 @@
-"""k-clique enumeration and percolation into overlapping communities."""
+"""Maximal cliques, exact k-clique counts, and clique percolation into
+overlapping communities."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -13,7 +16,14 @@ RULES = ("standard", "loose")
 
 
 class CliqueBudgetExceeded(RuntimeError):
-    """Materialized k-clique count exceeded the configured budget."""
+    """A requested k has more distinct k-cliques than the configured budget."""
+
+    def __init__(self, k: int, count: int, max_cliques: int):
+        super().__init__(
+            f"the graph has {count} distinct {k}-cliques, more than the budget of "
+            f"{max_cliques} set by --max-cliques"
+        )
+        self.k, self.count, self.max_cliques = k, count, max_cliques
 
 
 @dataclass
@@ -80,29 +90,65 @@ def maximal_clique_list(ug: UndirectedGraph) -> list[tuple[str, ...]]:
     return [tuple(sorted(mc)) for mc in maximal_cliques(ug.adjacency())]
 
 
-def _k_cliques(
-    maximal: Iterable[tuple[str, ...]], k: int, max_cliques: Optional[int]
-) -> set[tuple[str, ...]]:
-    """Every k-subset of the maximal cliques, as a sorted tuple. Raises
-    CliqueBudgetExceeded as soon as more than `max_cliques` distinct ones exist."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    out: set[tuple[str, ...]] = set()
+def _within_budget(counts: dict[int, int], max_cliques: Optional[int]) -> dict[int, int]:
+    """`counts` (k -> distinct k-cliques), unless a k has more than `max_cliques`."""
+    if max_cliques is not None:
+        for k, count in counts.items():
+            if count > max_cliques:
+                raise CliqueBudgetExceeded(k, count, max_cliques)
+    return counts
+
+
+def _pivot_leaves(
+    adj: dict[str, set[str]], p: set[str], held: int, pivots: int, leaves: Counter
+) -> None:
+    """Walk the pivot tree below a node whose cliques extend `held` vertices by
+    members of `p`, adding one (held, pivots) pair to `leaves` per leaf. Each
+    such clique is the held vertices plus a subset of one leaf's pivots, in
+    exactly one way (Jain & Seshadhri 2020, "The Power of Pivoting for Exact
+    Clique Counting")."""
+    while p:
+        pivot = max(p, key=lambda u: len(adj[u] & p))
+        nbrs = adj[pivot]
+        for v in [u for u in p if u != pivot and u not in nbrs]:
+            p.discard(v)
+            _pivot_leaves(adj, p & adj[v], held + 1, pivots, leaves)
+        p = p & nbrs
+        pivots += 1
+    leaves[held, pivots] += 1
+
+
+def _clique_counts(maximal: Iterable[tuple[str, ...]], k_min: int, k_max: int) -> dict[int, int]:
+    """Distinct k-cliques for each k in k_min..k_max, in one walk of a pivot
+    tree, of the graph that the given maximal cliques span: every k-clique with
+    k >= k_min lies in a maximal clique of at least k_min nodes, so the others
+    are left out. Each clique is counted at its smallest id."""
+    adj: dict[str, set[str]] = {}
     for mc in maximal:
-        if len(mc) < k:
-            continue
-        for combo in itertools.combinations(sorted(mc), k):
-            out.add(combo)
-            if max_cliques is not None and len(out) > max_cliques:
-                raise CliqueBudgetExceeded(f"more than {max_cliques} {k}-cliques materialized")
-    return out
+        if len(mc) >= k_min:
+            for v in mc:
+                adj.setdefault(v, set()).update(mc)
+    leaves: Counter = Counter()
+    for v, nbrs in adj.items():
+        nbrs.discard(v)
+    for v, nbrs in adj.items():
+        _pivot_leaves(adj, {u for u in nbrs if u > v}, 1, 0, leaves)
+    return {
+        k: sum(n * math.comb(q, k - h) for (h, q), n in leaves.items() if h <= k)
+        for k in range(k_min, k_max + 1)
+    }
 
 
 def enumerate_k_cliques(
     ug: UndirectedGraph, k: int, max_cliques: Optional[int] = None
 ) -> set[frozenset]:
-    """All fully connected k-subsets, via expansion of maximal cliques."""
-    return {frozenset(c) for c in _k_cliques(maximal_clique_list(ug), k, max_cliques)}
+    """All fully connected k-subsets, via expansion of maximal cliques. Raises
+    CliqueBudgetExceeded, before listing any, if there are more than `max_cliques`."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    maximal = [mc for mc in maximal_clique_list(ug) if len(mc) >= k]
+    _within_budget(_clique_counts(maximal, k, k), max_cliques)
+    return {frozenset(c) for mc in maximal for c in itertools.combinations(mc, k)}
 
 
 class _UnionFind:
@@ -121,7 +167,36 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _sorted_communities(groups: dict[int, set[str]]) -> list[frozenset[str]]:
+def _percolate(cliques: Sequence[tuple[str, ...]], k: int, rule: str) -> list[frozenset[str]]:
+    """The communities of `cliques`, sorted tuples of at least k nodes: the
+    union of each connected component, where two cliques join when they share
+    k-1 nodes (standard) or any node (loose). Only cliques that share a node
+    are compared. Sorted by size, then smallest member, then the position of
+    each component's first clique."""
+    if rule not in RULES:
+        raise ValueError(f"rule must be one of {RULES}")
+    uf = _UnionFind(len(cliques))
+    if rule == "loose":
+        first: dict[str, int] = {}  # node -> the first clique holding it
+        for i, c in enumerate(cliques):
+            for v in c:
+                j = first.setdefault(v, i)
+                if j != i:
+                    uf.union(j, i)
+    else:
+        holders: dict[str, list[int]] = {}  # node -> the earlier cliques holding it
+        for i, c in enumerate(cliques):
+            shared: Counter = Counter()  # earlier clique -> nodes it shares with c
+            for v in c:
+                earlier = holders.setdefault(v, [])
+                shared.update(earlier)
+                earlier.append(i)
+            for j, n in shared.items():
+                if n >= k - 1:
+                    uf.union(j, i)
+    groups: dict[int, set[str]] = {}
+    for i, c in enumerate(cliques):
+        groups.setdefault(uf.find(i), set()).update(c)
     comms = [frozenset(nodes) for nodes in groups.values()]
     comms.sort(key=lambda c: (-len(c), min(c)))
     return comms
@@ -130,35 +205,11 @@ def _sorted_communities(groups: dict[int, set[str]]) -> list[frozenset[str]]:
 def percolate(cliques: Iterable[Iterable[str]], k: int, rule: str = "standard") -> CommunityCover:
     """Union k-cliques that overlap: standard rule joins cliques sharing k-1
     nodes, loose rule joins cliques sharing any node."""
-    if rule not in RULES:
-        raise ValueError(f"rule must be one of {RULES}")
     clique_list = sorted(tuple(sorted(c)) for c in cliques)
     for c in clique_list:
         if len(c) != k:
             raise ValueError(f"clique {list(c)} does not have {k} members")
-    uf = _UnionFind(len(clique_list))
-    seen: dict = {}
-    if rule == "standard":
-        for i, c in enumerate(clique_list):
-            for sub in itertools.combinations(c, k - 1):
-                j = seen.setdefault(sub, i)
-                if j != i:
-                    uf.union(i, j)
-    else:
-        for i, c in enumerate(clique_list):
-            for node in c:
-                j = seen.setdefault(node, i)
-                if j != i:
-                    uf.union(i, j)
-    groups: dict[int, set[str]] = {}
-    for i, c in enumerate(clique_list):
-        groups.setdefault(uf.find(i), set()).update(c)
-    return CommunityCover(
-        k=k,
-        rule=rule,
-        communities=_sorted_communities(groups),
-        source_clique_count=len(clique_list),
-    )
+    return CommunityCover(k, rule, _percolate(clique_list, k, rule), len(clique_list))
 
 
 def detect_communities(
@@ -167,8 +218,21 @@ def detect_communities(
     rule: str = "standard",
     max_cliques: Optional[int] = None,
 ) -> CommunityCover:
-    """Percolate the k-cliques of a graph, given its `maximal_clique_list`."""
-    return percolate(_k_cliques(maximal, k, max_cliques), k, rule)
+    """Percolate the k-cliques of a graph, given its `maximal_clique_list`.
+
+    Two k-cliques share k-1 nodes (or any node) exactly when maximal cliques of
+    at least k nodes holding them do (Palla et al. 2005), so those maximal
+    cliques are percolated in their place and no k-clique is listed. They are
+    taken in sorted order, so each component comes first at its smallest
+    k-clique (the first k members of its smallest clique) and communities of
+    equal size and smallest member keep the order that percolating the sorted
+    k-cliques gives. Raises CliqueBudgetExceeded, before percolating, if the graph
+    has more than `max_cliques` distinct k-cliques."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    active = sorted(tuple(sorted(mc)) for mc in maximal if len(mc) >= k)
+    count = _within_budget(_clique_counts(active, k, k), max_cliques)[k]
+    return CommunityCover(k, rule, _percolate(active, k, rule), count)
 
 
 def community_count_sweep(
@@ -178,13 +242,15 @@ def community_count_sweep(
     rule: str = "standard",
     max_cliques: Optional[int] = None,
 ) -> SweepResult:
-    """Community and k-clique count per k, given the graph's `maximal_clique_list`."""
+    """Community and distinct k-clique count per k, given the graph's
+    `maximal_clique_list`. The clique counts come from one pivot-tree walk and
+    are checked against `max_cliques` before any level is percolated."""
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
-    result = SweepResult(k_min=k_min, k_max=k_max, rule=rule)
+    cliques = [tuple(sorted(mc)) for mc in maximal if len(mc) >= k_min]
+    counts = _within_budget(_clique_counts(cliques, k_min, k_max), max_cliques)
+    result = SweepResult(k_min=k_min, k_max=k_max, rule=rule, clique_counts=counts)
     for k in range(k_min, k_max + 1):
-        cliques = _k_cliques(maximal, k, max_cliques)
-        cover = percolate(cliques, k, rule)
-        result.community_counts[k] = len(cover.communities)
-        result.clique_counts[k] = len(cliques)
+        active = [c for c in cliques if len(c) >= k]
+        result.community_counts[k] = len(_percolate(active, k, rule))
     return result

@@ -441,9 +441,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     With `config.resume`, a stage is reused rather than run when every stage
     before it was reused, the previous manifest recorded it with the same key
     (see `_stage_key`), and its recorded outputs still have their digests.
-    The stages share the records parsed along the way. Once every stage has
-    finished, files that the previous manifest listed and this run did not
-    write are deleted.
+    The stages share the records parsed along the way. Files that the
+    previous manifest listed and this run did not write are deleted once this
+    run's manifest has replaced it, also when a later stage fails: no run
+    could reuse them, and no manifest would list them any more.
     """
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -461,34 +462,37 @@ def run_pipeline(config: PipelineConfig) -> dict:
     }
     parsed: dict[str, list[TweetRecord]] = {}
     reuse = config.resume
-    for stage in TABLE.values():
-        marker = os.path.join(outdir, f"{stage.name}.partial")
-        start = time.monotonic()
-        try:
-            key = _stage_key(stage, config)
-            reuse = reuse and _reusable(previous.get(stage.name), key, outdir)
-            if reuse:
-                outputs = previous[stage.name]["outputs"]
-            else:
-                written = run_stage(stage.name, config, {}, parsed)
-                outputs = {name: _sha256(path) for name, path in written.items()}
-        except Exception as exc:
-            open(marker, "w").close()
-            raise StageError(stage.name, exc) from exc
-        if os.path.exists(marker):
-            os.remove(marker)
-        manifest["stages"].append({
-            "name": stage.name,
-            **key,
-            "outputs": outputs,
-            "seconds": time.monotonic() - start,
-            "peak_rss_kb": _peak_rss_kb(),
-            "resumed": reuse,
-        })
-        manifest["files"] = sorted({name for s in manifest["stages"] for name in s["outputs"]})
-        with atomic_open(os.path.join(outdir, MANIFEST)) as fh:
-            fh.write(_json_text(manifest))
-    _remove_stale(outdir, listed, manifest["files"])
+    try:
+        for stage in TABLE.values():
+            marker = os.path.join(outdir, f"{stage.name}.partial")
+            start = time.monotonic()
+            try:
+                key = _stage_key(stage, config)
+                reuse = reuse and _reusable(previous.get(stage.name), key, outdir)
+                if reuse:
+                    outputs = previous[stage.name]["outputs"]
+                else:
+                    written = run_stage(stage.name, config, {}, parsed)
+                    outputs = {name: _sha256(path) for name, path in written.items()}
+            except Exception as exc:
+                open(marker, "w").close()
+                raise StageError(stage.name, exc) from exc
+            if os.path.exists(marker):
+                os.remove(marker)
+            manifest["stages"].append({
+                "name": stage.name,
+                **key,
+                "outputs": outputs,
+                "seconds": time.monotonic() - start,
+                "peak_rss_kb": _peak_rss_kb(),
+                "resumed": reuse,
+            })
+            manifest["files"] = sorted({name for s in manifest["stages"] for name in s["outputs"]})
+            with atomic_open(os.path.join(outdir, MANIFEST)) as fh:
+                fh.write(_json_text(manifest))
+    finally:
+        if manifest["stages"]:  # the previous manifest, and its file list, is gone
+            _remove_stale(outdir, listed, manifest["files"])
     return manifest
 
 

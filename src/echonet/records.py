@@ -133,6 +133,20 @@ def record_from_mapping(obj: dict) -> TweetRecord:
     )
 
 
+def _require_utf8(rec: TweetRecord) -> None:
+    """Raise RecordError if a string field holds a lone surrogate (JSON can
+    escape one, as in "\\ud800"): UTF-8 cannot encode it, so no bundle file
+    could hold the record."""
+    for value in (rec.tweet_id, rec.user_id, rec.text, rec.retweet_of_user_id,
+                  rec.user_description, *rec.hashtags):
+        if value is None:
+            continue
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise RecordError("a field holds a lone surrogate") from None
+
+
 def record_to_dict(rec: TweetRecord) -> dict:
     out = {
         "tweet_id": rec.tweet_id,
@@ -155,7 +169,9 @@ def record_to_json(rec: TweetRecord) -> str:
 def parse_tweet_stream(
     lines: Iterable[str | bytes], stats: Optional[ParseStats] = None
 ) -> Iterator[TweetRecord]:
-    """Yield one TweetRecord per well-formed JSON line, skipping malformed ones."""
+    """Yield one TweetRecord per well-formed JSON line, skipping malformed ones.
+    A record with a lone surrogate in a string field is malformed; bytes lines
+    are decoded strictly, so there only a JSON escape can produce one."""
     for line in lines:
         if isinstance(line, bytes):
             try:
@@ -169,6 +185,8 @@ def parse_tweet_stream(
             continue
         try:
             rec = record_from_mapping(json.loads(line))
+            if "\\ud" in line or "\\uD" in line:  # only an escape decodes to a surrogate
+                _require_utf8(rec)
         except (json.JSONDecodeError, RecordError):
             if stats is not None:
                 stats.malformed += 1

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from echonet import communities
 from echonet.communities import (
     CliqueBudgetExceeded,
     community_count_sweep,
@@ -13,6 +15,7 @@ from echonet.communities import (
     maximal_cliques,
     percolate,
 )
+from echonet.config import PipelineConfig
 from echonet.graph import UndirectedGraph
 from oracles import (
     brute_force_degeneracy_order,
@@ -284,3 +287,75 @@ def test_unsorted_maximal_cliques_count_each_k_clique_once():
         assert cover.source_clique_count == 16
         assert cover.communities == expected.communities
         assert community_count_sweep(maximal, 3, 5).clique_counts == {3: 16, 4: 9, 5: 2}
+
+
+def planted_graph(rng, n, p, cliques):
+    """A G(n, p) background on n00.. plus `cliques` random node sets of the
+    given sizes made all-pairs; the sets may overlap."""
+    ug = random_undirected_graph(rng, n, p)
+    nodes = sorted(ug.nodes)
+    for size in cliques:
+        for u, v in itertools.combinations(sorted(rng.sample(nodes, size)), 2):
+            ug.edges[(u, v)] = 1
+    return ug
+
+
+def ordered_brute_force_detect(ug, k, rule):
+    """The oracle's communities in the cover's order: by size, then smallest
+    member, then smallest k-clique (the oracle finds components in that order)."""
+    return sorted(brute_force_detect(ug, k, rule), key=lambda c: (-len(c), min(c)))
+
+
+def test_maximal_clique_percolation_matches_brute_force_on_planted_graphs():
+    rng = random.Random(2024)
+    for trial in range(60):
+        ug = planted_graph(rng, rng.randint(8, 14), rng.choice([0.1, 0.3, 0.5]),
+                           [rng.randint(3, 7) for _ in range(rng.randint(1, 3))])
+        maximal = maximal_clique_list(ug)
+        counts = {k: len(brute_force_k_cliques(ug.nodes, ug.edges.keys(), k))
+                  for k in range(2, 7)}
+        for rule in ("standard", "loose"):
+            sweep = community_count_sweep(maximal, 2, 6, rule)
+            assert sweep.clique_counts == counts, (trial, rule)
+            for k in range(2, 7):
+                expected = ordered_brute_force_detect(ug, k, rule)
+                cover = detect_communities(maximal, k, rule)
+                assert cover.communities == expected, (trial, rule, k)
+                assert cover.source_clique_count == counts[k]
+                assert sweep.community_counts[k] == len(expected)
+
+
+def test_equal_communities_sharing_their_minimum_keep_smallest_k_clique_order():
+    # two standard 3-communities of five nodes, each two K4s sharing a
+    # triangle; they share only "a"; (a, b, y) < (a, d, e), so abwyz comes first
+    pairs = [pair for group in ("adef", "defg", "abyz", "bwyz")
+             for pair in itertools.combinations(group, 2)]
+    ug = ug_from_pairs(pairs)
+    expected = [frozenset("abwyz"), frozenset("adefg")]
+    assert ordered_brute_force_detect(ug, 3, "standard") == expected
+    maximal = maximal_clique_list(ug)
+    for given in (maximal, maximal[::-1]):
+        assert detect_communities(given, 3, "standard").communities == expected
+
+
+def test_k24_at_k9_is_one_community_of_every_9_clique():
+    cover = detect_communities(maximal_clique_list(complete_graph(24)), 9,
+                               max_cliques=10_000_000)
+    assert cover.communities == [frozenset(complete_graph(24).nodes)]
+    assert cover.source_clique_count == math.comb(24, 9)
+
+
+def test_k30_at_k9_exceeds_the_default_budget_and_fits_an_exact_one(monkeypatch):
+    maximal = maximal_clique_list(complete_graph(30))
+    with monkeypatch.context() as patch:  # the budget is checked before percolating
+        patch.setattr(communities, "_percolate", None)
+        with pytest.raises(CliqueBudgetExceeded) as info:
+            detect_communities(maximal, 9, max_cliques=PipelineConfig().max_cliques)
+        with pytest.raises(CliqueBudgetExceeded):
+            community_count_sweep(maximal, 3, 12, max_cliques=PipelineConfig().max_cliques)
+    message = str(info.value)
+    assert "9-cliques" in message and str(math.comb(30, 9)) in message
+    assert "--max-cliques" in message
+    cover = detect_communities(maximal, 9, max_cliques=math.comb(30, 9))
+    assert cover.source_clique_count == math.comb(30, 9)
+    assert len(cover.communities) == 1

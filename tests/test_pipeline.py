@@ -53,6 +53,22 @@ def test_run_parses_once_and_enumerates_maximal_cliques_once(tmp_path, calls):
     assert calls == {"read_records": ["sample_tweets.jsonl"], "maximal_cliques": 1}
 
 
+def test_run_lists_no_k_clique(tmp_path, calls, monkeypatch):
+    """Communities come from percolating maximal cliques and the clique counts
+    from a pivot tree: a run neither lists k-cliques nor percolates them."""
+    for name in ("enumerate_k_cliques", "percolate"):
+        calls[name] = 0
+
+        def counting(*args, _real=getattr(communities, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(communities, name, counting)
+    assert main(["run", "--input", FIXTURE, "--outdir", str(tmp_path / "b"), *RUN_ARGS]) == 0
+    assert calls["maximal_cliques"] == 1
+    assert (calls["enumerate_k_cliques"], calls["percolate"]) == (0, 0)
+
+
 def test_resume_that_reuses_only_ingest_parses_filtered_once(tmp_path, calls):
     out, fresh = tmp_path / "bundle", tmp_path / "fresh"
     assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
@@ -106,6 +122,41 @@ def test_rerun_deletes_the_files_the_last_run_wrote_and_this_one_did_not(tmp_pat
     assert sorted(os.listdir(out)) == sorted(files + ["manifest.json", "notes.txt"])
     assert not any(name.startswith(("topics_", "doc_topics_")) for name in files)
     assert "communities_k4_standard.json" not in os.listdir(out)
+
+
+def test_failed_rerun_deletes_the_files_the_last_run_wrote_and_this_one_did_not(
+    tmp_path, monkeypatch
+):
+    out = tmp_path / "bundle"
+    args = ["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]
+    assert main(args) == 0
+    k4_files = set(os.listdir(out))
+
+    def fail(config, files):
+        raise RuntimeError("topics failed")
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "topics", fail)
+    assert main([*args, "--k", "5"]) != 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert "communities_k4_standard.json" not in os.listdir(out)
+    assert "term_frequencies.csv" in k4_files and "term_frequencies.csv" not in files
+    assert sorted(os.listdir(out)) == sorted(files + ["manifest.json", "topics.partial"])
+    monkeypatch.undo()
+    assert main([*args, "--k", "5"]) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert sorted(os.listdir(out)) == sorted(files + ["manifest.json"])
+    assert "communities_k4_standard.json" not in os.listdir(out)
+
+
+def test_run_failing_at_its_first_stage_keeps_the_bundle_the_manifest_lists(tmp_path):
+    out = tmp_path / "bundle"
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
+    before = data_files(out)
+    missing = str(tmp_path / "missing.jsonl")
+    assert main(["run", "--input", missing, "--outdir", str(out), *RUN_ARGS]) != 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert data_files(out) == {**before, "ingest.partial": b""}
+    assert sorted(files) == sorted(before)
 
 
 def test_rerun_deletes_only_plain_files_in_the_outdir(tmp_path):

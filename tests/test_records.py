@@ -223,3 +223,29 @@ def test_provided_hashtags_normalized():
 
 def test_extract_hashtags_boundaries():
     assert extract_hashtags("#a_b1 stop#here, #x#y ##z") == ("a_b1", "here", "x", "y", "z")
+
+
+def test_lone_surrogate_in_any_string_field_is_malformed(tmp_path):
+    base = {"tweet_id": "t", "user_id": "u1", "created_at": "2018-07-01T12:00:00Z",
+            "text": "qanon"}
+    lone = {"tweet_id": "t\ud800", "user_id": "u\udfff", "created_at": "2018-07-01T12:00:00\ud800",
+            "text": "qanon \uDBFF", "retweet_of_user_id": "u\ud800",
+            "user_description": "\udc00 bio", "hashtags": ["q\ud800"]}
+    lines = [json.dumps({**base, field: value}) for field, value in lone.items()]
+    lines.append(json.dumps(base).replace('"qanon"', '"qanon \\uD800"'))  # upper-case hex
+    kept = {
+        "pair": {**base, "tweet_id": "pair", "text": "qanon 😀"},  # one astral char
+        "escaped": {**base, "tweet_id": "escaped", "text": "qanon \\ud800"},  # a backslash
+        "plain": {**base, "tweet_id": "plain", "user_description": "Ünï bio"},
+    }
+    lines += [json.dumps(obj) for obj in kept.values()]
+    assert all("\\ud" in line.lower() for line in lines[:-1])
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    stats = ParseStats()
+    records = read_records(str(path), stats)
+    assert (stats.malformed, stats.records) == (len(lone) + 1, len(kept))
+    assert [r.tweet_id for r in records] == list(kept)
+    assert records[0].text == "qanon \U0001f600" and records[1].text == "qanon \\ud800"
+    for rec in records:
+        record_to_json(rec).encode("utf-8")
