@@ -100,22 +100,25 @@ def _within_budget(counts: dict[int, int], max_cliques: Optional[int]) -> dict[i
 
 
 def _pivot_leaves(
-    adj: dict[str, set[str]], p: set[str], held: int, pivots: int, leaves: Counter
+    adj: dict[str, set[str]], p: set[str], held: int, pivots: int, k_min: int, leaves: Counter
 ) -> None:
     """Walk the pivot tree below a node whose cliques extend `held` vertices by
     members of `p`, adding one (held, pivots) pair to `leaves` per leaf. Each
     such clique is the held vertices plus a subset of one leaf's pivots, in
     exactly one way (Jain & Seshadhri 2020, "The Power of Pivoting for Exact
-    Clique Counting")."""
-    while p:
+    Clique Counting"). A subtree whose cliques all have fewer than `k_min`
+    vertices is skipped."""
+    if held + pivots + len(p) < k_min:
+        return
+    while len(p) > 1:
         pivot = max(p, key=lambda u: len(adj[u] & p))
         nbrs = adj[pivot]
         for v in [u for u in p if u != pivot and u not in nbrs]:
             p.discard(v)
-            _pivot_leaves(adj, p & adj[v], held + 1, pivots, leaves)
+            _pivot_leaves(adj, p & adj[v], held + 1, pivots, k_min, leaves)
         p = p & nbrs
         pivots += 1
-    leaves[held, pivots] += 1
+    leaves[held, pivots + len(p)] += 1
 
 
 def _clique_counts(maximal: Iterable[tuple[str, ...]], k_min: int, k_max: int) -> dict[int, int]:
@@ -132,7 +135,7 @@ def _clique_counts(maximal: Iterable[tuple[str, ...]], k_min: int, k_max: int) -
     for v, nbrs in adj.items():
         nbrs.discard(v)
     for v, nbrs in adj.items():
-        _pivot_leaves(adj, {u for u in nbrs if u > v}, 1, 0, leaves)
+        _pivot_leaves(adj, {u for u in nbrs if u > v}, 1, 0, k_min, leaves)
     return {
         k: sum(n * math.comb(q, k - h) for (h, q), n in leaves.items() if h <= k)
         for k in range(k_min, k_max + 1)
@@ -170,29 +173,44 @@ class _UnionFind:
 def _percolate(cliques: Sequence[tuple[str, ...]], k: int, rule: str) -> list[frozenset[str]]:
     """The communities of `cliques`, sorted tuples of at least k nodes: the
     union of each connected component, where two cliques join when they share
-    k-1 nodes (standard) or any node (loose). Only cliques that share a node
-    are compared. Sorted by size, then smallest member, then the position of
-    each component's first clique."""
+    k-1 nodes (standard) or any node (loose). Sorted by size, then smallest
+    member, then the position of each component's first clique.
+
+    Cliques are indexed by their r-subsets. Two cliques sharing m nodes share
+    C(m, r) of them, so for r <= k-1 they share k-1 nodes exactly when they
+    share C(k-1, r) keys. With r = k-1 (or r = 1 under the loose rule) one
+    shared key joins them, and each clique is unioned with the first clique
+    holding each of its keys. The standard rule takes r = k-1 unless the
+    cliques have fewer edges than (k-1)-subsets; then r = 2 and each clique
+    counts the keys it shares with the earlier cliques holding its edges, so
+    only cliques sharing an edge are compared."""
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}")
+    if rule == "loose" or k == 2:
+        r = 1
+    elif sum(math.comb(len(c), k - 1) - math.comb(len(c), 2) for c in cliques) <= 0:
+        r = k - 1
+    else:
+        r = 2
+    need = math.comb(k - 1, r) if rule == "standard" else 1
     uf = _UnionFind(len(cliques))
-    if rule == "loose":
-        first: dict[str, int] = {}  # node -> the first clique holding it
+    if need == 1:
+        first: dict = {}  # key -> the first clique holding it
         for i, c in enumerate(cliques):
-            for v in c:
-                j = first.setdefault(v, i)
+            for key in c if r == 1 else itertools.combinations(c, r):
+                j = first.setdefault(key, i)
                 if j != i:
                     uf.union(j, i)
     else:
-        holders: dict[str, list[int]] = {}  # node -> the earlier cliques holding it
+        holders: dict = {}  # key -> the earlier cliques holding it
         for i, c in enumerate(cliques):
-            shared: Counter = Counter()  # earlier clique -> nodes it shares with c
-            for v in c:
-                earlier = holders.setdefault(v, [])
+            shared: Counter = Counter()  # earlier clique -> keys it shares with c
+            for key in itertools.combinations(c, r):
+                earlier = holders.setdefault(key, [])
                 shared.update(earlier)
                 earlier.append(i)
             for j, n in shared.items():
-                if n >= k - 1:
+                if n >= need:
                     uf.union(j, i)
     groups: dict[int, set[str]] = {}
     for i, c in enumerate(cliques):

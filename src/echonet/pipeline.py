@@ -490,9 +490,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
             manifest["files"] = sorted({name for s in manifest["stages"] for name in s["outputs"]})
             with atomic_open(os.path.join(outdir, MANIFEST)) as fh:
                 fh.write(_json_text(manifest))
-    finally:
-        if manifest["stages"]:  # the previous manifest, and its file list, is gone
-            _remove_stale(outdir, listed, manifest["files"])
+    except BaseException:
+        # the previous manifest, and its file list, is gone; a file that cannot
+        # be removed must not hide the error that stopped the run
+        if manifest["stages"]:
+            with contextlib.suppress(OSError):
+                _remove_stale(outdir, listed, manifest["files"])
+        raise
+    _remove_stale(outdir, listed, manifest["files"])
     return manifest
 
 

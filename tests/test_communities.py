@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -359,3 +360,27 @@ def test_k30_at_k9_exceeds_the_default_budget_and_fits_an_exact_one(monkeypatch)
     cover = detect_communities(maximal, 9, max_cliques=math.comb(30, 9))
     assert cover.source_clique_count == math.comb(30, 9)
     assert len(cover.communities) == 1
+
+
+def test_cliques_sharing_only_a_hub_stay_apart_in_linear_time():
+    """20,000 triangles and 2,000 K6s whose only common node is a hub, as when
+    one account is retweeted by many pairs and groups of users. Under the
+    standard rule no two of them share k-1 >= 2 nodes. Comparing every pair of
+    cliques that hold the hub takes most of a minute on a 2-core Xeon; indexing
+    cliques by their edges or (k-1)-subsets takes well under a second."""
+    pairs = []
+    for i in range(20_000):
+        pairs += [("hub", f"a{i}"), ("hub", f"b{i}"), (f"a{i}", f"b{i}")]
+    for i in range(2_000):
+        blade = ["hub"] + [f"g{i}_{j}" for j in range(5)]
+        pairs += list(itertools.combinations(blade, 2))
+    maximal = maximal_clique_list(ug_from_pairs(pairs))
+    start = time.monotonic()
+    triangles = detect_communities(maximal, 3, "standard")
+    sweep = community_count_sweep(maximal, 3, 6, "standard")
+    elapsed = time.monotonic() - start
+    assert len(triangles.communities) == 22_000
+    assert triangles.source_clique_count == 20_000 + 2_000 * math.comb(6, 3)
+    assert sweep.community_counts == {3: 22_000, 4: 2_000, 5: 2_000, 6: 2_000}
+    assert len(detect_communities(maximal, 3, "loose").communities) == 1
+    assert elapsed < 10, f"took {elapsed:.1f}s"

@@ -148,6 +148,29 @@ def test_failed_rerun_deletes_the_files_the_last_run_wrote_and_this_one_did_not(
     assert "communities_k4_standard.json" not in os.listdir(out)
 
 
+def test_stale_file_that_cannot_be_removed_does_not_hide_the_failed_stage(
+    tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "bundle"
+    args = ["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]
+    assert main(args) == 0
+    remove = os.remove
+
+    def guarded_remove(path):
+        if os.path.basename(path) == "communities_k4_standard.json":
+            raise PermissionError(13, "Permission denied", path)
+        remove(path)
+
+    def fail(config, files):
+        raise RuntimeError("topics failed")
+
+    monkeypatch.setattr(pipeline.os, "remove", guarded_remove)
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "topics", fail)
+    capsys.readouterr()
+    assert main([*args, "--k", "5"]) == 4
+    assert "stage 'topics' failed: topics failed" in capsys.readouterr().err
+
+
 def test_run_failing_at_its_first_stage_keeps_the_bundle_the_manifest_lists(tmp_path):
     out = tmp_path / "bundle"
     assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
