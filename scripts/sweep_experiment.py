@@ -49,7 +49,7 @@ def main() -> None:
     for path in sorted(outdir.glob("topics_community*.json")):
         data = json.loads(path.read_text())
         print(f"\ncommunity {data['community_id']} "
-              f"(perplexity {data['perplexity']:.2f}):")
+              f"(training-set perplexity {data['perplexity']:.2f}):")
         for topic in data["topics"]:
             keywords = ", ".join(kw["token"] for kw in topic["keywords"][:5])
             print(f"  topic {topic['topic_id']}: {keywords}")

@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .communities import RULES
 from .records import DEFAULT_KEYWORDS
 
 # fields that affect output bytes; everything else is execution plumbing
@@ -54,8 +55,10 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         if "keywords" in data:
-            data = dict(data)
-            data["keywords"] = tuple(data["keywords"])
+            # tuple() of a string would split it into letters
+            if not isinstance(data["keywords"], list):
+                raise ValueError("keywords: must be a list of strings")
+            data = {**data, "keywords": tuple(data["keywords"])}
         return cls(**data)
 
     @classmethod
@@ -118,8 +121,8 @@ def validate_config(config: PipelineConfig) -> list[str]:
         errors.append("k_min: must be >= 2")
     if config.k_min > config.k_max:
         errors.append("k_max: must be >= k_min")
-    if config.rule not in ("standard", "loose"):
-        errors.append("rule: must be 'standard' or 'loose'")
+    if config.rule not in RULES:
+        errors.append(f"rule: must be one of {', '.join(RULES)}")
     if config.max_cliques < 1:
         errors.append("max_cliques: must be >= 1")
     if config.n_topics < 1:

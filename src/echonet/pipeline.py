@@ -214,18 +214,17 @@ def stage_communities(config: PipelineConfig, files: StageFiles) -> None:
     write_community_outputs(config, ug, files)
 
 
-def _fit_one_community(args):
-    community_id, vocab, docs, config_tuple = args
-    n_topics, alpha, beta, iterations, seed = config_tuple
-    model = fit_lda(docs, vocab, n_topics, alpha, beta, iterations, seed)
-    return community_id, vocab, docs, model
+def _fit_one_community(job):
+    cid, vocab, docs, config = job
+    return fit_lda(docs, vocab, config.n_topics, config.resolved_alpha(), config.beta,
+                   config.iterations, config.seed + cid)
 
 
 def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
     """Fit a hashtag topic model per community."""
     records = files.records(FILTERED)
     with open(files.path(COMMUNITIES), encoding="utf-8") as fh:
-        communities = json.load(fh)
+        communities = sorted(json.load(fh), key=lambda entry: entry["community_id"])
     jobs = []
     for entry in communities:
         cid = entry["community_id"]
@@ -239,23 +238,15 @@ def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
         except EmptyCorpusError as exc:
             print(f"topics: skipping {exc}", file=sys.stderr)
             continue
-        params = (
-            config.n_topics,
-            config.resolved_alpha(),
-            config.beta,
-            config.iterations,
-            config.seed + cid,
-        )
-        jobs.append((cid, vocab, docs, params))
+        jobs.append((cid, vocab, docs, config))
 
     if config.threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(_fit_one_community, jobs))
+            models = list(pool.map(_fit_one_community, jobs))
     else:
-        results = [_fit_one_community(job) for job in jobs]
-    results.sort(key=lambda r: r[0])  # deterministic merge
+        models = [_fit_one_community(job) for job in jobs]
 
-    for cid, vocab, docs, model in results:
+    for (cid, vocab, docs, _), model in zip(jobs, models):
         summary = topic_keywords(model, vocab, config.top_n_keywords)
         payload = {
             "community_id": cid,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -11,6 +11,9 @@ from .records import TweetRecord
 
 # collection-query hashtags appear in (nearly) every tweet by construction
 DEFAULT_STOPTAGS = frozenset({"q", "qanon"})
+
+# soft-assignment rounds that estimate theta in held_out_perplexity
+FOLD_IN_PASSES = 50
 
 
 class EmptyCorpusError(ValueError):
@@ -24,12 +27,11 @@ class Document:
 
 
 class Vocabulary:
-    """Bijection between hashtag strings and dense indices, with frequencies."""
+    """Bijection between hashtag strings and dense indices."""
 
     def __init__(self):
         self._index: dict[str, int] = {}
         self._tokens: list[str] = []
-        self.frequency: list[int] = []
 
     def add(self, token: str) -> int:
         idx = self._index.get(token)
@@ -37,21 +39,13 @@ class Vocabulary:
             idx = len(self._tokens)
             self._index[token] = idx
             self._tokens.append(token)
-            self.frequency.append(0)
-        self.frequency[idx] += 1
         return idx
-
-    def lookup(self, token: str) -> Optional[int]:
-        return self._index.get(token)
 
     def token(self, index: int) -> str:
         return self._tokens[index]
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
 
 @dataclass
@@ -142,7 +136,6 @@ class GibbsSampler:
         self.n_topics = n_topics
         self.alpha = alpha
         self.beta = beta
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
 
         self.doc_ids = np.concatenate(
@@ -189,17 +182,6 @@ class GibbsSampler:
     def state(self) -> tuple[int, ...]:
         return tuple(int(t) for t in self.z)
 
-    def to_model(self) -> TopicModel:
-        return TopicModel(
-            n_topics=self.n_topics,
-            alpha=self.alpha,
-            beta=self.beta,
-            topic_word_counts=self.nkw.copy(),
-            doc_topic_counts=self.ndk.copy(),
-            assignments=self.z.copy(),
-            seed=self.seed,
-        )
-
 
 def fit_lda(
     corpus: Sequence[Document],
@@ -209,16 +191,15 @@ def fit_lda(
     beta: float,
     iterations: int,
     seed: int,
-    check_conservation: bool = False,
 ) -> TopicModel:
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     sampler = GibbsSampler(corpus, len(vocab), n_topics, alpha, beta, seed)
     for _ in range(iterations):
         sampler.sweep()
-        if check_conservation and not sampler.counts_consistent():
-            raise AssertionError("count matrices diverged from token count")
-    return sampler.to_model()
+    # the sampler is dropped here, so the model takes its arrays without copies
+    return TopicModel(n_topics, alpha, beta, topic_word_counts=sampler.nkw,
+                      doc_topic_counts=sampler.ndk, assignments=sampler.z, seed=seed)
 
 
 def topic_word_distribution(model: TopicModel) -> np.ndarray:
@@ -247,35 +228,14 @@ def doc_topic_distribution(model: TopicModel, doc_index: int) -> np.ndarray:
     return theta / theta.sum()
 
 
-def index_documents(
-    vocab: Vocabulary, tagged: Iterable[tuple[str, Sequence[str]]]
-) -> tuple[list[Document], int]:
-    """Map (doc_id, hashtag list) pairs onto a frozen vocabulary.
+def held_out_perplexity(model: TopicModel, held_out: Sequence[Document]) -> float:
+    """exp(-mean log p(w|d)) with theta estimated per document by
+    FOLD_IN_PASSES rounds of soft assignment against frozen phi. Token indices
+    outside the training vocabulary are skipped.
 
-    Out-of-vocabulary tags are dropped and counted; documents left empty are
-    dropped entirely.
-    """
-    docs = []
-    oov = 0
-    for doc_id, tags in tagged:
-        tokens = []
-        for tag in tags:
-            idx = vocab.lookup(tag)
-            if idx is None:
-                oov += 1
-            else:
-                tokens.append(idx)
-        if tokens:
-            docs.append(Document(doc_id=doc_id, tokens=tuple(tokens)))
-    return docs, oov
-
-
-def held_out_perplexity(
-    model: TopicModel, held_out: Sequence[Document], fold_in_passes: int = 50
-) -> float:
-    """exp(-mean log p(w|d)) with theta estimated per document by iterated
-    soft assignment against frozen phi. Token indices outside the training
-    vocabulary are skipped."""
+    The topics stage passes a community's own training documents, so its
+    `perplexity` is training-set perplexity: fold-in sees the very words it
+    scores."""
     if not held_out:
         raise ValueError("held_out must be nonempty")
     phi = topic_word_distribution(model)
@@ -290,7 +250,7 @@ def held_out_perplexity(
             continue
         theta = np.full(model.n_topics, 1.0 / model.n_topics)
         phi_w = phi[:, words]  # (T, n)
-        for _ in range(fold_in_passes):
+        for _ in range(FOLD_IN_PASSES):
             gamma = theta[:, None] * phi_w
             gamma /= gamma.sum(axis=0, keepdims=True)
             theta = (gamma.sum(axis=1) + model.alpha) / (words.size + t_alpha)

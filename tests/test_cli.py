@@ -165,6 +165,29 @@ def test_threads_give_identical_topic_outputs(tmp_path):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_topics_take_communities_in_id_order(tmp_path, capsys, threads):
+    bundle = tmp_path / "bundle"
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(bundle), *RUN_ARGS) == 0
+    communities = json.loads((bundle / "communities_k4_standard.json").read_text())
+    ids = [c["community_id"] for c in communities]
+    assert ids == sorted(ids) and len(ids) > 1
+    reversed_file = tmp_path / "reversed.json"
+    reversed_file.write_text(json.dumps(communities[::-1]))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("topics", "--records", str(bundle / "filtered.jsonl"),
+                   "--communities", str(reversed_file), "--outdir", str(out),
+                   "--threads", threads, *RUN_ARGS) == 0
+    wrote = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
+    assert wrote == [str(out / f"{prefix}_community{cid}.{ext}")
+                     for cid in ids
+                     for prefix, ext in (("topics", "json"), ("doc_topics", "csv"))]
+    for path in wrote:
+        name = os.path.basename(path)
+        assert (out / name).read_bytes() == (bundle / name).read_bytes()
+
+
 def test_stage_error_carries_stage_name(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -249,6 +272,7 @@ def _exit_code(argv):
     ([], {"k": "4"}, "k"),
     (["--alpha", "nan"], None, "alpha"),
     (["--beta", "inf"], None, "beta"),
+    ([], {"keywords": "qanon"}, "keywords"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, flags, config_file, field):
     argv = ["run", "--input", FIXTURE, "--outdir", str(tmp_path / "out"),

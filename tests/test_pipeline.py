@@ -2,6 +2,7 @@
 and the bundle left holding only the files of the latest run."""
 
 import csv
+import importlib.util
 import itertools
 import json
 import os
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 from echonet import communities, pipeline
 from echonet.cli import main
 from echonet.config import PipelineConfig
+from echonet.graph import UndirectedGraph
 from echonet.records import CSV_COLUMNS, read_records, record_to_json
 from oracles import brute_force_detect
 
-FIXTURE = str(Path(__file__).parent.parent / "fixtures" / "sample_tweets.jsonl")
+ROOT = Path(__file__).parent.parent
+FIXTURE = str(ROOT / "fixtures" / "sample_tweets.jsonl")
 RUN_ARGS = ["--iters", "50", "--n-topics", "2", "--k", "4"]
 
 
@@ -291,3 +294,33 @@ def test_ingest_hands_on_what_parsing_filtered_jsonl_yields(mappings, fmt):
         # datetime equality ignores the UTC offset, the serialized form does not
         assert [record_to_json(r) for r in handed_on] == [record_to_json(r) for r in reparsed]
         assert handed_on == reparsed
+
+
+def test_tracer_rebinds_every_name_it_patches_and_restores_it(tmp_path):
+    """The benchmark's tracer wraps echonet functions by name, so renaming one
+    breaks the traced benchmark job; its fit span reads `iterations` as the
+    6th positional argument of `fit_lda`."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    owners = {"pipeline": pipeline, "communities": communities}
+    names = [(owners[module], attr) for module, attr, _ in tracer_module.PATCHES]
+    names.append((UndirectedGraph, "adjacency"))
+    before = [getattr(owner, attr) for owner, attr in names]
+    stage_funcs = dict(pipeline._STAGE_FUNCS)
+
+    tracer = tracer_module.Tracer("t")
+    tracer.install()
+    try:
+        assert all(getattr(owner, attr) is not fn
+                   for (owner, attr), fn in zip(names, before))
+        assert all(pipeline._STAGE_FUNCS[s] is not fn for s, fn in stage_funcs.items())
+        config = PipelineConfig(input=FIXTURE, outdir=str(tmp_path / "out"), k=4,
+                                n_topics=2, iterations=50)
+        pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(names, before))
+    assert pipeline._STAGE_FUNCS == stage_funcs
+    fits = tracer.facts["fit"]
+    assert len(fits) == 2 and all(tokens > 0 and iterations == 50 for tokens, iterations in fits)

@@ -15,7 +15,6 @@ from echonet.topics import (
     doc_topic_distribution,
     fit_lda,
     held_out_perplexity,
-    index_documents,
     topic_keywords,
     topic_word_distribution,
 )
@@ -357,10 +356,10 @@ def test_perplexity_two_topic_independent_recompute():
 def test_perplexity_skips_oov_and_errors_when_nothing_scorable():
     vocab = vocab_of("ab")
     model = fit_lda([Document("d", (0, 1))], vocab, 1, 1.0, 0.1, 5, seed=0)
-    docs, oov = index_documents(vocab, [("h", ["a", "zzz"]), ("h2", ["zzz"])])
-    assert oov == 2
-    assert len(docs) == 1
-    assert held_out_perplexity(model, docs) >= 1.0
+    # token 99 is outside the two-word vocabulary, so only token 0 is scored
+    with_oov = held_out_perplexity(model, [Document("h", (0, 99))])
+    assert with_oov == held_out_perplexity(model, [Document("h", (0,))])
+    assert with_oov >= 1.0
     with pytest.raises(ValueError):
         held_out_perplexity(model, [Document("h", (99,))])
     with pytest.raises(ValueError):
