@@ -63,25 +63,32 @@ def degeneracy_order(adj: dict[str, set[str]]) -> list:
     return order
 
 
-def _expand(adj: dict[str, set[str]], r: set, p: set, x: set) -> Iterator[frozenset]:
-    if not p and not x:
-        yield frozenset(r)
+def _expand(adj: dict[str, set[str]], r: set, p: set, x: set, out: list[frozenset]) -> None:
+    """Append to `out` each maximal clique that extends `r` by members of `p`
+    and by none of `x`."""
+    if not p:
+        if not x:
+            out.append(frozenset(r))
         return
     pivot = max(p | x, key=lambda v: len(adj[v] & p))
     for v in list(p - adj[pivot]):
-        yield from _expand(adj, r | {v}, p & adj[v], x & adj[v])
+        nbrs = adj[v]
+        _expand(adj, r | {v}, p & nbrs, x & nbrs, out)
         p.remove(v)
         x.add(v)
 
 
 def maximal_cliques(adj: dict[str, set[str]]) -> Iterator[frozenset]:
-    """Bron-Kerbosch with pivoting, outer loop in degeneracy order."""
+    """Bron-Kerbosch with pivoting, outer loop in degeneracy order; yields the
+    cliques of one outer vertex at a time."""
     order = degeneracy_order(adj)
     position = {v: i for i, v in enumerate(order)}
     for v in order:
         later = {u for u in adj[v] if position[u] > position[v]}
         earlier = {u for u in adj[v] if position[u] < position[v]}
-        yield from _expand(adj, {v}, later, earlier)
+        found: list[frozenset] = []
+        _expand(adj, {v}, later, earlier, found)
+        yield from found
 
 
 def maximal_clique_list(ug: UndirectedGraph) -> list[tuple[str, ...]]:

@@ -6,7 +6,9 @@ reads and writes. `run_pipeline`, the subcommands, `--resume` and the manifest
 all derive from it. Files are the interface between stages, so each one can be
 re-run and inspected on its own. Within one `run_pipeline` call, the records
 `ingest` kept also pass to the later stages in memory (`StageFiles.records`),
-so each record file is parsed at most once per run.
+so each record file is parsed at most once per run, and the symmetrized graph
+passes from `graph` to `communities` the same way, so `communities` reads
+`nodes.txt` and `undirected_edges.csv` only when `graph` did not run before it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable
@@ -96,14 +97,15 @@ class StageFiles:
     the stage table, filled in from the config (plus `extra` fields such as a
     community id), and lives at `<outdir>/<name>` unless `redirects` maps its
     template to another path. `written` maps each name written to its path.
-    `parsed` maps the path of each record file parsed so far to its records;
-    the stages of one run share it."""
+    `parsed` maps the path of each file parsed or built so far to what it
+    holds: a record file to its records, the edge file to the symmetrized
+    graph. The stages of one run share it."""
 
     stage: Stage
     config: PipelineConfig
     redirects: dict[str, str] = field(default_factory=dict)
     written: dict[str, str] = field(default_factory=dict)
-    parsed: dict[str, list[TweetRecord]] = field(default_factory=dict)
+    parsed: dict[str, list[TweetRecord] | UndirectedGraph] = field(default_factory=dict)
 
     def name(self, template: str, **extra) -> str:
         if template not in self.stage.reads and template not in self.stage.writes:
@@ -180,6 +182,7 @@ def stage_graph(config: PipelineConfig, files: StageFiles) -> None:
         raise ValueError("no records survived ingest; graph would be empty")
     ug = symmetrize(g, config.min_weight)
     write_graph_outputs(g, ug, config.tau, files)
+    files.parsed[files.path(EDGES)] = ug  # what loading the graph files back yields
 
 
 def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
@@ -210,7 +213,9 @@ def write_community_outputs(config: PipelineConfig, ug: UndirectedGraph, files: 
 
 def stage_communities(config: PipelineConfig, files: StageFiles) -> None:
     """Percolate k-cliques into communities and sweep the counts over k."""
-    ug = load_undirected_graph(files.path(NODES), files.path(EDGES))
+    ug = files.parsed.get(files.path(EDGES))
+    if ug is None:
+        ug = load_undirected_graph(files.path(NODES), files.path(EDGES))
     write_community_outputs(config, ug, files)
 
 
@@ -241,6 +246,9 @@ def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
         jobs.append((cid, vocab, docs, config))
 
     if config.threads > 1 and len(jobs) > 1:
+        # imported here: at module level it would add to every run's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             models = list(pool.map(_fit_one_community, jobs))
     else:
@@ -343,12 +351,12 @@ def run_stage(
     name: str,
     config: PipelineConfig,
     redirects: dict[str, str],
-    parsed: dict[str, list[TweetRecord]] | None = None,
+    parsed: dict[str, list[TweetRecord] | UndirectedGraph] | None = None,
 ) -> dict[str, str]:
     """Run one stage, with the files in `redirects` (template -> path) outside
     the outdir; returns the name -> path of each file written. `parsed` holds
-    the records already parsed in this run (see `StageFiles`); a stage run on
-    its own starts with none. Writes no manifest."""
+    the records and the graph already parsed or built in this run (see
+    `StageFiles`); a stage run on its own starts with none. Writes no manifest."""
     files = StageFiles(TABLE[name], config, redirects, parsed={} if parsed is None else parsed)
     _STAGE_FUNCS[name](config, files)
     return files.written
@@ -432,10 +440,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     With `config.resume`, a stage is reused rather than run when every stage
     before it was reused, the previous manifest recorded it with the same key
     (see `_stage_key`), and its recorded outputs still have their digests.
-    The stages share the records parsed along the way. Files that the
-    previous manifest listed and this run did not write are deleted once this
-    run's manifest has replaced it, also when a later stage fails: no run
-    could reuse them, and no manifest would list them any more.
+    The stages share the records parsed and the graph built along the way
+    (see `StageFiles`). Files that the previous manifest listed and this run
+    did not write are deleted once this run's manifest has replaced it, also
+    when a later stage fails: no run could reuse them, and no manifest would
+    list them any more.
     """
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -451,11 +460,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "stages": [],
         "files": [],
     }
-    parsed: dict[str, list[TweetRecord]] = {}
+    parsed: dict[str, list[TweetRecord] | UndirectedGraph] = {}
     reuse = config.resume
     try:
         for stage in TABLE.values():
-            marker = os.path.join(outdir, f"{stage.name}.partial")
             start = time.monotonic()
             try:
                 key = _stage_key(stage, config)
@@ -466,10 +474,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
                     written = run_stage(stage.name, config, {}, parsed)
                     outputs = {name: _sha256(path) for name, path in written.items()}
             except Exception as exc:
-                open(marker, "w").close()
                 raise StageError(stage.name, exc) from exc
-            if os.path.exists(marker):
-                os.remove(marker)
             manifest["stages"].append({
                 "name": stage.name,
                 **key,

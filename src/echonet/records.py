@@ -13,6 +13,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 HASHTAG_RE = re.compile(r"#([A-Za-z0-9_]+)")
 
+# a JSON string literal, escaped as json.dumps(..., ensure_ascii=False) escapes it
+_encode = json.encoder.encode_basestring
+
 DEFAULT_KEYWORDS = ("qanon", "#q", "#qanon")
 
 CSV_COLUMNS = (
@@ -71,7 +74,7 @@ class ParseStats:
 
 def extract_hashtags(text: str) -> tuple[str, ...]:
     """Hashtags are maximal [A-Za-z0-9_]+ runs after '#', lowercased."""
-    return tuple(sys.intern(m.group(1).lower()) for m in HASHTAG_RE.finditer(text))
+    return tuple([sys.intern(tag.lower()) for tag in HASHTAG_RE.findall(text)])
 
 
 def _parse_created_at(raw: str) -> datetime:
@@ -110,26 +113,32 @@ def record_from_mapping(obj: dict) -> TweetRecord:
     a corpus held in memory keeps one copy of each."""
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")
-    for key in ("tweet_id", "user_id", "created_at", "text"):
-        if not isinstance(obj.get(key), str) or obj[key] == "":
-            if key == "text" and isinstance(obj.get(key), str):
-                continue  # empty text is legal
-            raise RecordError(f"missing or invalid field: {key}")
-    hashtags_raw = obj.get("hashtags")
+    get = obj.get
+    tweet_id, user_id, created_at, text = (
+        get("tweet_id"), get("user_id"), get("created_at"), get("text"))
+    if not isinstance(tweet_id, str) or not tweet_id:
+        raise RecordError("missing or invalid field: tweet_id")
+    if not isinstance(user_id, str) or not user_id:
+        raise RecordError("missing or invalid field: user_id")
+    if not isinstance(created_at, str) or not created_at:
+        raise RecordError("missing or invalid field: created_at")
+    if not isinstance(text, str):  # empty text is legal
+        raise RecordError("missing or invalid field: text")
+    hashtags_raw = get("hashtags")
     if hashtags_raw is None:
-        hashtags = extract_hashtags(obj["text"])
+        hashtags = extract_hashtags(text)
     elif isinstance(hashtags_raw, (list, tuple)):
         hashtags = _normalize_hashtags(hashtags_raw)
     else:
         raise RecordError("hashtags must be an array")
     return TweetRecord(
-        tweet_id=obj["tweet_id"],
-        user_id=sys.intern(obj["user_id"]),
-        created_at=_parse_created_at(obj["created_at"]),
-        text=obj["text"],
-        hashtags=hashtags,
-        retweet_of_user_id=_clean_optional(obj.get("retweet_of_user_id")),
-        user_description=_clean_optional(obj.get("user_description")),
+        tweet_id,
+        sys.intern(user_id),
+        _parse_created_at(created_at),
+        text,
+        hashtags,
+        _clean_optional(get("retweet_of_user_id")),
+        _clean_optional(get("user_description")),
     )
 
 
@@ -163,7 +172,18 @@ def record_to_dict(rec: TweetRecord) -> dict:
 
 
 def record_to_json(rec: TweetRecord) -> str:
-    return json.dumps(record_to_dict(rec), ensure_ascii=False, sort_keys=True)
+    """The line `json.dumps(record_to_dict(rec), ensure_ascii=False,
+    sort_keys=True)` gives, joined from the encoded strings directly: keys in
+    sorted order, default separators, no dict built on the way."""
+    parts = ['{"created_at": ', _encode(rec.created_at.isoformat()),
+             ', "hashtags": [', ", ".join(map(_encode, rec.hashtags)), "]"]
+    if rec.retweet_of_user_id is not None:
+        parts += (', "retweet_of_user_id": ', _encode(rec.retweet_of_user_id))
+    parts += (', "text": ', _encode(rec.text), ', "tweet_id": ', _encode(rec.tweet_id))
+    if rec.user_description is not None:
+        parts += (', "user_description": ', _encode(rec.user_description))
+    parts += (', "user_id": ', _encode(rec.user_id), "}")
+    return "".join(parts)
 
 
 def parse_tweet_stream(

@@ -139,7 +139,8 @@ def test_exit_code_stage_failure(tmp_path):
     empty.write_text("")
     code = run_cli("run", "--input", str(empty), "--outdir", str(tmp_path / "out"))
     assert code == 4
-    assert (tmp_path / "out" / "graph.partial").exists()
+    assert list(_stages(tmp_path / "out")) == ["ingest"]  # the manifest says graph failed
+    assert not list((tmp_path / "out").glob("*.partial"))
 
 
 def test_config_file_with_flag_override(tmp_path):

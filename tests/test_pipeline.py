@@ -1,11 +1,14 @@
-"""Work done by one `run`: records parsed once, maximal cliques enumerated once,
-and the bundle left holding only the files of the latest run."""
+"""Work done by one `run`: records parsed once, the graph handed on in memory,
+maximal cliques enumerated once, and the bundle left holding only the files of
+the latest run, also after the run was killed and resumed."""
 
 import csv
 import importlib.util
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -33,27 +36,59 @@ def data_files(outdir):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls of `pipeline.read_records` (with their paths) and of
-    `communities.maximal_cliques`."""
-    seen = {"read_records": [], "maximal_cliques": 0}
-    read, enumerate_maximal = pipeline.read_records, communities.maximal_cliques
+    """Count calls of `pipeline.read_records` (with their paths), of
+    `pipeline.load_undirected_graph` and of `communities.maximal_cliques`."""
+    seen = {"read_records": [], "load_undirected_graph": 0, "maximal_cliques": 0}
+    read, load = pipeline.read_records, pipeline.load_undirected_graph
+    enumerate_maximal = communities.maximal_cliques
 
     def counting_read(path, *args):
         seen["read_records"].append(os.path.basename(path))
         return read(path, *args)
+
+    def counting_load(*args):
+        seen["load_undirected_graph"] += 1
+        return load(*args)
 
     def counting_maximal(adj):
         seen["maximal_cliques"] += 1
         return enumerate_maximal(adj)
 
     monkeypatch.setattr(pipeline, "read_records", counting_read)
+    monkeypatch.setattr(pipeline, "load_undirected_graph", counting_load)
     monkeypatch.setattr(communities, "maximal_cliques", counting_maximal)
     return seen
 
 
 def test_run_parses_once_and_enumerates_maximal_cliques_once(tmp_path, calls):
     assert main(["run", "--input", FIXTURE, "--outdir", str(tmp_path / "b"), *RUN_ARGS]) == 0
-    assert calls == {"read_records": ["sample_tweets.jsonl"], "maximal_cliques": 1}
+    assert calls == {"read_records": ["sample_tweets.jsonl"], "load_undirected_graph": 0,
+                     "maximal_cliques": 1}
+
+
+def test_resume_that_reuses_graph_loads_the_graph_files_once(tmp_path, calls):
+    out, fresh = tmp_path / "bundle", tmp_path / "fresh"
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), "--resume",
+                 *RUN_ARGS, "--k", "5"]) == 0
+    resumed = {s["name"]: s["resumed"] for s in
+               json.loads((out / "manifest.json").read_text())["stages"]}
+    assert resumed == {"ingest": True, "graph": True, "communities": False,
+                       "topics": False, "profiles": False}
+    assert calls["load_undirected_graph"] == 1
+    assert main(["run", "--input", FIXTURE, "--outdir", str(fresh), *RUN_ARGS, "--k", "5"]) == 0
+    assert calls["load_undirected_graph"] == 1
+    assert data_files(out) == data_files(fresh)
+
+
+def test_communities_subcommand_reads_the_graph_files(tmp_path, calls):
+    out, sub = tmp_path / "bundle", tmp_path / "sub"
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
+    assert main(["communities", "--graph", str(out), "--outdir", str(sub), "--k", "4"]) == 0
+    assert calls["load_undirected_graph"] == 1
+    assert sorted(os.listdir(sub)) == ["communities_k4_standard.json", "sweep_standard.csv"]
+    for name in os.listdir(sub):
+        assert (sub / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_run_lists_no_k_clique(tmp_path, calls, monkeypatch):
@@ -143,7 +178,7 @@ def test_failed_rerun_deletes_the_files_the_last_run_wrote_and_this_one_did_not(
     files = json.loads((out / "manifest.json").read_text())["files"]
     assert "communities_k4_standard.json" not in os.listdir(out)
     assert "term_frequencies.csv" in k4_files and "term_frequencies.csv" not in files
-    assert sorted(os.listdir(out)) == sorted(files + ["manifest.json", "topics.partial"])
+    assert sorted(os.listdir(out)) == sorted(files + ["manifest.json"])
     monkeypatch.undo()
     assert main([*args, "--k", "5"]) == 0
     files = json.loads((out / "manifest.json").read_text())["files"]
@@ -181,8 +216,67 @@ def test_run_failing_at_its_first_stage_keeps_the_bundle_the_manifest_lists(tmp_
     missing = str(tmp_path / "missing.jsonl")
     assert main(["run", "--input", missing, "--outdir", str(out), *RUN_ARGS]) != 0
     files = json.loads((out / "manifest.json").read_text())["files"]
-    assert data_files(out) == {**before, "ingest.partial": b""}
+    assert data_files(out) == before
     assert sorted(files) == sorted(before)
+
+
+# exits as a SIGKILL would, leaving the temp file, at the n-th os.replace
+_KILLED_RUN = """
+import os, sys
+from echonet.cli import main
+n, replace, seen = int(sys.argv[1]), os.replace, [0]
+def replace_or_die(src, dst):
+    seen[0] += 1
+    if seen[0] == n:
+        os._exit(9)
+    replace(src, dst)
+os.replace = replace_or_die
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """A fresh fixture bundle, and the stage that each of its `os.replace`
+    calls (numbered from 1) belongs to; every stage's last one replaces the
+    manifest."""
+    out = tmp_path_factory.mktemp("fresh") / "bundle"
+    replaced, replace = [], os.replace
+
+    def recording(src, dst):
+        replaced.append(os.path.basename(dst))
+        replace(src, dst)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "replace", recording)
+        assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
+    stage_of, finished = {}, 0
+    for n, name in enumerate(replaced, 1):
+        stage_of[n] = pipeline.STAGES[finished]
+        finished += name == "manifest.json"
+    assert finished == len(pipeline.STAGES)
+    return out, stage_of
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+@pytest.mark.parametrize("stage", pipeline.STAGES)
+def test_run_killed_at_a_replace_resumes_to_the_fresh_bundle(tmp_path, fresh_run, stage, which):
+    fresh, stage_of = fresh_run
+    ns = [n for n, s in stage_of.items() if s == stage]
+    n = ns[0] if which == "first" else ns[-1]
+    out = tmp_path / "bundle"
+    args = ["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    killed = subprocess.run([sys.executable, "-c", _KILLED_RUN, str(n), *args],
+                            env=env, cwd=tmp_path, capture_output=True, timeout=120)
+    assert killed.returncode == 9, killed.stderr
+    assert main([*args, "--resume"]) == 0
+    assert not list(out.glob("*.tmp"))
+    assert data_files(out) == data_files(fresh)
+    finished = pipeline.STAGES.index(stage)  # the stages the killed run's manifest lists
+    resumed = [s["resumed"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
+    assert resumed == [i < finished for i in range(len(pipeline.STAGES))]
 
 
 def test_rerun_deletes_only_plain_files_in_the_outdir(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+from datetime import timedelta, timezone
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,9 @@ from echonet.records import (
     parse_tweet_csv,
     parse_tweet_stream,
     read_records,
+    TweetRecord,
     record_from_mapping,
+    record_to_dict,
     record_to_json,
 )
 
@@ -171,6 +174,31 @@ _record_strategy = st.builds(
 def test_serialize_parse_round_trip(rec):
     parsed = list(parse_tweet_stream([record_to_json(rec)]))
     assert parsed == [rec]
+
+
+# characters json.dumps escapes (or, with ensure_ascii=False, does not) mixed
+# with any others
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\b\t\n\x1f\x7f\u2028\u2029éß😀'), st.characters()),
+    max_size=12,
+)
+_OFFSET = st.timedeltas(min_value=timedelta(hours=-23, minutes=-59),
+                        max_value=timedelta(hours=23, minutes=59))
+
+
+@given(st.builds(
+    TweetRecord,
+    tweet_id=_JSON_TEXT,
+    user_id=_JSON_TEXT,
+    created_at=st.datetimes(timezones=st.builds(timezone, _OFFSET)),
+    text=_JSON_TEXT,
+    hashtags=st.one_of(st.just(()), st.tuples(_JSON_TEXT), st.lists(_JSON_TEXT).map(tuple)),
+    retweet_of_user_id=st.none() | _JSON_TEXT,
+    user_description=st.none() | _JSON_TEXT,
+))
+def test_record_to_json_is_the_json_dumps_line(rec):
+    assert record_to_json(rec) == json.dumps(record_to_dict(rec), ensure_ascii=False,
+                                             sort_keys=True)
 
 
 def test_csv_parsing(tmp_path):
