@@ -95,6 +95,13 @@ def _clean_optional(value) -> Optional[str]:
     return sys.intern(value) if value else None
 
 
+def _require_node_id(value: Optional[str], name: str) -> None:
+    """Raise RecordError if a user id cannot be one line of nodes.txt: a line
+    break would split it and a blank line is skipped when the file is read."""
+    if value is not None and ("\n" in value or "\r" in value or value.isspace()):
+        raise RecordError(f"{name} must be one line and not only whitespace")
+
+
 def _normalize_hashtags(raw) -> tuple[str, ...]:
     tags = []
     for tag in raw:
@@ -120,6 +127,7 @@ def record_from_mapping(obj: dict) -> TweetRecord:
         raise RecordError("missing or invalid field: tweet_id")
     if not isinstance(user_id, str) or not user_id:
         raise RecordError("missing or invalid field: user_id")
+    _require_node_id(user_id, "user_id")
     if not isinstance(created_at, str) or not created_at:
         raise RecordError("missing or invalid field: created_at")
     if not isinstance(text, str):  # empty text is legal
@@ -131,13 +139,15 @@ def record_from_mapping(obj: dict) -> TweetRecord:
         hashtags = _normalize_hashtags(hashtags_raw)
     else:
         raise RecordError("hashtags must be an array")
+    retweet_of = _clean_optional(get("retweet_of_user_id"))
+    _require_node_id(retweet_of, "retweet_of_user_id")
     return TweetRecord(
         tweet_id,
         sys.intern(user_id),
         _parse_created_at(created_at),
         text,
         hashtags,
-        _clean_optional(get("retweet_of_user_id")),
+        retweet_of,
         _clean_optional(get("user_description")),
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -115,7 +116,17 @@ class GibbsSampler:
     """Collapsed Gibbs chain over token-topic assignments.
 
     Deterministic given (corpus, hyperparameters, seed); one sweep resamples
-    every token once in document order.
+    every token once in document order. The chain state lives in Python
+    lists: `ndk` (one row per document), `nwk` (one row per word, so the
+    word's topic counts are one list), `nk`, `z`, `doc_ids` and `words`. For
+    each token, a sweep computes the numpy formula
+
+        p = (ndk[d] + alpha) * (nwk[w] + beta) / (nk + V * beta)
+        t = searchsorted(cumsum(p), u * cumsum(p)[-1], side="right")
+
+    one topic at a time in Python floats: the same IEEE operations in the same
+    order, so the chain is the numpy formula's bit for bit, without numpy's
+    per-call cost on arrays of n_topics elements.
     """
 
     def __init__(
@@ -138,49 +149,53 @@ class GibbsSampler:
         self.beta = beta
         self.rng = np.random.default_rng(seed)
 
-        self.doc_ids = np.concatenate(
-            [np.full(len(d.tokens), i, dtype=np.int64) for i, d in enumerate(corpus)]
-        )
-        self.words = np.concatenate(
-            [np.asarray(d.tokens, dtype=np.int64) for d in corpus]
-        )
-        if self.words.size and (self.words.min() < 0 or self.words.max() >= vocab_size):
+        self.doc_ids = [i for i, d in enumerate(corpus) for _ in d.tokens]
+        self.words = [w for d in corpus for w in d.tokens]
+        if any(not 0 <= w < vocab_size for w in self.words):
             raise ValueError("token index outside vocabulary")
-        n = self.words.size
-        self.z = self.rng.integers(0, n_topics, size=n)
-        self.ndk = np.zeros((len(corpus), n_topics), dtype=np.int64)
-        self.nkw = np.zeros((n_topics, vocab_size), dtype=np.int64)
-        self.nk = np.zeros(n_topics, dtype=np.int64)
-        np.add.at(self.ndk, (self.doc_ids, self.z), 1)
-        np.add.at(self.nkw, (self.z, self.words), 1)
-        np.add.at(self.nk, self.z, 1)
+        self.z = self.rng.integers(0, n_topics, size=len(self.words)).tolist()
+        self.ndk = [[0] * n_topics for _ in corpus]
+        self.nwk = [[0] * n_topics for _ in range(vocab_size)]
+        self.nk = [0] * n_topics
+        for d, w, t in zip(self.doc_ids, self.words, self.z):
+            self.ndk[d][t] += 1
+            self.nwk[w][t] += 1
+            self.nk[t] += 1
 
     @property
     def token_count(self) -> int:
-        return int(self.words.size)
+        return len(self.words)
 
     def sweep(self) -> None:
-        vbeta = self.beta * self.nkw.shape[1]
-        for i in range(self.words.size):
-            d, w, t = self.doc_ids[i], self.words[i], self.z[i]
-            self.ndk[d, t] -= 1
-            self.nkw[t, w] -= 1
-            self.nk[t] -= 1
-            p = (self.ndk[d] + self.alpha) * (self.nkw[:, w] + self.beta) / (self.nk + vbeta)
-            cum = np.cumsum(p)
-            t = int(np.searchsorted(cum, self.rng.random() * cum[-1], side="right"))
-            t = min(t, self.n_topics - 1)
-            self.z[i] = t
-            self.ndk[d, t] += 1
-            self.nkw[t, w] += 1
-            self.nk[t] += 1
+        alpha, beta, ndk, nwk, nk, z = self.alpha, self.beta, self.ndk, self.nwk, self.nk, self.z
+        vbeta = beta * len(nwk)
+        last = self.n_topics - 1
+        # rng.random(n) yields the values of n successive rng.random() calls
+        draws = self.rng.random(len(z)).tolist()
+        for i, (d, w, u) in enumerate(zip(self.doc_ids, self.words, draws)):
+            doc, word, t = ndk[d], nwk[w], z[i]
+            doc[t] -= 1
+            word[t] -= 1
+            nk[t] -= 1
+            total = 0.0
+            cum = []
+            for a, b, c in zip(doc, word, nk):
+                total += (a + alpha) * (b + beta) / (c + vbeta)
+                cum.append(total)
+            t = bisect_right(cum, u * total)
+            if t > last:  # u * total can round up to total
+                t = last
+            z[i] = t
+            doc[t] += 1
+            word[t] += 1
+            nk[t] += 1
 
     def counts_consistent(self) -> bool:
         n = self.token_count
-        return int(self.ndk.sum()) == n and int(self.nkw.sum()) == n
+        return sum(map(sum, self.ndk)) == n and sum(map(sum, self.nwk)) == n
 
     def state(self) -> tuple[int, ...]:
-        return tuple(int(t) for t in self.z)
+        return tuple(self.z)
 
 
 def fit_lda(
@@ -197,9 +212,11 @@ def fit_lda(
     sampler = GibbsSampler(corpus, len(vocab), n_topics, alpha, beta, seed)
     for _ in range(iterations):
         sampler.sweep()
-    # the sampler is dropped here, so the model takes its arrays without copies
-    return TopicModel(n_topics, alpha, beta, topic_word_counts=sampler.nkw,
-                      doc_topic_counts=sampler.ndk, assignments=sampler.z, seed=seed)
+    nwk = np.array(sampler.nwk, dtype=np.int64).reshape(len(vocab), n_topics)
+    return TopicModel(n_topics, alpha, beta,
+                      topic_word_counts=np.ascontiguousarray(nwk.T),
+                      doc_topic_counts=np.array(sampler.ndk, dtype=np.int64),
+                      assignments=np.array(sampler.z, dtype=np.int64), seed=seed)
 
 
 def topic_word_distribution(model: TopicModel) -> np.ndarray:
@@ -233,30 +250,39 @@ def held_out_perplexity(model: TopicModel, held_out: Sequence[Document]) -> floa
     FOLD_IN_PASSES rounds of soft assignment against frozen phi. Token indices
     outside the training vocabulary are skipped.
 
+    Documents with the same number n of scorable tokens fold in together as
+    one (D, T, n) array. Each (T, n) slab has the memory layout of
+    phi[:, words], and numpy's summation order follows the layout, so every
+    document gets the arithmetic of folding it in alone; p(w|d), its log-sum
+    and the running total are then taken per document, in document order.
+
     The topics stage passes a community's own training documents, so its
     `perplexity` is training-set perplexity: fold-in sees the very words it
     scores."""
     if not held_out:
         raise ValueError("held_out must be nonempty")
     phi = topic_word_distribution(model)
+    t_alpha = model.n_topics * model.alpha
+    by_length: dict[int, list[tuple[int, list[int]]]] = {}
+    for i, doc in enumerate(held_out):
+        words = [w for w in doc.tokens if 0 <= w < model.vocab_size]
+        if words:
+            by_length.setdefault(len(words), []).append((i, words))
+    folded = []
+    for n, group in by_length.items():
+        # phi.T[W] is C-ordered (D, n, T); transposed, each slab is laid out like phi[:, words]
+        phi_w = phi.T[np.array([words for _, words in group])].transpose(0, 2, 1)
+        theta = np.full((len(group), model.n_topics), 1.0 / model.n_topics)
+        for _ in range(FOLD_IN_PASSES):
+            gamma = theta[:, :, None] * phi_w
+            gamma /= gamma.sum(axis=1, keepdims=True)
+            theta = (gamma.sum(axis=2) + model.alpha) / (n + t_alpha)
+        folded.extend((i, theta[j], phi_w[j]) for j, (i, _) in enumerate(group))
+    if not folded:
+        raise ValueError("no scorable tokens in held-out set")
     total_log = 0.0
     total_tokens = 0
-    t_alpha = model.n_topics * model.alpha
-    for doc in held_out:
-        words = np.array(
-            [w for w in doc.tokens if 0 <= w < model.vocab_size], dtype=np.int64
-        )
-        if words.size == 0:
-            continue
-        theta = np.full(model.n_topics, 1.0 / model.n_topics)
-        phi_w = phi[:, words]  # (T, n)
-        for _ in range(FOLD_IN_PASSES):
-            gamma = theta[:, None] * phi_w
-            gamma /= gamma.sum(axis=0, keepdims=True)
-            theta = (gamma.sum(axis=1) + model.alpha) / (words.size + t_alpha)
-        p = theta @ phi_w
-        total_log += float(np.log(p).sum())
-        total_tokens += int(words.size)
-    if total_tokens == 0:
-        raise ValueError("no scorable tokens in held-out set")
+    for _, theta, phi_w in sorted(folded, key=lambda item: item[0]):
+        total_log += float(np.log(theta @ phi_w).sum())
+        total_tokens += phi_w.shape[1]
     return float(np.exp(-total_log / total_tokens))

@@ -1,12 +1,15 @@
 """Independent brute-force implementations used as test oracles.
 
 Deliberately naive: subset enumeration, pairwise adjacency checks, BFS over
-clique overlap. Nothing here shares code with the package under test.
+clique overlap, and the numpy formulas the topics layer computes in a faster
+order. Nothing here shares code with the package under test.
 """
 
 import itertools
 import random
 from collections import deque
+
+import numpy as np
 
 from echonet.graph import UndirectedGraph
 
@@ -103,3 +106,64 @@ def brute_force_degeneracy_order(adj):
         for u in remaining.pop(v):
             remaining[u].discard(v)
     return order
+
+
+class NumpyGibbsChain:
+    """The collapsed Gibbs chain with numpy count arrays and one numpy formula
+    per token; `GibbsSampler` must follow it bit for bit."""
+
+    def __init__(self, corpus, vocab_size, n_topics, alpha, beta, seed):
+        self.n_topics, self.alpha, self.beta = n_topics, alpha, beta
+        self.rng = np.random.default_rng(seed)
+        self.doc_ids = np.concatenate(
+            [np.full(len(d.tokens), i, dtype=np.int64) for i, d in enumerate(corpus)]
+        )
+        self.words = np.concatenate([np.asarray(d.tokens, dtype=np.int64) for d in corpus])
+        self.z = self.rng.integers(0, n_topics, size=self.words.size)
+        self.ndk = np.zeros((len(corpus), n_topics), dtype=np.int64)
+        self.nkw = np.zeros((n_topics, vocab_size), dtype=np.int64)
+        self.nk = np.zeros(n_topics, dtype=np.int64)
+        np.add.at(self.ndk, (self.doc_ids, self.z), 1)
+        np.add.at(self.nkw, (self.z, self.words), 1)
+        np.add.at(self.nk, self.z, 1)
+
+    def sweep(self):
+        vbeta = self.beta * self.nkw.shape[1]
+        for i in range(self.words.size):
+            d, w, t = self.doc_ids[i], self.words[i], self.z[i]
+            self.ndk[d, t] -= 1
+            self.nkw[t, w] -= 1
+            self.nk[t] -= 1
+            p = (self.ndk[d] + self.alpha) * (self.nkw[:, w] + self.beta) / (self.nk + vbeta)
+            cum = np.cumsum(p)
+            t = int(np.searchsorted(cum, self.rng.random() * cum[-1], side="right"))
+            t = min(t, self.n_topics - 1)
+            self.z[i] = t
+            self.ndk[d, t] += 1
+            self.nkw[t, w] += 1
+            self.nk[t] += 1
+
+
+def per_document_perplexity(model, held_out, passes=50):
+    """Training-set perplexity with theta folded in one document at a time."""
+    phi = model.topic_word_counts + model.beta
+    phi = phi / phi.sum(axis=1, keepdims=True)
+    total_log = 0.0
+    total_tokens = 0
+    t_alpha = model.n_topics * model.alpha
+    for doc in held_out:
+        words = np.array(
+            [w for w in doc.tokens if 0 <= w < model.vocab_size], dtype=np.int64
+        )
+        if words.size == 0:
+            continue
+        theta = np.full(model.n_topics, 1.0 / model.n_topics)
+        phi_w = phi[:, words]  # (T, n)
+        for _ in range(passes):
+            gamma = theta[:, None] * phi_w
+            gamma /= gamma.sum(axis=0, keepdims=True)
+            theta = (gamma.sum(axis=1) + model.alpha) / (words.size + t_alpha)
+        p = theta @ phi_w
+        total_log += float(np.log(p).sum())
+        total_tokens += int(words.size)
+    return float(np.exp(-total_log / total_tokens))

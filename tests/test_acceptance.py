@@ -240,7 +240,7 @@ def test_criterion_8_conservation_determinism():
     for _ in range(20):
         sampler.sweep()
         assert sampler.counts_consistent()
-        assert int(sampler.nk.sum()) == sampler.token_count
+        assert sum(sampler.nk) == sampler.token_count
     vocab = vocab_of([f"w{i}" for i in range(vocab_size)])
     a = fit_lda(corpus, vocab, 8, 0.5, 0.01, 10, seed=99)
     b = fit_lda(corpus, vocab, 8, 0.5, 0.01, 10, seed=99)

@@ -348,3 +348,35 @@ def test_resume_after_a_failed_stage_reuses_the_stages_before_it(tmp_path, monke
     assert _stages(out) == {"ingest": True, "graph": True, "communities": True,
                             "topics": False, "profiles": False}
     assert not (out / "topics.partial").exists()
+
+
+def test_user_ids_nodes_txt_cannot_hold_are_malformed(tmp_path):
+    def line(i, user, retweet_of):
+        return json.dumps({"tweet_id": f"t{i}", "user_id": user,
+                           "created_at": "2018-07-01T00:00:00+00:00",
+                           "text": "#qanon #wwg1wga", "retweet_of_user_id": retweet_of})
+
+    pairs = [("u1", "u2"), ("u2", "u3"), ("u3", "u1"),
+             ("a\nb", "u1"), (" ", "u2"), ("u3", " "), ("u1", "a\rb")]
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n".join(line(i, u, v) for i, (u, v) in enumerate(pairs)) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", str(src), "--outdir", str(out),
+                   "--k", "3", "--n-topics", "2", "--iters", "5") == 0
+    assert json.loads((out / "ingest_stats.json").read_text())["malformed_lines"] == 4
+    assert (out / "nodes.txt").read_text() == "u1\nu2\nu3\n"
+    assert run_cli("communities", "--graph", str(out), "--k", "3", "--outdir", str(out)) == 0
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_defaults_openblas_to_one_thread(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, echonet; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == expected

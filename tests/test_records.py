@@ -173,7 +173,10 @@ _record_strategy = st.builds(
 @given(_record_strategy)
 def test_serialize_parse_round_trip(rec):
     parsed = list(parse_tweet_stream([record_to_json(rec)]))
-    assert parsed == [rec]
+    # a user id must fit on one line of nodes.txt, or the record is malformed
+    ids = [i for i in (rec.user_id, rec.retweet_of_user_id) if i is not None]
+    one_line = all("\n" not in i and "\r" not in i and not i.isspace() for i in ids)
+    assert parsed == ([rec] if one_line else [])
 
 
 # characters json.dumps escapes (or, with ensure_ascii=False, does not) mixed

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import make_record
+from oracles import NumpyGibbsChain, per_document_perplexity
 from echonet.topics import (
     Document,
     EmptyCorpusError,
     GibbsSampler,
+    TopicModel,
     Vocabulary,
     build_community_corpus,
     doc_topic_distribution,
@@ -131,12 +133,37 @@ def test_conservation_and_determinism():
     for _ in range(20):
         sampler.sweep()
         assert sampler.counts_consistent()
-        assert int(sampler.nk.sum()) == total
+        assert sum(sampler.nk) == total
     a = fit_lda(corpus, vocab, 4, 0.5, 0.05, 25, seed=123)
     b = fit_lda(corpus, vocab, 4, 0.5, 0.05, 25, seed=123)
     assert np.array_equal(a.assignments, b.assignments)
     assert np.array_equal(a.topic_word_counts, b.topic_word_counts)
     assert np.array_equal(a.doc_topic_counts, b.doc_topic_counts)
+
+
+@pytest.mark.parametrize("n_topics", [1, 2, 8, 9, 17])
+def test_sweep_matches_numpy_chain(n_topics):
+    rng = random.Random(n_topics)
+    vocab = vocab_of([f"w{i}" for i in range(25)])
+    corpus = [
+        Document(f"d{i}", tuple(rng.randrange(25) for _ in range(rng.randint(1, 12))))
+        for i in range(40)
+    ]
+    sampler = GibbsSampler(corpus, 25, n_topics, 0.3, 0.02, seed=n_topics + 10)
+    chain = NumpyGibbsChain(corpus, 25, n_topics, 0.3, 0.02, seed=n_topics + 10)
+    assert sampler.state() == tuple(chain.z.tolist())
+    for _ in range(6):
+        sampler.sweep()
+        chain.sweep()
+        assert sampler.state() == tuple(chain.z.tolist())
+        assert sampler.ndk == chain.ndk.tolist()
+        assert sampler.nwk == chain.nkw.T.tolist()
+        assert sampler.nk == chain.nk.tolist()
+    model = fit_lda(corpus, vocab, n_topics, 0.3, 0.02, 6, seed=n_topics + 10)
+    for got, want in ((model.assignments, chain.z), (model.doc_topic_counts, chain.ndk),
+                      (model.topic_word_counts, chain.nkw)):
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 def collapsed_posterior(corpus_tokens, doc_ids, T, V, alpha, beta):
@@ -364,3 +391,27 @@ def test_perplexity_skips_oov_and_errors_when_nothing_scorable():
         held_out_perplexity(model, [Document("h", (99,))])
     with pytest.raises(ValueError):
         held_out_perplexity(model, [])
+
+
+@pytest.mark.parametrize("n_topics", [1, 2, 3, 8, 9, 10, 16, 17, 33])
+def test_fold_in_matches_per_document(n_topics):
+    """Grouping documents by length must not change a bit of the result."""
+    rng = np.random.default_rng(n_topics)
+    vocab_size = 40
+    for _ in range(3):
+        model = TopicModel(
+            n_topics, float(rng.uniform(0.01, 2.0)), float(rng.uniform(0.001, 1.0)),
+            topic_word_counts=rng.integers(0, 50, size=(n_topics, vocab_size)),
+            doc_topic_counts=np.zeros((1, n_topics), dtype=np.int64),
+            assignments=np.zeros(0, dtype=np.int64), seed=0,
+        )
+        lengths = [1, 1, 2, 7, 7, 7, 8, 9, 33, 33, 128, 129, 300, 300]
+        lengths += rng.integers(1, 301, size=6).tolist()
+        rng.shuffle(lengths)
+        # indices past vocab_size are out of vocabulary and get skipped
+        held_out = [
+            Document(f"h{i}", tuple(rng.integers(0, vocab_size + 3, size=n).tolist()))
+            for i, n in enumerate(lengths)
+        ]
+        held_out.append(Document("oov", (vocab_size, vocab_size + 1)))
+        assert held_out_perplexity(model, held_out) == per_document_perplexity(model, held_out)
