@@ -3,12 +3,11 @@ overlapping communities."""
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graph import UndirectedGraph
 
@@ -43,27 +42,42 @@ class SweepResult:
     clique_counts: dict[int, int] = field(default_factory=dict)
 
 
-def degeneracy_order(adj: dict[str, set[str]]) -> list:
-    """Repeatedly remove the vertex with the smallest (degree, id), using a
-    heap whose stale entries are skipped when popped: O(m log n)."""
+def degeneracy_order(adj: Mapping[Hashable, set]) -> list:
+    """A degeneracy order of the graph whose neighbour sets `adj` holds: each
+    vertex has the least degree among the vertices not yet taken when it is
+    taken. A bucket queue holds the vertices by remaining degree, and taking a
+    vertex lowers the least degree by at most one, so the scan for it only
+    steps back by one: O(n + m) (Batagelj & Zaversnik 2003, "An O(m)
+    Algorithm for Cores Decomposition of Networks"). A vertex gets a new entry
+    each time its degree drops; the scan reaches the old ones only after the
+    vertex was taken, and skips them."""
     degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    heap = [(d, v) for v, d in degree.items()]
-    heapq.heapify(heap)
+    buckets: list[list] = [[] for _ in range(max(degree.values(), default=0) + 1)]
+    for v, d in degree.items():
+        buckets[d].append(v)
     order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if degree.get(v) != d:  # removed, or its degree has dropped since
+    d = 0
+    while degree:
+        bucket = buckets[d]
+        if not bucket:
+            d += 1
+            continue
+        v = bucket.pop()
+        if v not in degree:
             continue
         del degree[v]
         order.append(v)
         for u in adj[v]:
-            if u in degree:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
+            du = degree.get(u)
+            if du is not None:
+                degree[u] = du - 1
+                buckets[du - 1].append(u)
+        if d:
+            d -= 1
     return order
 
 
-def _expand(adj: dict[str, set[str]], r: set, p: set, x: set, out: list[frozenset]) -> None:
+def _expand(adj: Mapping[Hashable, set], r: set, p: set, x: set, out: list[frozenset]) -> None:
     """Append to `out` each maximal clique that extends `r` by members of `p`
     and by none of `x`."""
     if not p:
@@ -78,23 +92,26 @@ def _expand(adj: dict[str, set[str]], r: set, p: set, x: set, out: list[frozense
         x.add(v)
 
 
-def maximal_cliques(adj: dict[str, set[str]]) -> Iterator[frozenset]:
+def maximal_cliques(adj: Mapping[Hashable, set]) -> Iterator[frozenset]:
     """Bron-Kerbosch with pivoting, outer loop in degeneracy order; yields the
     cliques of one outer vertex at a time."""
-    order = degeneracy_order(adj)
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {u for u in adj[v] if position[u] > position[v]}
-        earlier = {u for u in adj[v] if position[u] < position[v]}
+    done: set = set()
+    for v in degeneracy_order(adj):
+        nbrs = adj[v]
         found: list[frozenset] = []
-        _expand(adj, {v}, later, earlier, found)
+        _expand(adj, {v}, nbrs - done, nbrs & done, found)
+        done.add(v)
         yield from found
 
 
 def maximal_clique_list(ug: UndirectedGraph) -> list[tuple[str, ...]]:
     """Every maximal clique of `ug` as a sorted tuple: enumerate them once and
-    hand the list to `detect_communities` and `community_count_sweep`."""
-    return [tuple(sorted(mc)) for mc in maximal_cliques(ug.adjacency())]
+    hand the list to `detect_communities` and `community_count_sweep`. The
+    enumeration runs on ints, given to the nodes in sorted order, so that a
+    clique's sorted ints name its sorted members."""
+    names = sorted(ug.nodes)
+    adj = ug.adjacency({v: i for i, v in enumerate(names)})
+    return [tuple([names[i] for i in sorted(mc)]) for mc in maximal_cliques(adj)]
 
 
 def _within_budget(counts: dict[int, int], max_cliques: Optional[int]) -> dict[int, int]:

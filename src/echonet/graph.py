@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -18,34 +17,22 @@ class RetweetGraph:
     nodes: set[str] = field(default_factory=set)
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def weighted_degrees(self) -> tuple[dict[str, int], dict[str, int]]:
-        """(out, in) weighted degree maps over all nodes."""
-        out = {v: 0 for v in self.nodes}
-        inn = {v: 0 for v in self.nodes}
-        for (u, v), w in self.edges.items():
-            out[u] += w
-            inn[v] += w
-        return out, inn
-
-    def unweighted_degrees(self) -> tuple[dict[str, int], dict[str, int]]:
-        out = {v: 0 for v in self.nodes}
-        inn = {v: 0 for v in self.nodes}
-        for u, v in self.edges:
-            out[u] += 1
-            inn[v] += 1
-        return out, inn
-
 
 @dataclass
 class UndirectedGraph:
     nodes: set[str] = field(default_factory=set)
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.nodes}
+    def adjacency(self, index: Mapping[str, Hashable] | None = None) -> dict:
+        """Each node's neighbour set. With `index`, a map from every node to
+        an id, the sets are keyed by id and hold ids."""
+        if index is None:
+            index = {v: v for v in self.nodes}
+        adj: dict = {i: set() for i in index.values()}
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+            a, b = index[u], index[v]
+            adj[a].add(b)
+            adj[b].add(a)
         return adj
 
 
@@ -123,68 +110,106 @@ class RoleScore:
 def build_retweet_graph(records: Iterable[TweetRecord]) -> RetweetGraph:
     """Aggregate retweet events into edge weights; self-retweets dropped."""
     g = RetweetGraph()
+    nodes, edges = g.nodes, g.edges
     for rec in records:
-        g.nodes.add(rec.user_id)
-        target = rec.retweet_of_user_id
-        if target is None or target == rec.user_id:
+        user, target = rec.user_id, rec.retweet_of_user_id
+        nodes.add(user)
+        if target is None or target == user:
             continue
-        g.nodes.add(target)
-        key = (rec.user_id, target)
-        g.edges[key] = g.edges.get(key, 0) + 1
+        nodes.add(target)
+        key = (user, target)
+        edges[key] = edges.get(key, 0) + 1
     return g
 
 
-def degree_summary(g: RetweetGraph) -> DegreeSummary:
+@dataclass(frozen=True)
+class NodeDegrees:
+    """A digraph's nodes in sorted order, so that a node's index orders it as
+    its name does, and its four degree vectors (int64) by that index."""
+
+    nodes: list[str]
+    out_weighted: np.ndarray
+    in_weighted: np.ndarray
+    out_unweighted: np.ndarray
+    in_unweighted: np.ndarray
+
+
+def node_degrees(g: RetweetGraph) -> NodeDegrees:
+    """Intern the nodes of `g` in sorted order and count its degrees with
+    `np.bincount`. The degree reports of one graph can share the result."""
+    nodes = sorted(g.nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    n, m = len(nodes), len(g.edges)
+    ends = np.fromiter((index[v] for edge in g.edges for v in edge), dtype=np.intp, count=2 * m)
+    weights = np.fromiter(g.edges.values(), dtype=np.float64, count=m)
+    src, dst = ends[0::2], ends[1::2]
+    return NodeDegrees(
+        nodes,
+        np.bincount(src, weights=weights, minlength=n).astype(np.int64),
+        np.bincount(dst, weights=weights, minlength=n).astype(np.int64),
+        np.bincount(src, minlength=n),
+        np.bincount(dst, minlength=n),
+    )
+
+
+def degree_summary(g: RetweetGraph, degrees: NodeDegrees | None = None) -> DegreeSummary:
+    """Moments of the four degree distributions; `degrees` is `node_degrees(g)`,
+    computed here if not given."""
     if not g.nodes:
         raise ValueError("degree_summary requires a nonempty graph")
-    order = sorted(g.nodes)
-    out_w, in_w = g.weighted_degrees()
-    out_u, in_u = g.unweighted_degrees()
-    as_vec = lambda d: np.array([d[v] for v in order], dtype=float)
+    d = node_degrees(g) if degrees is None else degrees
     return DegreeSummary(
         node_count=len(g.nodes),
         unique_edge_count=len(g.edges),
         weighted_edge_sum=sum(g.edges.values()),
-        out_weighted=DegreeStats.from_values(as_vec(out_w)),
-        in_weighted=DegreeStats.from_values(as_vec(in_w)),
-        out_unweighted=DegreeStats.from_values(as_vec(out_u)),
-        in_unweighted=DegreeStats.from_values(as_vec(in_u)),
+        out_weighted=DegreeStats.from_values(d.out_weighted),
+        in_weighted=DegreeStats.from_values(d.in_weighted),
+        out_unweighted=DegreeStats.from_values(d.out_unweighted),
+        in_unweighted=DegreeStats.from_values(d.in_unweighted),
     )
 
 
-def degree_histogram(g: RetweetGraph) -> list[tuple[str, int, int, int]]:
-    """Rows (weighting, degree, out_count, in_count) for distribution plots."""
+def degree_histogram(
+    g: RetweetGraph, degrees: NodeDegrees | None = None
+) -> list[tuple[str, int, int, int]]:
+    """Rows (weighting, degree, out_count, in_count) for distribution plots,
+    for each degree some node has; `degrees` as for `degree_summary`."""
+    if not g.nodes:
+        return []
+    d = node_degrees(g) if degrees is None else degrees
     rows = []
-    for weighting, (out_d, in_d) in (
-        ("weighted", g.weighted_degrees()),
-        ("unweighted", g.unweighted_degrees()),
-    ):
-        out_c = Counter(out_d.values())
-        in_c = Counter(in_d.values())
-        for deg in sorted(set(out_c) | set(in_c)):
-            rows.append((weighting, deg, out_c.get(deg, 0), in_c.get(deg, 0)))
+    for weighting, out_d, in_d in (("weighted", d.out_weighted, d.in_weighted),
+                                   ("unweighted", d.out_unweighted, d.in_unweighted)):
+        size = int(max(out_d.max(), in_d.max())) + 1
+        out_c, in_c = np.bincount(out_d, minlength=size), np.bincount(in_d, minlength=size)
+        present = np.flatnonzero(out_c + in_c)
+        rows += [(weighting, deg, o, i) for deg, o, i in
+                 zip(present.tolist(), out_c[present].tolist(), in_c[present].tolist())]
     return rows
 
 
-def classify_roles(g: RetweetGraph, tau: float) -> list[RoleScore]:
+def classify_roles(
+    g: RetweetGraph, tau: float, degrees: NodeDegrees | None = None
+) -> list[RoleScore]:
     """Score = (in - out) / (in + out) over weighted degrees; +1 pure producer,
-    -1 pure distributor. Sorted by |score| descending, then user id."""
+    -1 pure distributor. Sorted by |score| descending, then user id; `degrees`
+    as for `degree_summary`."""
     if not 0 < tau <= 1:
         raise ValueError("tau must be in (0, 1]")
-    out_w, in_w = g.weighted_degrees()
-    scores = []
-    for user in g.nodes:
-        i, o = float(in_w[user]), float(out_w[user])
-        score = 0.0 if i + o == 0 else (i - o) / (i + o)
-        if score >= tau:
-            label = "producer"
-        elif score <= -tau:
-            label = "distributor"
-        else:
-            label = "mixed"
-        scores.append(RoleScore(user=user, in_deg=i, out_deg=o, score=score, label=label))
-    scores.sort(key=lambda r: (-abs(r.score), r.user))
-    return scores
+    if not g.nodes:
+        return []
+    d = node_degrees(g) if degrees is None else degrees
+    in_w, out_w = d.in_weighted.astype(np.float64), d.out_weighted.astype(np.float64)
+    total = in_w + out_w
+    score = np.divide(in_w - out_w, total, out=np.zeros(len(total)), where=total != 0)
+    order = np.argsort(-np.abs(score), kind="stable")  # ties stay in id order
+    nodes = d.nodes
+    roles = []
+    for k, s, i, o in zip(order.tolist(), score[order].tolist(), in_w[order].tolist(),
+                          out_w[order].tolist()):
+        label = "producer" if s >= tau else "distributor" if s <= -tau else "mixed"
+        roles.append(RoleScore(user=nodes[k], in_deg=i, out_deg=o, score=s, label=label))
+    return roles
 
 
 def symmetrize(g: RetweetGraph, min_weight: int = 1) -> UndirectedGraph:

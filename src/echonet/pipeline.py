@@ -34,6 +34,7 @@ from .graph import (
     classify_roles,
     degree_histogram,
     degree_summary,
+    node_degrees,
     symmetrize,
 )
 from .profiles import DEFAULT_STOPLIST, NoDescriptionsError, description_term_proportions
@@ -148,10 +149,11 @@ def _write_csv(files: StageFiles, template: str, header: list[str], rows, **extr
 def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
     """Parse, keyword-filter and summarize the input records."""
     parse_stats = ParseStats()
-    kept = read_records(config.input, parse_stats, lambda r: keyword_filter(r, config.keywords))
+    keywords = config.keywords
+    kept = read_records(config.input, parse_stats, lambda r: keyword_filter(r, keywords))
     with files.create(FILTERED) as fh:
-        for rec in kept:
-            fh.write(record_to_json(rec) + "\n")
+        # a generator, not a list: the file's lines are never all in memory
+        fh.writelines(record_to_json(rec) + "\n" for rec in kept)
     files.parsed[files.path(FILTERED)] = kept  # what parsing the file back yields
     stats = corpus_summary(kept).to_dict()
     stats["malformed_lines"] = parse_stats.malformed
@@ -162,17 +164,18 @@ def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
 def write_graph_outputs(
     g: RetweetGraph, ug: UndirectedGraph, tau: float, files: StageFiles
 ) -> None:
-    _write_json(files, "network_stats.json", degree_summary(g).to_dict())
+    degrees = node_degrees(g)  # shared by the three degree reports
+    _write_json(files, "network_stats.json", degree_summary(g, degrees).to_dict())
     _write_csv(files, "degree_histogram.csv", ["weighting", "degree", "out_count", "in_count"],
-               degree_histogram(g))
-    roles = classify_roles(g, tau)
+               degree_histogram(g, degrees))
+    roles = classify_roles(g, tau, degrees)
     _write_csv(files, "roles.csv", ["user_id", "in_deg", "out_deg", "score", "label"],
                [(r.user, r.in_deg, r.out_deg, repr(r.score), r.label) for r in roles])
+    weights = ug.edges  # its keys are unique, so sorting them sorts the items
     _write_csv(files, EDGES, ["u", "v", "weight"],
-               [(u, v, w) for (u, v), w in sorted(ug.edges.items())])
+               ((u, v, weights[u, v]) for u, v in sorted(weights)))
     with files.create(NODES) as fh:
-        for node in sorted(ug.nodes):
-            fh.write(node + "\n")
+        fh.writelines(node + "\n" for node in sorted(ug.nodes))
 
 
 def stage_graph(config: PipelineConfig, files: StageFiles) -> None:

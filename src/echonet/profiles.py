@@ -50,11 +50,13 @@ def description_term_proportions(
         raise ValueError("top_n must be >= 1")
     latest: dict[str, tuple] = {}
     for rec in records:
-        if rec.user_description is None or not rec.user_description.strip():
+        description = rec.user_description
+        if description is None or not description.strip():
             continue
-        prev = latest.get(rec.user_id)
-        if prev is None or rec.created_at > prev[0]:
-            latest[rec.user_id] = (rec.created_at, rec.user_description)
+        user, created_at = rec.user_id, rec.created_at
+        prev = latest.get(user)
+        if prev is None or created_at > prev[0]:
+            latest[user] = (created_at, description)
     if not latest:
         raise NoDescriptionsError("no users with nonempty descriptions")
     user_base = len(latest)

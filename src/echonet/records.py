@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 HASHTAG_RE = re.compile(r"#([A-Za-z0-9_]+)")
 
 # a JSON string literal, escaped as json.dumps(..., ensure_ascii=False) escapes it
 _encode = json.encoder.encode_basestring
+# the scanner json.loads runs: (value, end index) of the JSON text at an index
+_scan_json = json.decoder.JSONDecoder().scan_once
+_intern = sys.intern
+_fromisoformat = datetime.fromisoformat
 
 DEFAULT_KEYWORDS = ("qanon", "#q", "#qanon")
 
@@ -33,8 +38,7 @@ class RecordError(ValueError):
     """A single input record violates the expected schema."""
 
 
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
     tweet_id: str
     user_id: str
     created_at: datetime
@@ -74,32 +78,13 @@ class ParseStats:
 
 def extract_hashtags(text: str) -> tuple[str, ...]:
     """Hashtags are maximal [A-Za-z0-9_]+ runs after '#', lowercased."""
-    return tuple([sys.intern(tag.lower()) for tag in HASHTAG_RE.findall(text)])
+    return tuple([_intern(tag.lower()) for tag in HASHTAG_RE.findall(text)])
 
 
-def _parse_created_at(raw: str) -> datetime:
-    try:
-        dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise RecordError(f"bad created_at: {raw!r}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt
-
-
-def _clean_optional(value) -> Optional[str]:
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise RecordError("optional field must be a string")
-    return sys.intern(value) if value else None
-
-
-def _require_node_id(value: Optional[str], name: str) -> None:
-    """Raise RecordError if a user id cannot be one line of nodes.txt: a line
+def _not_one_line(name: str) -> RecordError:
+    """The error for a user id that cannot be one line of nodes.txt: a line
     break would split it and a blank line is skipped when the file is read."""
-    if value is not None and ("\n" in value or "\r" in value or value.isspace()):
-        raise RecordError(f"{name} must be one line and not only whitespace")
+    return RecordError(f"{name} must be one line and not only whitespace")
 
 
 def _normalize_hashtags(raw) -> tuple[str, ...]:
@@ -110,14 +95,16 @@ def _normalize_hashtags(raw) -> tuple[str, ...]:
         tag = tag.lstrip("#").lower()
         if not tag or any(c.isspace() for c in tag) or "#" in tag:
             raise RecordError(f"bad hashtag token: {tag!r}")
-        tags.append(sys.intern(tag))
+        tags.append(_intern(tag))
     return tuple(tags)
 
 
 def record_from_mapping(obj: dict) -> TweetRecord:
     """Build a validated TweetRecord from a parsed input mapping. User ids,
     descriptions and hashtags repeat across records, so they are interned:
-    a corpus held in memory keeps one copy of each."""
+    a corpus held in memory keeps one copy of each. This runs once per input
+    record, so the checks are written out inline rather than in helpers, in
+    a fixed order: the first one a record fails names the error."""
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")
     get = obj.get
@@ -127,29 +114,43 @@ def record_from_mapping(obj: dict) -> TweetRecord:
         raise RecordError("missing or invalid field: tweet_id")
     if not isinstance(user_id, str) or not user_id:
         raise RecordError("missing or invalid field: user_id")
-    _require_node_id(user_id, "user_id")
+    if "\n" in user_id or "\r" in user_id or user_id.isspace():
+        raise _not_one_line("user_id")
     if not isinstance(created_at, str) or not created_at:
         raise RecordError("missing or invalid field: created_at")
     if not isinstance(text, str):  # empty text is legal
         raise RecordError("missing or invalid field: text")
-    hashtags_raw = get("hashtags")
-    if hashtags_raw is None:
+    hashtags = get("hashtags")
+    if hashtags is None:
         hashtags = extract_hashtags(text)
-    elif isinstance(hashtags_raw, (list, tuple)):
-        hashtags = _normalize_hashtags(hashtags_raw)
+    elif isinstance(hashtags, (list, tuple)):
+        hashtags = _normalize_hashtags(hashtags)
     else:
         raise RecordError("hashtags must be an array")
-    retweet_of = _clean_optional(get("retweet_of_user_id"))
-    _require_node_id(retweet_of, "retweet_of_user_id")
-    return TweetRecord(
-        tweet_id,
-        sys.intern(user_id),
-        _parse_created_at(created_at),
-        text,
-        hashtags,
-        retweet_of,
-        _clean_optional(get("user_description")),
-    )
+    retweet_of = get("retweet_of_user_id")
+    if retweet_of is not None:
+        if not isinstance(retweet_of, str):
+            raise RecordError("optional field must be a string")
+        if not retweet_of:
+            retweet_of = None
+        elif "\n" in retweet_of or "\r" in retweet_of or retweet_of.isspace():
+            raise _not_one_line("retweet_of_user_id")
+        else:
+            retweet_of = _intern(retweet_of)
+    try:
+        created = _fromisoformat(created_at.replace("Z", "+00:00"))
+    except ValueError as exc:
+        raise RecordError(f"bad created_at: {created_at!r}") from exc
+    if created.tzinfo is None:
+        created = created.replace(tzinfo=timezone.utc)
+    description = get("user_description")
+    if description is not None:
+        if not isinstance(description, str):
+            raise RecordError("optional field must be a string")
+        description = _intern(description) if description else None
+    # the fields in declaration order, without the keyword handling of TweetRecord()
+    return tuple.__new__(TweetRecord, (tweet_id, _intern(user_id), created, text, hashtags,
+                                       retweet_of, description))
 
 
 def _require_utf8(rec: TweetRecord) -> None:
@@ -185,64 +186,80 @@ def record_to_json(rec: TweetRecord) -> str:
     """The line `json.dumps(record_to_dict(rec), ensure_ascii=False,
     sort_keys=True)` gives, joined from the encoded strings directly: keys in
     sorted order, default separators, no dict built on the way."""
-    parts = ['{"created_at": ', _encode(rec.created_at.isoformat()),
-             ', "hashtags": [', ", ".join(map(_encode, rec.hashtags)), "]"]
-    if rec.retweet_of_user_id is not None:
-        parts += (', "retweet_of_user_id": ', _encode(rec.retweet_of_user_id))
-    parts += (', "text": ', _encode(rec.text), ', "tweet_id": ', _encode(rec.tweet_id))
-    if rec.user_description is not None:
-        parts += (', "user_description": ', _encode(rec.user_description))
-    parts += (', "user_id": ', _encode(rec.user_id), "}")
-    return "".join(parts)
+    tweet_id, user_id, created_at, text, hashtags, retweet_of, description = rec
+    return "".join((
+        '{"created_at": ', _encode(created_at.isoformat()),
+        ', "hashtags": [', ", ".join(map(_encode, hashtags)) if hashtags else "", "]",
+        "" if retweet_of is None else ', "retweet_of_user_id": ' + _encode(retweet_of),
+        ', "text": ', _encode(text), ', "tweet_id": ', _encode(tweet_id),
+        "" if description is None else ', "user_description": ' + _encode(description),
+        ', "user_id": ', _encode(user_id), "}",
+    ))
 
 
 def parse_tweet_stream(
     lines: Iterable[str | bytes], stats: Optional[ParseStats] = None
 ) -> Iterator[TweetRecord]:
     """Yield one TweetRecord per well-formed JSON line, skipping malformed ones.
-    A record with a lone surrogate in a string field is malformed; bytes lines
+    A line is malformed when `json.loads` rejects it, also for nesting deeper
+    than the recursion limit or an integer longer than
+    `sys.get_int_max_str_digits()`, or when its record fails validation. A
+    record with a lone surrogate in a string field is malformed; bytes lines
     are decoded strictly, so there only a JSON escape can produce one."""
+    if stats is None:
+        stats = ParseStats()
     for line in lines:
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")
             except UnicodeDecodeError:
-                if stats is not None:
-                    stats.malformed += 1
+                stats.malformed += 1
                 continue
         line = line.strip()
         if not line:
             continue
         try:
-            rec = record_from_mapping(json.loads(line))
+            # json.loads(line) on a stripped line: one value that ends the line
+            obj, end = _scan_json(line, 0)
+            if end != len(line):
+                raise RecordError("extra data after the JSON value")
+            rec = record_from_mapping(obj)
             if "\\ud" in line or "\\uD" in line:  # only an escape decodes to a surrogate
                 _require_utf8(rec)
-        except (json.JSONDecodeError, RecordError):
-            if stats is not None:
-                stats.malformed += 1
+        except (StopIteration, ValueError, RecursionError):
+            # ValueError covers JSONDecodeError, RecordError and the digit limit
+            stats.malformed += 1
             continue
-        if stats is not None:
-            stats.records += 1
+        stats.records += 1
         yield rec
 
 
 def parse_tweet_csv(
     fileobj: io.TextIOBase, stats: Optional[ParseStats] = None
 ) -> Iterator[TweetRecord]:
-    """CSV variant of the stream parser; hashtags column is '|'-separated."""
+    """CSV variant of the stream parser; hashtags column is '|'-separated. A
+    row the csv module rejects, such as one with a field longer than
+    `csv.field_size_limit()`, is malformed, and reading goes on at the next line."""
+    if stats is None:
+        stats = ParseStats()
     reader = csv.DictReader(fileobj)
-    for row in reader:
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error:
+            stats.malformed += 1
+            continue
         obj = {k: v for k, v in row.items() if k in CSV_COLUMNS and v not in (None, "")}
         if "hashtags" in obj:
             obj["hashtags"] = obj["hashtags"].split("|")
         try:
             rec = record_from_mapping(obj)
         except RecordError:
-            if stats is not None:
-                stats.malformed += 1
+            stats.malformed += 1
             continue
-        if stats is not None:
-            stats.records += 1
+        stats.records += 1
         yield rec
 
 
@@ -263,18 +280,25 @@ def read_records(
         return list(records if keep is None else filter(keep, records))
 
 
+@functools.lru_cache(maxsize=8)
+def _keyword_terms(keywords: tuple[str, ...]) -> tuple[frozenset[str], tuple[str, ...]]:
+    """The '#term' keywords as a set of hashtags, and the bare ones, lowercased."""
+    terms = [term.lower() for term in keywords]
+    return (frozenset(t[1:] for t in terms if t.startswith("#")),
+            tuple(t for t in terms if not t.startswith("#")))
+
+
 def keyword_filter(record: TweetRecord, keywords: Sequence[str]) -> bool:
     """True iff any term matches: '#term' as exact hashtag token, bare term as
     case-insensitive substring of the text."""
     if not keywords:
         raise ValueError("keywords must be nonempty")
+    tags, substrings = _keyword_terms(tuple(keywords))
+    if not tags.isdisjoint(record.hashtags):
+        return True
     text_lower = record.text.lower()
-    for term in keywords:
-        term = term.lower()
-        if term.startswith("#"):
-            if term[1:] in record.hashtags:
-                return True
-        elif term in text_lower:
+    for term in substrings:
+        if term in text_lower:
             return True
     return False
 

@@ -1,17 +1,23 @@
 """Independent brute-force implementations used as test oracles.
 
 Deliberately naive: subset enumeration, pairwise adjacency checks, BFS over
-clique overlap, and the numpy formulas the topics layer computes in a faster
-order. Nothing here shares code with the package under test.
+clique overlap, the numpy formulas the topics layer computes in a faster
+order, dict-based degree reports, and a record parser built on `json.loads`
+with one helper per check. Nothing here shares code with the package under
+test; it builds the package's result types so results compare with `==`.
 """
 
 import itertools
+import json
 import random
-from collections import deque
+import re
+from collections import Counter, deque
+from datetime import datetime, timezone
 
 import numpy as np
 
-from echonet.graph import UndirectedGraph
+from echonet.graph import DegreeStats, DegreeSummary, RoleScore, UndirectedGraph
+from echonet.records import RecordError, TweetRecord
 
 
 def brute_force_k_cliques(nodes, edge_pairs, k):
@@ -96,16 +102,191 @@ def complete_graph(n: int) -> UndirectedGraph:
     return UndirectedGraph(nodes=set(nodes), edges=edges)
 
 
-def brute_force_degeneracy_order(adj):
-    """Repeatedly remove the remaining vertex with the smallest (degree, id)."""
-    remaining = {v: set(nbrs) for v, nbrs in adj.items()}
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (len(remaining[u]), u))
-        order.append(v)
-        for u in remaining.pop(v):
-            remaining[u].discard(v)
-    return order
+def brute_force_degeneracy(adj):
+    """The largest k for which the graph has a nonempty k-core, found by
+    peeling the vertices of degree below k for each k in turn."""
+    k = 0
+    while True:
+        core = {v: set(nbrs) for v, nbrs in adj.items()}
+        peeled = True
+        while peeled:
+            peeled = False
+            for v in [v for v, nbrs in core.items() if len(nbrs) < k + 1]:
+                for u in core.pop(v):
+                    core[u].discard(v)
+                peeled = True
+        if not core:
+            return k
+        k += 1
+
+
+# -- the graph layer's degree reports, one dict of degrees at a time --------
+
+
+def _degree_maps(g, weighted):
+    out = {v: 0 for v in g.nodes}
+    inn = {v: 0 for v in g.nodes}
+    for (u, v), w in g.edges.items():
+        out[u] += w if weighted else 1
+        inn[v] += w if weighted else 1
+    return out, inn
+
+
+def degree_summary(g):
+    if not g.nodes:
+        raise ValueError("degree_summary requires a nonempty graph")
+    order = sorted(g.nodes)
+    out_w, in_w = _degree_maps(g, True)
+    out_u, in_u = _degree_maps(g, False)
+    as_vec = lambda d: np.array([d[v] for v in order], dtype=float)
+    return DegreeSummary(
+        node_count=len(g.nodes),
+        unique_edge_count=len(g.edges),
+        weighted_edge_sum=sum(g.edges.values()),
+        out_weighted=DegreeStats.from_values(as_vec(out_w)),
+        in_weighted=DegreeStats.from_values(as_vec(in_w)),
+        out_unweighted=DegreeStats.from_values(as_vec(out_u)),
+        in_unweighted=DegreeStats.from_values(as_vec(in_u)),
+    )
+
+
+def degree_histogram(g):
+    rows = []
+    for weighting, weighted in (("weighted", True), ("unweighted", False)):
+        out_d, in_d = _degree_maps(g, weighted)
+        out_c = Counter(out_d.values())
+        in_c = Counter(in_d.values())
+        for deg in sorted(set(out_c) | set(in_c)):
+            rows.append((weighting, deg, out_c.get(deg, 0), in_c.get(deg, 0)))
+    return rows
+
+
+def classify_roles(g, tau):
+    out_w, in_w = _degree_maps(g, True)
+    scores = []
+    for user in g.nodes:
+        i, o = float(in_w[user]), float(out_w[user])
+        score = 0.0 if i + o == 0 else (i - o) / (i + o)
+        if score >= tau:
+            label = "producer"
+        elif score <= -tau:
+            label = "distributor"
+        else:
+            label = "mixed"
+        scores.append(RoleScore(user=user, in_deg=i, out_deg=o, score=score, label=label))
+    scores.sort(key=lambda r: (-abs(r.score), r.user))
+    return scores
+
+
+def symmetrize(g, min_weight):
+    combined = {}
+    for (u, v), w in g.edges.items():
+        key = (u, v) if u < v else (v, u)
+        combined[key] = combined.get(key, 0) + w
+    edges = {k: w for k, w in combined.items() if w >= min_weight}
+    return UndirectedGraph(nodes=set(g.nodes), edges=edges)
+
+
+# -- the record parser on json.loads, one helper per check ------------------
+
+
+def _parse_created_at(raw):
+    try:
+        dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    except ValueError as exc:
+        raise RecordError(f"bad created_at: {raw!r}") from exc
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt
+
+
+def _clean_optional(value):
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        raise RecordError("optional field must be a string")
+    return value if value else None
+
+
+def _require_node_id(value, name):
+    if value is not None and ("\n" in value or "\r" in value or value.isspace()):
+        raise RecordError(f"{name} must be one line and not only whitespace")
+
+
+def _normalize_hashtags(raw):
+    tags = []
+    for tag in raw:
+        if not isinstance(tag, str):
+            raise RecordError("hashtag entries must be strings")
+        tag = tag.lstrip("#").lower()
+        if not tag or any(c.isspace() for c in tag) or "#" in tag:
+            raise RecordError(f"bad hashtag token: {tag!r}")
+        tags.append(tag)
+    return tuple(tags)
+
+
+def record_from_mapping(obj):
+    if not isinstance(obj, dict):
+        raise RecordError("record is not an object")
+    tweet_id, user_id = obj.get("tweet_id"), obj.get("user_id")
+    created_at, text = obj.get("created_at"), obj.get("text")
+    if not isinstance(tweet_id, str) or not tweet_id:
+        raise RecordError("missing or invalid field: tweet_id")
+    if not isinstance(user_id, str) or not user_id:
+        raise RecordError("missing or invalid field: user_id")
+    _require_node_id(user_id, "user_id")
+    if not isinstance(created_at, str) or not created_at:
+        raise RecordError("missing or invalid field: created_at")
+    if not isinstance(text, str):
+        raise RecordError("missing or invalid field: text")
+    hashtags_raw = obj.get("hashtags")
+    if hashtags_raw is None:
+        hashtags = tuple(tag.lower() for tag in re.findall(r"#([A-Za-z0-9_]+)", text))
+    elif isinstance(hashtags_raw, (list, tuple)):
+        hashtags = _normalize_hashtags(hashtags_raw)
+    else:
+        raise RecordError("hashtags must be an array")
+    retweet_of = _clean_optional(obj.get("retweet_of_user_id"))
+    _require_node_id(retweet_of, "retweet_of_user_id")
+    return TweetRecord(
+        tweet_id=tweet_id,
+        user_id=user_id,
+        created_at=_parse_created_at(created_at),
+        text=text,
+        hashtags=hashtags,
+        retweet_of_user_id=retweet_of,
+        user_description=_clean_optional(obj.get("user_description")),
+    )
+
+
+def parse_tweet_stream(lines, stats):
+    """One record per well-formed line, counting the others in `stats`: the
+    line is decoded strictly, stripped, skipped if empty, and given to
+    `json.loads`. A line json.loads cannot decode, also for nesting past the
+    recursion limit or an integer past the digit limit, is malformed, as is a
+    record that an escape gave a string no UTF-8 file can hold."""
+    for line in lines:
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                stats.malformed += 1
+                continue
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = record_from_mapping(json.loads(line))
+            if "\\ud" in line or "\\uD" in line:  # only an escape decodes to a surrogate
+                for value in (rec.tweet_id, rec.user_id, rec.text, rec.retweet_of_user_id,
+                              rec.user_description, *rec.hashtags):
+                    if value is not None:
+                        value.encode("utf-8")
+        except (ValueError, RecursionError):  # UnicodeEncodeError is a ValueError
+            stats.malformed += 1
+            continue
+        stats.records += 1
+        yield rec
 
 
 class NumpyGibbsChain:

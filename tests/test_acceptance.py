@@ -26,6 +26,7 @@ from echonet.graph import (
     RetweetGraph,
     build_retweet_graph,
     degree_summary,
+    node_degrees,
     symmetrize,
 )
 from echonet.pipeline import run_pipeline
@@ -132,10 +133,9 @@ def test_criterion_2_handshake():
     rng = random.Random(2)
     for _ in range(1000):
         g = random_retweet_graph(rng)
-        out_w, in_w = g.weighted_degrees()
-        out_u, in_u = g.unweighted_degrees()
-        assert sum(out_w.values()) == sum(in_w.values()) == sum(g.edges.values())
-        assert sum(out_u.values()) == sum(in_u.values()) == len(g.edges)
+        d = node_degrees(g)
+        assert d.out_weighted.sum() == d.in_weighted.sum() == sum(g.edges.values())
+        assert d.out_unweighted.sum() == d.in_unweighted.sum() == len(g.edges)
         s = degree_summary(g)
         assert s.out_weighted.mean == s.in_weighted.mean
         assert s.out_unweighted.mean == s.in_unweighted.mean

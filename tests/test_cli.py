@@ -41,6 +41,22 @@ def test_ingest_subcommand(tmp_path):
     assert out.read_text().count("\n") == stats_data["tweet_count"]
 
 
+@pytest.mark.parametrize("bad", [
+    "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
+    '{"n": ' + "9" * 5000 + "}",  # an integer past sys.get_int_max_str_digits()
+], ids=["deep-nesting", "long-integer"])
+def test_ingest_counts_a_line_json_loads_raises_on_as_malformed(tmp_path, bad):
+    good = [json.dumps({"tweet_id": f"t{i}", "user_id": f"u{i}", "text": "#qanon",
+                        "created_at": "2018-07-01T00:00:00Z"}) for i in range(2)]
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n".join([good[0], bad, good[1]]) + "\n")
+    stats = tmp_path / "stats.json"
+    assert run_cli("ingest", "--input", str(src), "--output", str(tmp_path / "out.jsonl"),
+                   "--stats", str(stats)) == 0
+    stats_data = json.loads(stats.read_text())
+    assert (stats_data["malformed_lines"], stats_data["tweet_count"]) == (1, 2)
+
+
 def test_stage_chain_matches_run(tmp_path):
     staged = tmp_path / "staged"
     full = tmp_path / "full"

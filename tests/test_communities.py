@@ -19,7 +19,7 @@ from echonet.communities import (
 from echonet.config import PipelineConfig
 from echonet.graph import UndirectedGraph
 from oracles import (
-    brute_force_degeneracy_order,
+    brute_force_degeneracy,
     brute_force_detect,
     brute_force_k_cliques,
     complete_graph,
@@ -252,11 +252,25 @@ def test_sweep_bounds_checked():
 
 
 def test_degeneracy_order_oracle_random_graphs():
+    """Each vertex has the least degree among the vertices left when it is
+    taken, so the largest such degree is the graph's degeneracy. Which of
+    several least-degree vertices comes first is not part of the contract."""
     rng = random.Random(5)
     for trial in range(300):
         ug = random_undirected_graph(rng, rng.randint(0, 30), rng.random())
-        adj = ug.adjacency()
-        assert degeneracy_order(adj) == brute_force_degeneracy_order(adj), trial
+        names = sorted(ug.nodes)
+        by_name = ug.adjacency()
+        for adj in (by_name, ug.adjacency({v: i for i, v in enumerate(names)})):
+            order = degeneracy_order(adj)
+            assert sorted(order) == sorted(adj), trial
+            left = {v: set(nbrs) for v, nbrs in adj.items()}
+            taken_at = []
+            for v in order:
+                assert len(left[v]) == min(len(nbrs) for nbrs in left.values()), trial
+                taken_at.append(len(left[v]))
+                for u in left.pop(v):
+                    left[u].discard(v)
+            assert max(taken_at, default=0) == brute_force_degeneracy(by_name), trial
 
 
 def test_budget_counts_distinct_k_cliques_exactly():

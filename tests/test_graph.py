@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -13,8 +14,10 @@ from echonet.graph import (
     classify_roles,
     degree_histogram,
     degree_summary,
+    node_degrees,
     symmetrize,
 )
+import oracles
 from oracles import moments
 
 
@@ -221,6 +224,13 @@ def test_symmetrize_quadratic_oracle():
             assert (u, v) not in ug.edges
 
 
+def weighted_degrees(g):
+    """(out, in) weighted degree maps over all nodes."""
+    d = node_degrees(g)
+    return (dict(zip(d.nodes, d.out_weighted.tolist())),
+            dict(zip(d.nodes, d.in_weighted.tolist())))
+
+
 @given(st.integers(0, 2**31))
 def test_one_retweet_increments_one_degree(seed):
     rng = random.Random(seed)
@@ -228,8 +238,49 @@ def test_one_retweet_increments_one_degree(seed):
     u, v = "u0", "u1"
     g2, _ = random_digraph(random.Random(seed), 8, 20)
     g2 = graph_from_events(events + [(u, v)])
-    out1, in1 = g.weighted_degrees()
-    out2, in2 = g2.weighted_degrees()
+    out1, in1 = weighted_degrees(g)
+    out2, in2 = weighted_degrees(g2)
     assert out2[u] == out1.get(u, 0) + 1
     assert in2[v] == in1.get(v, 0) + 1
     assert sum(out2.values()) == sum(out1.values()) + 1
+
+
+# ids that a CSV writer must quote, or that sort before and after plain ones
+_IDS = ["u1", "u2", "u10", "a,b", 'q"x', " lead", "Ünï", "z z", "#h", "u1,"]
+
+
+def test_degree_reports_and_symmetrize_equal_the_dict_based_oracles():
+    rng = random.Random(2026)
+    for trial in range(200):
+        users = rng.sample(_IDS, rng.randint(1, len(_IDS)))
+        records = []
+        for i in range(rng.randint(0, 40)):
+            u, v = rng.choice(users), rng.choice(users)
+            records.append(make_record(f"t{i}", u, retweet_of=v if rng.random() < 0.8 else None))
+        # a user whose only record is a self-retweet is a node of degree 0
+        records.append(make_record("self", f"solo{trial % 3}", retweet_of=f"solo{trial % 3}"))
+        g = build_retweet_graph(records)
+        tau = rng.choice([0.1, 0.5, 1.0, 1])
+        assert degree_summary(g) == oracles.degree_summary(g), trial
+        assert (json.dumps(degree_summary(g).to_dict())
+                == json.dumps(oracles.degree_summary(g).to_dict()))
+        hist = degree_histogram(g)
+        assert [tuple(map(repr, row)) for row in hist] == [
+            tuple(map(repr, row)) for row in oracles.degree_histogram(g)], trial
+        roles = classify_roles(g, tau)
+        assert roles == oracles.classify_roles(g, tau), trial
+        assert [(repr(r.in_deg), repr(r.out_deg), repr(r.score)) for r in roles] == [
+            (repr(r.in_deg), repr(r.out_deg), repr(r.score))
+            for r in oracles.classify_roles(g, tau)]
+        degrees = node_degrees(g)
+        assert (degree_summary(g, degrees), degree_histogram(g, degrees),
+                classify_roles(g, tau, degrees)) == (degree_summary(g), hist, roles)
+        for min_weight in (1, 2, 3):
+            ug, want = symmetrize(g, min_weight), oracles.symmetrize(g, min_weight)
+            assert (ug.nodes, ug.edges) == (want.nodes, want.edges), (trial, min_weight)
+
+
+def test_degree_reports_of_a_graph_without_nodes():
+    empty = RetweetGraph()
+    assert degree_histogram(empty) == oracles.degree_histogram(empty) == []
+    assert classify_roles(empty, 0.5) == oracles.classify_roles(empty, 0.5) == []

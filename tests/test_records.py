@@ -1,14 +1,17 @@
+import itertools
 import json
 import random
 from datetime import timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_record
 from echonet.records import (
     ParseStats,
+    RecordError,
     corpus_summary,
     extract_hashtags,
     keyword_filter,
@@ -280,3 +283,103 @@ def test_lone_surrogate_in_any_string_field_is_malformed(tmp_path):
     assert records[0].text == "qanon \U0001f600" and records[1].text == "qanon \\ud800"
     for rec in records:
         record_to_json(rec).encode("utf-8")
+
+
+def test_tweet_record_fields_cannot_be_assigned():
+    rec = make_record("1", "a", "x")
+    with pytest.raises(AttributeError):
+        rec.user_id = "b"
+    assert hash(rec) == hash(make_record("1", "a", "x"))
+
+
+def test_csv_row_with_a_field_over_the_size_limit_is_malformed(tmp_path):
+    path = tmp_path / "tweets.csv"
+    path.write_text(
+        "tweet_id,user_id,created_at,text\n"
+        "t1,u1,2018-07-01T00:00:00Z,#QAnon here\n"
+        f"t2,u2,2018-07-01T00:01:00Z,{'q' * 150_000}\n"
+        "t3,u3,2018-07-01T00:02:00Z,qanon again\n"
+    )
+    stats = ParseStats()
+    records = read_records(str(path), stats)
+    assert [r.tweet_id for r in records] == ["t1", "t3"]
+    assert (stats.records, stats.malformed) == (2, 1)
+
+
+# values of one input field that the record checks tell apart
+_FAULTS = [None, "", " ", "a\nb", "a\rb", "x", "not a date", "2018-13-01T00:00:00Z",
+           "2018-07-01T12:00:00", "2018-07-01 12:00+02:00", 7, 1.5, [], ["#Tag"], ["a b"],
+           ["#"], [3], {}]
+_FIELD = st.one_of(st.sampled_from(_FAULTS), st.text(max_size=8), st.integers(),
+                   st.lists(st.one_of(st.text(max_size=5), st.integers()), max_size=3))
+_FIELDS = ("tweet_id", "user_id", "created_at", "text", "hashtags",
+           "retweet_of_user_id", "user_description")
+_ANY_MAPPING = st.dictionaries(st.sampled_from(_FIELDS), _FIELD)
+_GOOD_MAPPING = st.fixed_dictionaries(
+    {"tweet_id": st.text(min_size=1, max_size=6), "user_id": st.sampled_from(["u1", "u2", "Ü"]),
+     "created_at": st.sampled_from(["2018-07-01T12:00:00Z", "2018-07-01T12:00:00.5+05:30"]),
+     "text": st.text(max_size=20)},
+    optional={"retweet_of_user_id": st.sampled_from(["u1", "u3", ""]),
+              "user_description": st.text(max_size=10),
+              "hashtags": st.lists(st.sampled_from(["#QAnon", "maga", "q"]), max_size=2)},
+)
+
+
+def _outcome(build, obj):
+    try:
+        rec = build(obj)
+    except RecordError as exc:
+        return "error", str(exc)
+    return "record", rec, record_to_json(rec)
+
+
+# a good mapping with a few fields replaced, so that the later checks are reached
+_FAULTY_MAPPING = st.builds(lambda good, faults: {**good, **faults}, _GOOD_MAPPING,
+                            st.dictionaries(st.sampled_from(_FIELDS), _FIELD, max_size=3))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_FAULTY_MAPPING, _ANY_MAPPING, st.lists(st.integers(), max_size=1)))
+def test_record_checks_give_the_oracles_record_or_first_error(obj):
+    assert _outcome(record_from_mapping, obj) == _outcome(oracles.record_from_mapping, obj)
+
+
+def test_record_checks_name_the_oracles_first_error_for_every_two_faults():
+    good = {"tweet_id": "t1", "user_id": "u1", "created_at": "2018-07-01T12:00:00Z",
+            "text": "#QAnon", "hashtags": ["#q"], "retweet_of_user_id": "u2",
+            "user_description": "bio"}
+    for a, b in itertools.combinations(_FIELDS, 2):
+        for x, y in itertools.product(_FAULTS, repeat=2):
+            obj = {**good, a: x, b: y}
+            assert _outcome(record_from_mapping, obj) == _outcome(
+                oracles.record_from_mapping, obj), obj
+
+
+def _line_variants(obj):
+    """A JSON line made from `obj`, and ways of breaking it that each reach a
+    different verdict of json.loads."""
+    line = json.dumps(obj)
+    return st.sampled_from([
+        line, json.dumps(obj, ensure_ascii=False), f"  {line}\t", f"\x0c{line}\xa0", line[: len(line) // 2],
+        line + " x", line + "{}", "\ufeff" + line, line.replace('"', "'", 2),
+        line[:-1] + ', "n": NaN}', line[:-1] + ', "n": ' + "9" * 5000 + "}",
+        line[:-1] + ', "text": "bad \\ud800"}' if obj else "{}",
+        "[" * 3000 + "]" * 3000, '{"a": ' * 3000 + "1" + "}" * 3000,
+        "NaN", "   ", "\t\u3000", "",
+    ]).flatmap(lambda text: st.sampled_from([
+        text, text.encode("utf-8"), b"\xff" + text.encode("utf-8"),
+        text.encode("utf-8")[:-1] + b"\xe2",
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_GOOD_MAPPING, _FAULTY_MAPPING).flatmap(_line_variants),
+                max_size=10))
+def test_parser_gives_the_json_loads_oracles_records_and_counts(lines):
+    got_stats, want_stats = ParseStats(), ParseStats()
+    got = list(parse_tweet_stream(lines, got_stats))
+    want = list(oracles.parse_tweet_stream(lines, want_stats))
+    # datetime equality ignores the UTC offset, the serialized form does not
+    assert [record_to_json(r) for r in got] == [record_to_json(r) for r in want]
+    assert got == want
+    assert got_stats == want_stats
