@@ -114,15 +114,6 @@ def maximal_clique_list(ug: UndirectedGraph) -> list[tuple[str, ...]]:
     return [tuple([names[i] for i in sorted(mc)]) for mc in maximal_cliques(adj)]
 
 
-def _within_budget(counts: dict[int, int], max_cliques: Optional[int]) -> dict[int, int]:
-    """`counts` (k -> distinct k-cliques), unless a k has more than `max_cliques`."""
-    if max_cliques is not None:
-        for k, count in counts.items():
-            if count > max_cliques:
-                raise CliqueBudgetExceeded(k, count, max_cliques)
-    return counts
-
-
 def _pivot_leaves(
     adj: dict[str, set[str]], p: set[str], held: int, pivots: int, k_min: int, leaves: Counter
 ) -> None:
@@ -145,11 +136,14 @@ def _pivot_leaves(
     leaves[held, pivots + len(p)] += 1
 
 
-def _clique_counts(maximal: Iterable[tuple[str, ...]], k_min: int, k_max: int) -> dict[int, int]:
+def _clique_counts(
+    maximal: Iterable[tuple[str, ...]], k_min: int, k_max: int, max_cliques: Optional[int]
+) -> dict[int, int]:
     """Distinct k-cliques for each k in k_min..k_max, in one walk of a pivot
     tree, of the graph that the given maximal cliques span: every k-clique with
     k >= k_min lies in a maximal clique of at least k_min nodes, so the others
-    are left out. Each clique is counted at its smallest id."""
+    are left out. Each clique is counted at its smallest id. Raises
+    CliqueBudgetExceeded if a k has more than `max_cliques`."""
     adj: dict[str, set[str]] = {}
     for mc in maximal:
         if len(mc) >= k_min:
@@ -160,10 +154,14 @@ def _clique_counts(maximal: Iterable[tuple[str, ...]], k_min: int, k_max: int) -
         nbrs.discard(v)
     for v, nbrs in adj.items():
         _pivot_leaves(adj, {u for u in nbrs if u > v}, 1, 0, k_min, leaves)
-    return {
+    counts = {
         k: sum(n * math.comb(q, k - h) for (h, q), n in leaves.items() if h <= k)
         for k in range(k_min, k_max + 1)
     }
+    for k, count in counts.items():
+        if max_cliques is not None and count > max_cliques:
+            raise CliqueBudgetExceeded(k, count, max_cliques)
+    return counts
 
 
 def enumerate_k_cliques(
@@ -174,7 +172,7 @@ def enumerate_k_cliques(
     if k < 2:
         raise ValueError("k must be >= 2")
     maximal = [mc for mc in maximal_clique_list(ug) if len(mc) >= k]
-    _within_budget(_clique_counts(maximal, k, k), max_cliques)
+    _clique_counts(maximal, k, k, max_cliques)
     return {frozenset(c) for mc in maximal for c in itertools.combinations(mc, k)}
 
 
@@ -273,7 +271,7 @@ def detect_communities(
     if k < 2:
         raise ValueError("k must be >= 2")
     active = sorted(tuple(sorted(mc)) for mc in maximal if len(mc) >= k)
-    count = _within_budget(_clique_counts(active, k, k), max_cliques)[k]
+    count = _clique_counts(active, k, k, max_cliques)[k]
     return CommunityCover(k, rule, _percolate(active, k, rule), count)
 
 
@@ -290,7 +288,7 @@ def community_count_sweep(
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
     cliques = [tuple(sorted(mc)) for mc in maximal if len(mc) >= k_min]
-    counts = _within_budget(_clique_counts(cliques, k_min, k_max), max_cliques)
+    counts = _clique_counts(cliques, k_min, k_max, max_cliques)
     result = SweepResult(k_min=k_min, k_max=k_max, rule=rule, clique_counts=counts)
     for k in range(k_min, k_max + 1):
         active = [c for c in cliques if len(c) >= k]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
@@ -60,15 +60,6 @@ class DegreeStats:
             skew=skew,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "variance": self.variance,
-            "skew": self.skew,
-        }
-
 
 @dataclass
 class DegreeSummary:
@@ -87,14 +78,8 @@ class DegreeSummary:
             "weighted_edge_sum": self.weighted_edge_sum,
             # the unweighted pair is the one comparable to published mean
             # figures of the form unique_edge_count / node_count
-            "unweighted": {
-                "out": self.out_unweighted.to_dict(),
-                "in": self.in_unweighted.to_dict(),
-            },
-            "weighted": {
-                "out": self.out_weighted.to_dict(),
-                "in": self.in_weighted.to_dict(),
-            },
+            "unweighted": {"out": asdict(self.out_unweighted), "in": asdict(self.in_unweighted)},
+            "weighted": {"out": asdict(self.out_weighted), "in": asdict(self.in_weighted)},
         }
 
 
@@ -136,7 +121,7 @@ class NodeDegrees:
 
 def node_degrees(g: RetweetGraph) -> NodeDegrees:
     """Intern the nodes of `g` in sorted order and count its degrees with
-    `np.bincount`. The degree reports of one graph can share the result."""
+    `np.bincount`: the input of the degree reports."""
     nodes = sorted(g.nodes)
     index = {v: i for i, v in enumerate(nodes)}
     n, m = len(nodes), len(g.edges)
@@ -152,16 +137,14 @@ def node_degrees(g: RetweetGraph) -> NodeDegrees:
     )
 
 
-def degree_summary(g: RetweetGraph, degrees: NodeDegrees | None = None) -> DegreeSummary:
-    """Moments of the four degree distributions; `degrees` is `node_degrees(g)`,
-    computed here if not given."""
-    if not g.nodes:
+def degree_summary(d: NodeDegrees) -> DegreeSummary:
+    """Moments of the four degree distributions of `d`, a `node_degrees` result."""
+    if not d.nodes:
         raise ValueError("degree_summary requires a nonempty graph")
-    d = node_degrees(g) if degrees is None else degrees
     return DegreeSummary(
-        node_count=len(g.nodes),
-        unique_edge_count=len(g.edges),
-        weighted_edge_sum=sum(g.edges.values()),
+        node_count=len(d.nodes),
+        unique_edge_count=int(d.out_unweighted.sum()),
+        weighted_edge_sum=int(d.out_weighted.sum()),
         out_weighted=DegreeStats.from_values(d.out_weighted),
         in_weighted=DegreeStats.from_values(d.in_weighted),
         out_unweighted=DegreeStats.from_values(d.out_unweighted),
@@ -169,14 +152,11 @@ def degree_summary(g: RetweetGraph, degrees: NodeDegrees | None = None) -> Degre
     )
 
 
-def degree_histogram(
-    g: RetweetGraph, degrees: NodeDegrees | None = None
-) -> list[tuple[str, int, int, int]]:
+def degree_histogram(d: NodeDegrees) -> list[tuple[str, int, int, int]]:
     """Rows (weighting, degree, out_count, in_count) for distribution plots,
-    for each degree some node has; `degrees` as for `degree_summary`."""
-    if not g.nodes:
+    for each degree some node has."""
+    if not d.nodes:
         return []
-    d = node_degrees(g) if degrees is None else degrees
     rows = []
     for weighting, out_d, in_d in (("weighted", d.out_weighted, d.in_weighted),
                                    ("unweighted", d.out_unweighted, d.in_unweighted)):
@@ -188,17 +168,13 @@ def degree_histogram(
     return rows
 
 
-def classify_roles(
-    g: RetweetGraph, tau: float, degrees: NodeDegrees | None = None
-) -> list[RoleScore]:
+def classify_roles(d: NodeDegrees, tau: float) -> list[RoleScore]:
     """Score = (in - out) / (in + out) over weighted degrees; +1 pure producer,
-    -1 pure distributor. Sorted by |score| descending, then user id; `degrees`
-    as for `degree_summary`."""
+    -1 pure distributor. Sorted by |score| descending, then user id."""
     if not 0 < tau <= 1:
         raise ValueError("tau must be in (0, 1]")
-    if not g.nodes:
+    if not d.nodes:
         return []
-    d = node_degrees(g) if degrees is None else degrees
     in_w, out_w = d.in_weighted.astype(np.float64), d.out_weighted.astype(np.float64)
     total = in_w + out_w
     score = np.divide(in_w - out_w, total, out=np.zeros(len(total)), where=total != 0)

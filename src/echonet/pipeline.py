@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -155,7 +155,7 @@ def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
         # a generator, not a list: the file's lines are never all in memory
         fh.writelines(record_to_json(rec) + "\n" for rec in kept)
     files.parsed[files.path(FILTERED)] = kept  # what parsing the file back yields
-    stats = corpus_summary(kept).to_dict()
+    stats = asdict(corpus_summary(kept))
     stats["malformed_lines"] = parse_stats.malformed
     stats["input_records"] = parse_stats.records
     _write_json(files, "ingest_stats.json", stats)
@@ -164,11 +164,11 @@ def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
 def write_graph_outputs(
     g: RetweetGraph, ug: UndirectedGraph, tau: float, files: StageFiles
 ) -> None:
-    degrees = node_degrees(g)  # shared by the three degree reports
-    _write_json(files, "network_stats.json", degree_summary(g, degrees).to_dict())
+    degrees = node_degrees(g)
+    _write_json(files, "network_stats.json", degree_summary(degrees).to_dict())
     _write_csv(files, "degree_histogram.csv", ["weighting", "degree", "out_count", "in_count"],
-               degree_histogram(g, degrees))
-    roles = classify_roles(g, tau, degrees)
+               degree_histogram(degrees))
+    roles = classify_roles(degrees, tau)
     _write_csv(files, "roles.csv", ["user_id", "in_deg", "out_deg", "score", "label"],
                [(r.user, r.in_deg, r.out_deg, repr(r.score), r.label) for r in roles])
     weights = ug.edges  # its keys are unique, so sorting them sorts the items
@@ -258,7 +258,7 @@ def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
         models = [_fit_one_community(job) for job in jobs]
 
     for (cid, vocab, docs, _), model in zip(jobs, models):
-        summary = topic_keywords(model, vocab, config.top_n_keywords)
+        keywords = topic_keywords(model, vocab, config.top_n_keywords)
         payload = {
             "community_id": cid,
             "n_topics": model.n_topics,
@@ -266,13 +266,8 @@ def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
             "beta": model.beta,
             "seed": model.seed,
             "topics": [
-                {
-                    "topic_id": t,
-                    "keywords": [
-                        {"token": tok, "prob": prob} for tok, prob in summary.topics[t]
-                    ],
-                }
-                for t in range(model.n_topics)
+                {"topic_id": t, "keywords": [{"token": tok, "prob": prob} for tok, prob in top]}
+                for t, top in enumerate(keywords)
             ],
             "perplexity": held_out_perplexity(model, docs),
         }

@@ -59,14 +59,6 @@ class CorpusStats:
     retweet_count: int = 0
     records_with_description: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "tweet_count": self.tweet_count,
-            "unique_user_count": self.unique_user_count,
-            "retweet_count": self.retweet_count,
-            "records_with_description": self.records_with_description,
-        }
-
 
 @dataclass
 class ParseStats:
@@ -155,8 +147,8 @@ def record_from_mapping(obj: dict) -> TweetRecord:
 
 def _require_utf8(rec: TweetRecord) -> None:
     """Raise RecordError if a string field holds a lone surrogate (JSON can
-    escape one, as in "\\ud800"): UTF-8 cannot encode it, so no bundle file
-    could hold the record."""
+    escape one, as in "\\ud800", and a CSV byte that is not UTF-8 decodes to
+    one): UTF-8 cannot encode it, so no bundle file could hold the record."""
     for value in (rec.tweet_id, rec.user_id, rec.text, rec.retweet_of_user_id,
                   rec.user_description, *rec.hashtags):
         if value is None:
@@ -167,25 +159,11 @@ def _require_utf8(rec: TweetRecord) -> None:
             raise RecordError("a field holds a lone surrogate") from None
 
 
-def record_to_dict(rec: TweetRecord) -> dict:
-    out = {
-        "tweet_id": rec.tweet_id,
-        "user_id": rec.user_id,
-        "created_at": rec.created_at.isoformat(),
-        "text": rec.text,
-        "hashtags": list(rec.hashtags),
-    }
-    if rec.retweet_of_user_id is not None:
-        out["retweet_of_user_id"] = rec.retweet_of_user_id
-    if rec.user_description is not None:
-        out["user_description"] = rec.user_description
-    return out
-
-
 def record_to_json(rec: TweetRecord) -> str:
     """The line `json.dumps(record_to_dict(rec), ensure_ascii=False,
-    sort_keys=True)` gives, joined from the encoded strings directly: keys in
-    sorted order, default separators, no dict built on the way."""
+    sort_keys=True)` gives, with the reference `record_to_dict` of
+    tests/oracles.py, joined from the encoded strings directly: keys in sorted
+    order, default separators, no dict built on the way."""
     tweet_id, user_id, created_at, text, hashtags, retweet_of, description = rec
     return "".join((
         '{"created_at": ', _encode(created_at.isoformat()),
@@ -239,7 +217,8 @@ def parse_tweet_csv(
 ) -> Iterator[TweetRecord]:
     """CSV variant of the stream parser; hashtags column is '|'-separated. A
     row the csv module rejects, such as one with a field longer than
-    `csv.field_size_limit()`, is malformed, and reading goes on at the next line."""
+    `csv.field_size_limit()`, is malformed, and reading goes on at the next
+    line; so is a row whose record holds a lone surrogate (see `read_records`)."""
     if stats is None:
         stats = ParseStats()
     reader = csv.DictReader(fileobj)
@@ -256,6 +235,7 @@ def parse_tweet_csv(
             obj["hashtags"] = obj["hashtags"].split("|")
         try:
             rec = record_from_mapping(obj)
+            _require_utf8(rec)
         except RecordError:
             stats.malformed += 1
             continue
@@ -270,13 +250,15 @@ def read_records(
 ) -> list[TweetRecord]:
     """Read a JSONL (default) or .csv record file into memory. With `keep`,
     only the records it accepts are held; the others are dropped as they are
-    parsed, so the whole file is never in memory at once."""
-    if str(path).endswith(".csv"):
-        with open(path, newline="", encoding="utf-8") as fh:
-            records = parse_tweet_csv(fh, stats)
-            return list(records if keep is None else filter(keep, records))
+    parsed, so the whole file is never in memory at once. A CSV file is read as
+    UTF-8 after an optional byte order mark, each byte that is not UTF-8 as a
+    lone surrogate."""
     with open(path, "rb") as fh:
-        records = parse_tweet_stream(fh, stats)
+        if str(path).endswith(".csv"):
+            text = io.TextIOWrapper(fh, encoding="utf-8-sig", errors="surrogateescape", newline="")
+            records = parse_tweet_csv(text, stats)
+        else:
+            records = parse_tweet_stream(fh, stats)
         return list(records if keep is None else filter(keep, records))
 
 

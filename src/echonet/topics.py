@@ -68,11 +68,6 @@ class TopicModel:
         return self.doc_topic_counts.shape[0]
 
 
-@dataclass
-class TopicSummary:
-    topics: list[list[tuple[str, float]]]
-
-
 def build_community_corpus(
     records: Iterable[TweetRecord],
     community: Iterable[str],
@@ -225,8 +220,10 @@ def topic_word_distribution(model: TopicModel) -> np.ndarray:
     return phi / phi.sum(axis=1, keepdims=True)
 
 
-def topic_keywords(model: TopicModel, vocab: Vocabulary, top_n: int) -> TopicSummary:
-    """Per topic, top_n (token, probability) pairs; ties broken by vocab index."""
+def topic_keywords(
+    model: TopicModel, vocab: Vocabulary, top_n: int
+) -> list[list[tuple[str, float]]]:
+    """Per topic, its top_n (token, probability) pairs; ties broken by vocab index."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     phi = topic_word_distribution(model)
@@ -234,7 +231,7 @@ def topic_keywords(model: TopicModel, vocab: Vocabulary, top_n: int) -> TopicSum
     for t in range(model.n_topics):
         ranked = sorted(range(model.vocab_size), key=lambda w: (-phi[t, w], w))
         topics.append([(vocab.token(w), float(phi[t, w])) for w in ranked[:top_n]])
-    return TopicSummary(topics=topics)
+    return topics
 
 
 def doc_topic_distribution(model: TopicModel, doc_index: int) -> np.ndarray:

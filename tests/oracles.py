@@ -2,9 +2,10 @@
 
 Deliberately naive: subset enumeration, pairwise adjacency checks, BFS over
 clique overlap, the numpy formulas the topics layer computes in a faster
-order, dict-based degree reports, and a record parser built on `json.loads`
-with one helper per check. Nothing here shares code with the package under
-test; it builds the package's result types so results compare with `==`.
+order, dict-based degree reports, a record parser built on `json.loads`
+with one helper per check, and the dict a record's JSON line encodes.
+Nothing here shares code with the package under test; it builds the
+package's result types so results compare with `==`.
 """
 
 import itertools
@@ -187,7 +188,7 @@ def symmetrize(g, min_weight):
     return UndirectedGraph(nodes=set(g.nodes), edges=edges)
 
 
-# -- the record parser on json.loads, one helper per check ------------------
+# -- the record parser on json.loads, one helper per check, and the writer --
 
 
 def _parse_created_at(raw):
@@ -287,6 +288,23 @@ def parse_tweet_stream(lines, stats):
             continue
         stats.records += 1
         yield rec
+
+
+def record_to_dict(rec):
+    """The JSON object of a record, as `record_to_json` writes it: the
+    optional fields only when they are set."""
+    out = {
+        "tweet_id": rec.tweet_id,
+        "user_id": rec.user_id,
+        "created_at": rec.created_at.isoformat(),
+        "text": rec.text,
+        "hashtags": list(rec.hashtags),
+    }
+    if rec.retweet_of_user_id is not None:
+        out["retweet_of_user_id"] = rec.retweet_of_user_id
+    if rec.user_description is not None:
+        out["user_description"] = rec.user_description
+    return out
 
 
 class NumpyGibbsChain:

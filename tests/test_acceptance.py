@@ -119,7 +119,7 @@ def test_criterion_1_table_arithmetic():
     rng = random.Random(1)
     for _ in range(50):
         g = random_retweet_graph(rng, max_nodes=100, max_edges=1000)
-        s = degree_summary(g)
+        s = degree_summary(node_degrees(g))
         expected = s.unique_edge_count / s.node_count
         assert abs(s.out_unweighted.mean - expected) < 1e-9
         assert abs(s.in_unweighted.mean - expected) < 1e-9
@@ -136,7 +136,7 @@ def test_criterion_2_handshake():
         d = node_degrees(g)
         assert d.out_weighted.sum() == d.in_weighted.sum() == sum(g.edges.values())
         assert d.out_unweighted.sum() == d.in_unweighted.sum() == len(g.edges)
-        s = degree_summary(g)
+        s = degree_summary(d)
         assert s.out_weighted.mean == s.in_weighted.mean
         assert s.out_unweighted.mean == s.in_unweighted.mean
 
@@ -262,7 +262,7 @@ def test_criterion_9_topic_separation():
 
         tops = {
             frozenset(tok for tok, _ in topic)
-            for topic in topic_keywords(model, vocab, 2).topics
+            for topic in topic_keywords(model, vocab, 2)
         }
         if tops == {frozenset("AB"), frozenset("CD")}:
             hits += 1
@@ -303,7 +303,7 @@ def test_criterion_10_performance_envelope():
     g = build_retweet_graph(records)
     assert len(g.nodes) == 100_000
     assert len(g.edges) >= 430_000
-    summary = degree_summary(g)
+    summary = degree_summary(node_degrees(g))
     assert summary.node_count == 100_000
     ug = symmetrize(g, 1)
     sweep = community_count_sweep(

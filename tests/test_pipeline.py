@@ -3,6 +3,7 @@ maximal cliques enumerated once, and the bundle left holding only the files of
 the latest run, also after the run was killed and resumed."""
 
 import csv
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from echonet import communities, pipeline
 from echonet.cli import main
-from echonet.config import PipelineConfig
+from echonet.config import _HASH_EXCLUDED, PipelineConfig
 from echonet.graph import UndirectedGraph
 from echonet.records import CSV_COLUMNS, read_records, record_to_json
 from oracles import brute_force_detect
@@ -418,3 +419,32 @@ def test_tracer_rebinds_every_name_it_patches_and_restores_it(tmp_path):
     assert pipeline._STAGE_FUNCS == stage_funcs
     fits = tracer.facts["fit"]
     assert len(fits) == 2 and all(tokens > 0 and iterations == 50 for tokens, iterations in fits)
+
+
+def test_stage_table_and_config_hash_name_the_same_fields():
+    """The fields that shape a bundle's outputs, listed twice: a field only
+    the hash names changes `config_hash` for nothing, and one only a stage
+    names is not in the hash of a config that changes its outputs."""
+    staged = {name for stage in pipeline.TABLE.values() for name in stage.fields}
+    hashed = {f.name for f in dataclasses.fields(PipelineConfig)} - _HASH_EXCLUDED
+    assert staged == hashed
+
+
+def test_readme_demo_prints_the_sweep_table(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "demo"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_experiment.py"),
+                           FIXTURE, str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "sweep_standard.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["k"] for row in rows] == [str(k) for k in range(3, 13)]
+    lines = proc.stdout.splitlines()
+    start = lines.index("community-count sweep (standard rule):") + 1
+    assert lines[start:start + len(rows)] == [
+        f"  k={row['k']:>2}  communities={row['community_count']:>4}  "
+        f"cliques={row['clique_count']}" for row in rows]
+    # the fixture's two planted 10-user groups: 2 communities, 2 * C(10, 4) 4-cliques
+    assert "  k= 4  communities=   2  cliques=420" in lines

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import asdict
 from datetime import timedelta, timezone
 
 import pytest
@@ -20,7 +21,6 @@ from echonet.records import (
     read_records,
     TweetRecord,
     record_from_mapping,
-    record_to_dict,
     record_to_json,
 )
 
@@ -123,7 +123,7 @@ def test_corpus_summary_basic():
 
 def test_corpus_summary_empty():
     stats = corpus_summary([])
-    assert stats.to_dict() == {
+    assert asdict(stats) == {
         "tweet_count": 0,
         "unique_user_count": 0,
         "retweet_count": 0,
@@ -203,7 +203,7 @@ _OFFSET = st.timedeltas(min_value=timedelta(hours=-23, minutes=-59),
     user_description=st.none() | _JSON_TEXT,
 ))
 def test_record_to_json_is_the_json_dumps_line(rec):
-    assert record_to_json(rec) == json.dumps(record_to_dict(rec), ensure_ascii=False,
+    assert record_to_json(rec) == json.dumps(oracles.record_to_dict(rec), ensure_ascii=False,
                                              sort_keys=True)
 
 
@@ -304,6 +304,34 @@ def test_csv_row_with_a_field_over_the_size_limit_is_malformed(tmp_path):
     records = read_records(str(path), stats)
     assert [r.tweet_id for r in records] == ["t1", "t3"]
     assert (stats.records, stats.malformed) == (2, 1)
+
+
+@pytest.mark.parametrize("bad_row", [
+    b"t2,u2,2018-07-01T00:01:00Z,qanon \xff here\n",
+    b't2,u2,2018-07-01T00:01:00Z,"qanon\n\xff and \xfe"\n',  # one field over two lines
+], ids=["plain", "multi-line-quoted"])
+def test_csv_row_with_a_byte_that_is_not_utf8_is_malformed(tmp_path, bad_row):
+    path = tmp_path / "tweets.csv"
+    path.write_bytes(b"tweet_id,user_id,created_at,text\n"
+                     + "t1,u1,2018-07-01T00:00:00Z,#QAnon \u00dcn\u00ef\n".encode("utf-8")
+                     + bad_row
+                     + b"t3,u3,2018-07-01T00:02:00Z,qanon again\n")
+    stats = ParseStats()
+    records = read_records(str(path), stats)
+    assert [r.tweet_id for r in records] == ["t1", "t3"]
+    assert records[0].text == "#QAnon \u00dcn\u00ef"
+    assert (stats.records, stats.malformed) == (2, 1)
+
+
+def test_csv_starting_with_a_byte_order_mark_keeps_every_row(tmp_path):
+    path = tmp_path / "tweets.csv"
+    path.write_bytes(b"\xef\xbb\xbftweet_id,user_id,created_at,text\n"
+                     b"t1,u1,2018-07-01T00:00:00Z,qanon\n"
+                     b"t2,u2,2018-07-01T00:01:00Z,qanon again\n")
+    stats = ParseStats()
+    records = read_records(str(path), stats)
+    assert [(r.tweet_id, r.user_id) for r in records] == [("t1", "u1"), ("t2", "u2")]
+    assert (stats.records, stats.malformed) == (2, 0)
 
 
 # values of one input field that the record checks tell apart

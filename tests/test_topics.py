@@ -223,8 +223,8 @@ def test_topic_separation_small():
     hits = 0
     for seed in range(20):
         model = fit_lda(corpus, vocab, 2, 0.1, 0.01, 200, seed=seed)
-        summary = topic_keywords(model, vocab, 2)
-        tops = {frozenset(tok for tok, _ in topic) for topic in summary.topics}
+        keywords = topic_keywords(model, vocab, 2)
+        tops = {frozenset(tok for tok, _ in topic) for topic in keywords}
         if tops == {frozenset("AB"), frozenset("CD")}:
             hits += 1
     assert hits >= 18
@@ -237,8 +237,8 @@ def test_keywords_count_ratio():
     vocab = vocab_of("xxy")
     corpus = [Document("d", (0, 0, 1))]
     model = fit_lda(corpus, vocab, 1, 1.0, 1e-6, 20, seed=0)
-    summary = topic_keywords(model, vocab, 5)
-    (w1, p1), (w2, p2) = summary.topics[0]
+    keywords = topic_keywords(model, vocab, 5)
+    (w1, p1), (w2, p2) = keywords[0]
     assert (w1, w2) == ("x", "y")
     assert p1 == pytest.approx(2 / 3, abs=1e-3)
     assert p2 == pytest.approx(1 / 3, abs=1e-3)
@@ -247,8 +247,8 @@ def test_keywords_count_ratio():
 def test_keywords_top_n_exceeds_vocab():
     vocab = vocab_of("ab")
     model = fit_lda([Document("d", (0, 1))], vocab, 2, 1.0, 0.1, 10, seed=0)
-    summary = topic_keywords(model, vocab, 99)
-    for topic in summary.topics:
+    keywords = topic_keywords(model, vocab, 99)
+    for topic in keywords:
         assert len(topic) == 2
         probs = [p for _, p in topic]
         assert probs == sorted(probs, reverse=True)
@@ -313,8 +313,8 @@ def test_relabeling_invariance():
     permuted = fit_lda(corpus, vocab, 3, 0.5, 0.05, 15, seed=5)
     permuted.topic_word_counts = model.topic_word_counts[perm]
     permuted.doc_topic_counts = model.doc_topic_counts[:, perm]
-    a = topic_keywords(model, vocab, 8).topics
-    b = topic_keywords(permuted, vocab, 8).topics
+    a = topic_keywords(model, vocab, 8)
+    b = topic_keywords(permuted, vocab, 8)
     assert sorted(map(tuple, a)) == sorted(map(tuple, b))
 
 
