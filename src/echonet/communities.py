@@ -9,9 +9,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .graph import UndirectedGraph
 
 RULES = ("standard", "loose")
+WEDGE_CHUNK = 1 << 13  # wedges looked up at a time by `triangle_edges`
 
 
 class CliqueBudgetExceeded(RuntimeError):
@@ -104,14 +107,86 @@ def maximal_cliques(adj: Mapping[Hashable, set]) -> Iterator[frozenset]:
         yield from found
 
 
-def maximal_clique_list(ug: UndirectedGraph) -> list[tuple[str, ...]]:
-    """Every maximal clique of `ug` as a sorted tuple: enumerate them once and
-    hand the list to `detect_communities` and `community_count_sweep`. The
-    enumeration runs on ints, given to the nodes in sorted order, so that a
-    clique's sorted ints name its sorted members."""
-    names = sorted(ug.nodes)
-    adj = ug.adjacency({v: i for i, v in enumerate(names)})
-    return [tuple([names[i] for i in sorted(mc)]) for mc in maximal_cliques(adj)]
+def triangle_edges(ug: UndirectedGraph) -> np.ndarray:
+    """A boolean mask over `ug.edges`: the edges that lie in a triangle. Each
+    edge points from the end of lower degree (then lower id) to the other, so
+    a node has at most sqrt(2m) out-neighbours. Every pair of out-neighbours
+    of a node, a wedge, is looked up among the sorted edge keys, WEDGE_CHUNK
+    wedges at a time; a hit closes a triangle, found once, at its lowest node,
+    and marks its three edges (Chiba & Nishizeki 1985, "Arboricity and
+    Subgraph Listing Algorithms")."""
+    n, m = len(ug.nodes), len(ug.edges)
+    u, v = ug.edges[:, 0], ug.edges[:, 1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(np.bincount(ug.edges.ravel(), minlength=n), kind="stable")] = np.arange(n)
+    up = rank[u] < rank[v]
+    src = np.where(up, u, v)
+    order = np.argsort(src, kind="stable")  # edge ids grouped by their source
+    out = np.where(up, v, u)[order]  # the out-neighbour at each position
+    del up
+    group_end = np.cumsum(np.bincount(src, minlength=n))[src[order]]
+    del src
+    later = group_end - np.arange(1, m + 1)  # wedges that start at each position
+    del group_end
+    total = np.cumsum(later)
+    keys = u * n + v  # sorted, as the edges are
+    triangle = np.zeros(m, dtype=bool)
+    start = 0
+    while start < m:
+        done = int(total[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(total, done + WEDGE_CHUNK, side="right")), start + 1)
+        per = later[start:stop]
+        count = int(total[stop - 1]) - done
+        if count:
+            first = np.repeat(np.arange(start, stop), per)
+            second = first + 1 + np.arange(count) - np.repeat(np.cumsum(per) - per, per)
+            b, c = out[first], out[second]
+            wedge = np.minimum(b, c) * n + np.maximum(b, c)
+            at = np.minimum(np.searchsorted(keys, wedge), m - 1)
+            hit = keys[at] == wedge
+            triangle[order[first[hit]]] = True
+            triangle[order[second[hit]]] = True
+            triangle[at[hit]] = True
+        start = stop
+    return triangle
+
+
+class MaximalCliques(list):
+    """The maximal cliques of a graph that have at least `min_size` nodes,
+    each a sorted tuple of names. The k-cliques of the smaller ones are not
+    in it, so `detect_communities` and `community_count_sweep` refuse a
+    k below `min_size`."""
+
+    def __init__(self, cliques: Iterable[tuple[str, ...]], min_size: int):
+        super().__init__(cliques)
+        self.min_size = min_size
+
+
+def _check_level(maximal: Iterable, k: int) -> None:
+    if isinstance(maximal, MaximalCliques) and k < maximal.min_size:
+        raise ValueError(f"the cliques were listed from {maximal.min_size} nodes on; "
+                         f"k = {k} needs smaller ones")
+
+
+def maximal_clique_list(ug: UndirectedGraph, min_size: int = 1) -> MaximalCliques:
+    """The maximal cliques of `ug` with at least `min_size` nodes: enumerate
+    them once and hand the list to `detect_communities` and
+    `community_count_sweep`. The enumeration runs on the node ids, which sort
+    as the names do.
+
+    From `min_size` 3 on it runs on T, the subgraph of the edges that lie in a
+    triangle. The maximal cliques of 3 or more nodes are the same in `ug` and
+    in T: every edge of such a clique lies in a triangle, so the clique lies in
+    T, and a node that extends it in `ug` joins it by edges that lie in
+    triangles, so it extends it in T too. T has no smaller maximal clique,
+    since each of its edges lies in a triangle of T."""
+    adj = ug.adjacency(triangle_edges(ug) if min_size >= 3 else None)
+    names = ug.nodes
+    return MaximalCliques(
+        (tuple([names[i] for i in sorted(mc)]) for mc in maximal_cliques(adj)
+         if len(mc) >= min_size),
+        min_size,
+    )
 
 
 def _pivot_leaves(
@@ -171,7 +246,7 @@ def enumerate_k_cliques(
     CliqueBudgetExceeded, before listing any, if there are more than `max_cliques`."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    maximal = [mc for mc in maximal_clique_list(ug) if len(mc) >= k]
+    maximal = maximal_clique_list(ug, k)
     _clique_counts(maximal, k, k, max_cliques)
     return {frozenset(c) for mc in maximal for c in itertools.combinations(mc, k)}
 
@@ -270,6 +345,7 @@ def detect_communities(
     has more than `max_cliques` distinct k-cliques."""
     if k < 2:
         raise ValueError("k must be >= 2")
+    _check_level(maximal, k)
     active = sorted(tuple(sorted(mc)) for mc in maximal if len(mc) >= k)
     count = _clique_counts(active, k, k, max_cliques)[k]
     return CommunityCover(k, rule, _percolate(active, k, rule), count)
@@ -287,6 +363,7 @@ def community_count_sweep(
     are checked against `max_cliques` before any level is percolated."""
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
+    _check_level(maximal, k_min)
     cliques = [tuple(sorted(mc)) for mc in maximal if len(mc) >= k_min]
     counts = _clique_counts(cliques, k_min, k_max, max_cliques)
     result = SweepResult(k_min=k_min, k_max=k_max, rule=rule, clique_counts=counts)

@@ -1,39 +1,78 @@
-"""Weighted retweet digraph, degree statistics, role scores, symmetrization."""
+"""Weighted retweet digraph, degree statistics, role scores, symmetrization.
+
+Both graph types name each user once, in sorted order, so that a node's int
+id (its index in `nodes`) orders it as its name does, and keep their edges,
+weights and degrees in numpy int arrays. Names come back only where a file
+is written.
+"""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass, field
-from typing import Hashable, Iterable, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .records import TweetRecord
 
-
-@dataclass
-class RetweetGraph:
-    """Directed graph over users; edges[(u, v)] counts retweets of v by u."""
-
-    nodes: set[str] = field(default_factory=set)
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
+CHUNK = 1 << 12  # array items turned into Python values at a time
 
 
 @dataclass
-class UndirectedGraph:
-    nodes: set[str] = field(default_factory=set)
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
+class _Graph:
+    """`nodes` are the names in sorted order. Row j of `edges` is a pair of
+    node ids, the rows unique and in sorted order, and `weights[j]` is its weight."""
 
-    def adjacency(self, index: Mapping[str, Hashable] | None = None) -> dict:
-        """Each node's neighbour set. With `index`, a map from every node to
-        an id, the sets are keyed by id and hold ids."""
-        if index is None:
-            index = {v: v for v in self.nodes}
-        adj: dict = {i: set() for i in index.values()}
-        for u, v in self.edges:
-            a, b = index[u], index[v]
-            adj[a].add(b)
-            adj[b].add(a)
+    nodes: list[str] = field(default_factory=list)
+    edges: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
+    weights: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+
+class RetweetGraph(_Graph):
+    """Directed graph over users; the edge (u, v) counts the retweets of v by u."""
+
+
+class UndirectedGraph(_Graph):
+    """Undirected graph over users; each edge is given once, as u < v."""
+
+    def adjacency(self, keep: np.ndarray | None = None) -> dict[int, set[int]]:
+        """Each node's neighbour set, by id. With `keep`, a boolean mask over
+        `edges`, only the kept edges count and only the nodes they touch appear."""
+        edges = self.edges if keep is None else self.edges[keep]
+        if keep is None:
+            ids = range(len(self.nodes))
+        else:
+            ids = np.flatnonzero(np.bincount(edges.ravel(), minlength=len(self.nodes))).tolist()
+        adj: dict[int, set[int]] = {i: set() for i in ids}
+        for s in range(0, len(edges), CHUNK):
+            rows = edges[s:s + CHUNK]
+            for u, v in zip(rows[:, 0].tolist(), rows[:, 1].tolist()):
+                adj[u].add(v)
+                adj[v].add(u)
         return adj
+
+    def named_edges(self) -> Iterator[tuple[str, str, int]]:
+        """Each edge as (u, v, weight) by name, in the order of `edges`."""
+        names = self.nodes
+        for s in range(0, len(self.edges), CHUNK):
+            rows = self.edges[s:s + CHUNK]
+            for u, v, w in zip(rows[:, 0].tolist(), rows[:, 1].tolist(),
+                               self.weights[s:s + CHUNK].tolist()):
+                yield names[u], names[v], w
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """The index where each run of equal values in `sorted_keys` starts."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (u, v) rows of the keys u * n + v."""
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
 @dataclass
@@ -83,7 +122,7 @@ class DegreeSummary:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class RoleScore:
     user: str
     in_deg: float
@@ -94,17 +133,28 @@ class RoleScore:
 
 def build_retweet_graph(records: Iterable[TweetRecord]) -> RetweetGraph:
     """Aggregate retweet events into edge weights; self-retweets dropped."""
-    g = RetweetGraph()
-    nodes, edges = g.nodes, g.edges
+    seen: dict[str, int] = {}  # user id -> position in order of first appearance
+    ends = array("q")  # the (user, target) positions of each retweet
     for rec in records:
         user, target = rec.user_id, rec.retweet_of_user_id
-        nodes.add(user)
-        if target is None or target == user:
-            continue
-        nodes.add(target)
-        key = (user, target)
-        edges[key] = edges.get(key, 0) + 1
-    return g
+        u = seen.setdefault(user, len(seen))
+        if target is not None and target != user:
+            ends.append(u)
+            ends.append(seen.setdefault(target, len(seen)))
+    nodes = sorted(seen)
+    n = len(nodes)
+    ids = np.empty(n, dtype=np.int64)  # position -> id
+    ids[np.fromiter(map(seen.__getitem__, nodes), dtype=np.int64, count=n)] = np.arange(n)
+    # each input is dropped once used: at 100k users they take tens of MB
+    del seen
+    pairs = ids[np.frombuffer(ends, dtype=np.int64)].reshape(-1, 2)
+    del ends
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    del pairs
+    keys.sort()
+    starts = _run_starts(keys)
+    weights = np.diff(starts, append=len(keys))
+    return RetweetGraph(nodes, _key_pairs(keys[starts], n), weights)
 
 
 @dataclass(frozen=True)
@@ -120,18 +170,13 @@ class NodeDegrees:
 
 
 def node_degrees(g: RetweetGraph) -> NodeDegrees:
-    """Intern the nodes of `g` in sorted order and count its degrees with
-    `np.bincount`: the input of the degree reports."""
-    nodes = sorted(g.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    n, m = len(nodes), len(g.edges)
-    ends = np.fromiter((index[v] for edge in g.edges for v in edge), dtype=np.intp, count=2 * m)
-    weights = np.fromiter(g.edges.values(), dtype=np.float64, count=m)
-    src, dst = ends[0::2], ends[1::2]
+    """Count the degrees of `g` with `np.bincount`: the input of the degree reports."""
+    n = len(g.nodes)
+    src, dst = g.edges[:, 0], g.edges[:, 1]
     return NodeDegrees(
-        nodes,
-        np.bincount(src, weights=weights, minlength=n).astype(np.int64),
-        np.bincount(dst, weights=weights, minlength=n).astype(np.int64),
+        g.nodes,
+        np.bincount(src, weights=g.weights, minlength=n).astype(np.int64),
+        np.bincount(dst, weights=g.weights, minlength=n).astype(np.int64),
         np.bincount(src, minlength=n),
         np.bincount(dst, minlength=n),
     )
@@ -192,9 +237,12 @@ def symmetrize(g: RetweetGraph, min_weight: int = 1) -> UndirectedGraph:
     """Combined weight e_uv + e_vu; edges below min_weight dropped, nodes kept."""
     if min_weight < 1:
         raise ValueError("min_weight must be >= 1")
-    combined: dict[tuple[str, str], int] = {}
-    for (u, v), w in g.edges.items():
-        key = (u, v) if u < v else (v, u)
-        combined[key] = combined.get(key, 0) + w
-    edges = {k: w for k, w in combined.items() if w >= min_weight}
-    return UndirectedGraph(nodes=set(g.nodes), edges=edges)
+    n = len(g.nodes)
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = _run_starts(keys)
+    weights = np.add.reduceat(g.weights[order], starts)
+    kept = weights >= min_weight
+    return UndirectedGraph(g.nodes, _key_pairs(keys[starts][kept], n), weights[kept])

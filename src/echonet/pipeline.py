@@ -20,9 +20,12 @@ import json
 import os
 import sys
 import time
+from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Callable
+
+import numpy as np
 
 from . import __version__
 from .communities import community_count_sweep, detect_communities, maximal_clique_list
@@ -100,7 +103,7 @@ class StageFiles:
     template to another path. `written` maps each name written to its path.
     `parsed` maps the path of each file parsed or built so far to what it
     holds: a record file to its records, the edge file to the symmetrized
-    graph. The stages of one run share it."""
+    graph, which `communities` takes out. The stages of one run share it."""
 
     stage: Stage
     config: PipelineConfig
@@ -170,12 +173,10 @@ def write_graph_outputs(
                degree_histogram(degrees))
     roles = classify_roles(degrees, tau)
     _write_csv(files, "roles.csv", ["user_id", "in_deg", "out_deg", "score", "label"],
-               [(r.user, r.in_deg, r.out_deg, repr(r.score), r.label) for r in roles])
-    weights = ug.edges  # its keys are unique, so sorting them sorts the items
-    _write_csv(files, EDGES, ["u", "v", "weight"],
-               ((u, v, weights[u, v]) for u, v in sorted(weights)))
+               ((r.user, r.in_deg, r.out_deg, repr(r.score), r.label) for r in roles))
+    _write_csv(files, EDGES, ["u", "v", "weight"], ug.named_edges())
     with files.create(NODES) as fh:
-        fh.writelines(node + "\n" for node in sorted(ug.nodes))
+        fh.writelines(node + "\n" for node in ug.nodes)
 
 
 def stage_graph(config: PipelineConfig, files: StageFiles) -> None:
@@ -189,17 +190,52 @@ def stage_graph(config: PipelineConfig, files: StageFiles) -> None:
 
 
 def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
-    ug = UndirectedGraph()
+    """The graph that a `nodes.txt` and an `undirected_edges.csv` hold. The
+    edge rows may come in any order. Raises ValueError, naming the file, the
+    line and the node, for a row whose endpoint is not in `nodes_path`, whose
+    u does not sort before its v, that repeats an earlier pair, or whose
+    weight is not a positive integer."""
     with open(nodes_path, encoding="utf-8") as fh:
-        ug.nodes = {line.rstrip("\n") for line in fh if line.strip()}
+        nodes = sorted({line.rstrip("\n") for line in fh if line.strip()})
+    index = {v: i for i, v in enumerate(nodes)}
+    ends, weights, lines = array("q"), array("q"), array("q")
     with open(edges_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            ug.edges[(row["u"], row["v"])] = int(row["weight"])
-    return ug
+        reader = csv.reader(fh)
+
+        def bad(problem: str) -> ValueError:
+            return ValueError(f"{edges_path}: line {reader.line_num}: {problem}")
+
+        if next(reader, None) != ["u", "v", "weight"]:
+            raise bad("the header is not u,v,weight")
+        for row in reader:
+            if len(row) != 3:
+                raise bad(f"{len(row)} fields, not 3")
+            u, v, weight = row
+            for node in (u, v):
+                if node not in index:
+                    raise bad(f"node {node!r} is not in {nodes_path}")
+            if u >= v:
+                raise bad(f"node {u!r} does not sort before node {v!r}")
+            if not (weight.isascii() and weight.isdigit() and int(weight) > 0):
+                raise bad(f"the weight {weight!r} of {u!r}, {v!r} is not a positive integer")
+            ends.append(index[u])
+            ends.append(index[v])
+            weights.append(int(weight))
+            lines.append(reader.line_num)
+    n = len(nodes)
+    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if len(repeats):
+        row = int(repeats.min())
+        u, v = (nodes[i] for i in pairs[row].tolist())
+        raise ValueError(f"{edges_path}: line {lines[row]}: the pair {u!r}, {v!r} is listed twice")
+    return UndirectedGraph(nodes, pairs[order], np.frombuffer(weights, dtype=np.int64)[order])
 
 
 def write_community_outputs(config: PipelineConfig, ug: UndirectedGraph, files: StageFiles) -> None:
-    maximal = maximal_clique_list(ug)
+    maximal = maximal_clique_list(ug, min(config.k, config.k_min))
     cover = detect_communities(maximal, config.k, config.rule, config.max_cliques)
     payload = [
         {"community_id": i, "size": len(c), "members": sorted(c)}
@@ -216,7 +252,7 @@ def write_community_outputs(config: PipelineConfig, ug: UndirectedGraph, files: 
 
 def stage_communities(config: PipelineConfig, files: StageFiles) -> None:
     """Percolate k-cliques into communities and sweep the counts over k."""
-    ug = files.parsed.get(files.path(EDGES))
+    ug = files.parsed.pop(files.path(EDGES), None)  # no later stage reads it
     if ug is None:
         ug = load_undirected_graph(files.path(NODES), files.path(EDGES))
     write_community_outputs(config, ug, files)

@@ -5,7 +5,8 @@ clique overlap, the numpy formulas the topics layer computes in a faster
 order, dict-based degree reports, a record parser built on `json.loads`
 with one helper per check, and the dict a record's JSON line encodes.
 Nothing here shares code with the package under test; it builds the
-package's result types so results compare with `==`.
+package's result types so results compare with `==`. The graph oracles take
+and give graphs by name (`Named`); `named` and `package_graph` convert.
 """
 
 import itertools
@@ -13,12 +14,41 @@ import json
 import random
 import re
 from collections import Counter, deque
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from echonet.graph import DegreeStats, DegreeSummary, RoleScore, UndirectedGraph
 from echonet.records import RecordError, TweetRecord
+
+
+@dataclass
+class Named:
+    """A graph by name: a set of names and a dict from name pairs to weights."""
+
+    nodes: set
+    edges: dict
+
+
+def named(g):
+    """A package graph by name."""
+    edges = {(g.nodes[u], g.nodes[v]): w for (u, v), w in zip(g.edges.tolist(), g.weights.tolist())}
+    return Named(set(g.nodes), edges)
+
+
+def package_graph(cls, nodes, edges):
+    """The package graph of type `cls` (`RetweetGraph` or `UndirectedGraph`)
+    on the names `nodes` plus the ends of `edges`, a dict from name pairs to
+    weights; an undirected pair is given once, either way round."""
+    names = sorted(set(nodes).union(*edges))
+    index = {v: i for i, v in enumerate(names)}
+    rows = np.array([(index[u], index[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+    if cls is UndirectedGraph:
+        rows.sort(axis=1)
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    weights = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
+    return cls(names, rows[order], weights[order])
 
 
 def brute_force_k_cliques(nodes, edge_pairs, k):
@@ -69,7 +99,8 @@ def brute_force_percolate(cliques, k, rule):
 
 
 def brute_force_detect(ug, k, rule):
-    cliques = brute_force_k_cliques(ug.nodes, ug.edges.keys(), k)
+    """The communities of a package graph."""
+    cliques = brute_force_k_cliques(ug.nodes, named(ug).edges, k)
     return brute_force_percolate(cliques, k, rule)
 
 
@@ -89,7 +120,7 @@ def random_undirected_graph(rng: random.Random, n: int, p: float) -> UndirectedG
     for u, v in itertools.combinations(nodes, 2):
         if rng.random() < p:
             edges[(u, v)] = 1
-    return UndirectedGraph(nodes=set(nodes), edges=edges)
+    return package_graph(UndirectedGraph, nodes, edges)
 
 
 def random_edge_set_graph(rng: random.Random, n: int = 8) -> UndirectedGraph:
@@ -100,7 +131,7 @@ def random_edge_set_graph(rng: random.Random, n: int = 8) -> UndirectedGraph:
 def complete_graph(n: int) -> UndirectedGraph:
     nodes = [f"v{i}" for i in range(n)]
     edges = {(u, v): 1 for u, v in itertools.combinations(sorted(nodes), 2)}
-    return UndirectedGraph(nodes=set(nodes), edges=edges)
+    return package_graph(UndirectedGraph, nodes, edges)
 
 
 def brute_force_degeneracy(adj):
@@ -121,7 +152,8 @@ def brute_force_degeneracy(adj):
         k += 1
 
 
-# -- the graph layer's degree reports, one dict of degrees at a time --------
+# -- the graph layer's degree reports, one dict of degrees at a time, of a --
+# -- `Named` digraph --------------------------------------------------------
 
 
 def _degree_maps(g, weighted):
@@ -185,7 +217,7 @@ def symmetrize(g, min_weight):
         key = (u, v) if u < v else (v, u)
         combined[key] = combined.get(key, 0) + w
     edges = {k: w for k, w in combined.items() if w >= min_weight}
-    return UndirectedGraph(nodes=set(g.nodes), edges=edges)
+    return Named(set(g.nodes), edges)
 
 
 # -- the record parser on json.loads, one helper per check, and the writer --

@@ -8,6 +8,7 @@ import pytest
 from echonet import communities
 from echonet.communities import (
     CliqueBudgetExceeded,
+    MaximalCliques,
     community_count_sweep,
     degeneracy_order,
     detect_communities,
@@ -15,6 +16,7 @@ from echonet.communities import (
     maximal_clique_list,
     maximal_cliques,
     percolate,
+    triangle_edges,
 )
 from echonet.config import PipelineConfig
 from echonet.graph import UndirectedGraph
@@ -23,15 +25,20 @@ from oracles import (
     brute_force_detect,
     brute_force_k_cliques,
     complete_graph,
+    named,
+    package_graph,
     random_edge_set_graph,
     random_undirected_graph,
 )
 
 
 def ug_from_pairs(pairs, extra_nodes=()):
-    edges = {tuple(sorted(p)): 1 for p in pairs}
-    nodes = {n for p in pairs for n in p} | set(extra_nodes)
-    return UndirectedGraph(nodes=nodes, edges=edges)
+    return package_graph(UndirectedGraph, extra_nodes, {tuple(sorted(p)): 1 for p in pairs})
+
+
+def name_adjacency(ug):
+    """`ug.adjacency()` by name."""
+    return {ug.nodes[i]: {ug.nodes[j] for j in nbrs} for i, nbrs in ug.adjacency().items()}
 
 
 def cover_sets(cover):
@@ -41,7 +48,7 @@ def cover_sets(cover):
 def test_k4_all_triangles():
     ug = complete_graph(4)
     cliques = enumerate_k_cliques(ug, 3)
-    assert cliques == brute_force_k_cliques(ug.nodes, ug.edges.keys(), 3)
+    assert cliques == brute_force_k_cliques(ug.nodes, named(ug).edges, 3)
     assert len(cliques) == 4
 
 
@@ -55,7 +62,7 @@ def test_enumeration_oracle_random_graph():
     ug = random_undirected_graph(rng, 10, 0.5)
     for k in range(2, 7):
         assert enumerate_k_cliques(ug, k) == brute_force_k_cliques(
-            ug.nodes, ug.edges.keys(), k
+            ug.nodes, named(ug).edges, k
         )
 
 
@@ -71,7 +78,7 @@ def test_maximal_cliques_are_maximal():
             for v in mc:
                 assert u == v or v in adj[u]
         # no vertex extends the clique
-        assert not any(mc <= adj[v] for v in ug.nodes - mc)
+        assert not any(mc <= adj[v] for v in set(adj) - mc)
 
 
 def test_enumeration_budget():
@@ -151,7 +158,7 @@ def test_detect_oracle_small_graphs():
                     map(sorted, expected)
                 )
                 assert cover.source_clique_count == len(
-                    brute_force_k_cliques(ug.nodes, ug.edges.keys(), k)
+                    brute_force_k_cliques(ug.nodes, named(ug).edges, k)
                 )
 
 
@@ -186,7 +193,7 @@ def test_loose_rule_partitions_covered_nodes():
 def test_communities_internally_connected():
     rng = random.Random(31)
     ug = random_undirected_graph(rng, 12, 0.35)
-    adj = ug.adjacency()
+    adj = name_adjacency(ug)
     for rule in ("standard", "loose"):
         for community in detect_communities(maximal_clique_list(ug), 3, rule).communities:
             # BFS within the community
@@ -206,9 +213,10 @@ def test_relabel_invariance():
     rng = random.Random(44)
     ug = random_undirected_graph(rng, 9, 0.5)
     mapping = {n: f"z{hash(n) % 1000:03d}_{n}" for n in ug.nodes}
-    relabeled = UndirectedGraph(
-        nodes={mapping[n] for n in ug.nodes},
-        edges={tuple(sorted((mapping[u], mapping[v]))): w for (u, v), w in ug.edges.items()},
+    relabeled = package_graph(
+        UndirectedGraph,
+        [mapping[n] for n in ug.nodes],
+        {(mapping[u], mapping[v]): w for (u, v), w in named(ug).edges.items()},
     )
     base = detect_communities(maximal_clique_list(ug), 3, "standard")
     other = detect_communities(maximal_clique_list(relabeled), 3, "standard")
@@ -258,9 +266,8 @@ def test_degeneracy_order_oracle_random_graphs():
     rng = random.Random(5)
     for trial in range(300):
         ug = random_undirected_graph(rng, rng.randint(0, 30), rng.random())
-        names = sorted(ug.nodes)
-        by_name = ug.adjacency()
-        for adj in (by_name, ug.adjacency({v: i for i, v in enumerate(names)})):
+        by_name = name_adjacency(ug)
+        for adj in (by_name, ug.adjacency()):
             order = degeneracy_order(adj)
             assert sorted(order) == sorted(adj), trial
             left = {v: set(nbrs) for v, nbrs in adj.items()}
@@ -296,7 +303,7 @@ def test_unsorted_maximal_cliques_count_each_k_clique_once():
     pairs = list(itertools.combinations("abcde", 2)) + list(itertools.combinations("bcdef", 2))
     ug = ug_from_pairs(pairs)
     expected = detect_communities(maximal_clique_list(ug), 3)
-    for maximal in (list(maximal_cliques(ug.adjacency())),
+    for maximal in (list(maximal_cliques(name_adjacency(ug))),
                     [tuple("abcde"), tuple("fedcb")]):
         cover = detect_communities(maximal, 3, max_cliques=16)
         assert cover.source_clique_count == 16
@@ -308,11 +315,11 @@ def planted_graph(rng, n, p, cliques):
     """A G(n, p) background on n00.. plus `cliques` random node sets of the
     given sizes made all-pairs; the sets may overlap."""
     ug = random_undirected_graph(rng, n, p)
-    nodes = sorted(ug.nodes)
+    edges = named(ug).edges
     for size in cliques:
-        for u, v in itertools.combinations(sorted(rng.sample(nodes, size)), 2):
-            ug.edges[(u, v)] = 1
-    return ug
+        for u, v in itertools.combinations(sorted(rng.sample(ug.nodes, size)), 2):
+            edges[(u, v)] = 1
+    return package_graph(UndirectedGraph, ug.nodes, edges)
 
 
 def ordered_brute_force_detect(ug, k, rule):
@@ -327,7 +334,7 @@ def test_maximal_clique_percolation_matches_brute_force_on_planted_graphs():
         ug = planted_graph(rng, rng.randint(8, 14), rng.choice([0.1, 0.3, 0.5]),
                            [rng.randint(3, 7) for _ in range(rng.randint(1, 3))])
         maximal = maximal_clique_list(ug)
-        counts = {k: len(brute_force_k_cliques(ug.nodes, ug.edges.keys(), k))
+        counts = {k: len(brute_force_k_cliques(ug.nodes, named(ug).edges, k))
                   for k in range(2, 7)}
         for rule in ("standard", "loose"):
             sweep = community_count_sweep(maximal, 2, 6, rule)
@@ -376,19 +383,24 @@ def test_k30_at_k9_exceeds_the_default_budget_and_fits_an_exact_one(monkeypatch)
     assert len(cover.communities) == 1
 
 
+def hub_pairs(triangles, k6s):
+    """The edges of `triangles` triangles and `k6s` K6s whose only common node is "hub"."""
+    pairs = []
+    for i in range(triangles):
+        pairs += [("hub", f"a{i}"), ("hub", f"b{i}"), (f"a{i}", f"b{i}")]
+    for i in range(k6s):
+        blade = ["hub"] + [f"g{i}_{j}" for j in range(5)]
+        pairs += list(itertools.combinations(blade, 2))
+    return pairs
+
+
 def test_cliques_sharing_only_a_hub_stay_apart_in_linear_time():
     """20,000 triangles and 2,000 K6s whose only common node is a hub, as when
     one account is retweeted by many pairs and groups of users. Under the
     standard rule no two of them share k-1 >= 2 nodes. Comparing every pair of
     cliques that hold the hub takes most of a minute on a 2-core Xeon; indexing
     cliques by their edges or (k-1)-subsets takes well under a second."""
-    pairs = []
-    for i in range(20_000):
-        pairs += [("hub", f"a{i}"), ("hub", f"b{i}"), (f"a{i}", f"b{i}")]
-    for i in range(2_000):
-        blade = ["hub"] + [f"g{i}_{j}" for j in range(5)]
-        pairs += list(itertools.combinations(blade, 2))
-    maximal = maximal_clique_list(ug_from_pairs(pairs))
+    maximal = maximal_clique_list(ug_from_pairs(hub_pairs(20_000, 2_000)))
     start = time.monotonic()
     triangles = detect_communities(maximal, 3, "standard")
     sweep = community_count_sweep(maximal, 3, 6, "standard")
@@ -398,3 +410,103 @@ def test_cliques_sharing_only_a_hub_stay_apart_in_linear_time():
     assert sweep.community_counts == {3: 22_000, 4: 2_000, 5: 2_000, 6: 2_000}
     assert len(detect_communities(maximal, 3, "loose").communities) == 1
     assert elapsed < 10, f"took {elapsed:.1f}s"
+
+
+def brute_force_triangle_edges(ug):
+    """Whether each edge of `ug` has a common neighbour of its two ends."""
+    nbrs = {v: set() for v in ug.nodes}
+    for u, v in named(ug).edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return [bool(nbrs[u] & nbrs[v]) for u, v, _ in ug.named_edges()]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, communities.WEDGE_CHUNK])
+def test_triangle_edges_are_the_edges_with_a_common_neighbour(monkeypatch, chunk):
+    """Also when the wedges are looked up a few at a time, so that a node's
+    wedges span several chunks."""
+    monkeypatch.setattr(communities, "WEDGE_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for trial in range(60):
+        ug = planted_graph(rng, rng.randint(6, 16), rng.choice([0.05, 0.2, 0.5, 0.9]),
+                           [rng.randint(3, 6) for _ in range(rng.randint(0, 2))])
+        assert triangle_edges(ug).tolist() == brute_force_triangle_edges(ug), trial
+    assert triangle_edges(UndirectedGraph()).tolist() == []
+
+
+def windmill_pairs(blades):
+    return [pair for i in range(blades) for pair in
+            (("hub", f"a{i}"), ("hub", f"b{i}"), (f"a{i}", f"b{i}"))]
+
+
+def triangle_free_pairs(n):
+    """A cycle of n nodes and a complete bipartite graph on n + n nodes."""
+    cycle = [(f"c{i:03d}", f"c{(i + 1) % n:03d}") for i in range(n)]
+    return cycle + [(f"l{i:03d}", f"r{j:03d}") for i in range(n) for j in range(n)]
+
+
+def graphs_for_the_triangle_path():
+    rng = random.Random(303)
+    graphs = [planted_graph(rng, rng.randint(7, 16), rng.choice([0.1, 0.3, 0.6]),
+                            [rng.randint(3, 7) for _ in range(rng.randint(0, 3))])
+              for _ in range(40)]
+    graphs += [random_undirected_graph(rng, 40, 0.15) for _ in range(5)]
+    graphs += [
+        ug_from_pairs(hub_pairs(2_000, 200)),
+        ug_from_pairs(windmill_pairs(20_000)),
+        ug_from_pairs(triangle_free_pairs(30)),
+        ug_from_pairs([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")],
+                      extra_nodes=["i0", "i1", "z9"]),
+        ug_from_pairs([], extra_nodes=["i0", "i1"]),
+        UndirectedGraph(),
+    ]
+    return graphs
+
+
+def test_cliques_from_3_nodes_on_are_the_full_lists_cliques_of_3_or_more():
+    """The triangle-edge path gives the same maximal cliques of 3 or more
+    nodes as the full path, on random and planted graphs, a hub graph, a
+    20,000-triangle windmill, triangle-free graphs and isolated nodes."""
+    for trial, ug in enumerate(graphs_for_the_triangle_path()):
+        full = maximal_clique_list(ug)
+        assert full.min_size == 1
+        for min_size in (3, 4):
+            filtered = maximal_clique_list(ug, min_size)
+            assert filtered.min_size == min_size
+            assert sorted(filtered) == sorted(c for c in full if len(c) >= min_size), trial
+    assert maximal_clique_list(ug_from_pairs(triangle_free_pairs(30)), 3) == []
+
+
+def test_triangle_path_matches_brute_force_under_both_rules():
+    rng = random.Random(404)
+    for trial in range(40):
+        ug = planted_graph(rng, rng.randint(6, 13), rng.choice([0.1, 0.3, 0.5]),
+                           [rng.randint(3, 6) for _ in range(rng.randint(1, 3))])
+        maximal = maximal_clique_list(ug, 3)
+        counts = {k: len(brute_force_k_cliques(ug.nodes, named(ug).edges, k))
+                  for k in range(3, 7)}
+        for rule in ("standard", "loose"):
+            sweep = community_count_sweep(maximal, 3, 6, rule)
+            assert sweep.clique_counts == counts, (trial, rule)
+            for k in range(3, 7):
+                expected = ordered_brute_force_detect(ug, k, rule)
+                cover = detect_communities(maximal, k, rule)
+                assert cover.communities == expected, (trial, rule, k)
+                assert cover.source_clique_count == counts[k]
+                assert sweep.community_counts[k] == len(expected)
+
+
+def test_cliques_listed_from_m_nodes_on_are_never_percolated_below_m():
+    ug = ug_from_pairs([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+    from_3 = maximal_clique_list(ug, 3)
+    assert isinstance(from_3, MaximalCliques) and from_3 == [("a", "b", "c")]
+    with pytest.raises(ValueError, match="from 3 nodes on"):
+        detect_communities(from_3, 2)
+    with pytest.raises(ValueError, match="from 3 nodes on"):
+        community_count_sweep(from_3, 2, 4)
+    with pytest.raises(ValueError, match="from 4 nodes on"):
+        detect_communities(maximal_clique_list(ug, 4), 3)
+    assert detect_communities(from_3, 3).communities == [frozenset("abc")]
+    assert community_count_sweep(from_3, 3, 4).clique_counts == {3: 1, 4: 0}
+    full = maximal_clique_list(ug, 2)
+    assert detect_communities(full, 2).communities == [frozenset("abcd")]

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from echonet.cli import main
 from echonet.config import _HASH_EXCLUDED, PipelineConfig
 from echonet.graph import UndirectedGraph
 from echonet.records import CSV_COLUMNS, read_records, record_to_json
-from oracles import brute_force_detect
+from oracles import brute_force_detect, brute_force_k_cliques, named
 
 ROOT = Path(__file__).parent.parent
 FIXTURE = str(ROOT / "fixtures" / "sample_tweets.jsonl")
@@ -106,6 +107,120 @@ def test_run_lists_no_k_clique(tmp_path, calls, monkeypatch):
     assert main(["run", "--input", FIXTURE, "--outdir", str(tmp_path / "b"), *RUN_ARGS]) == 0
     assert calls["maximal_cliques"] == 1
     assert (calls["enumerate_k_cliques"], calls["percolate"]) == (0, 0)
+
+
+@pytest.fixture
+def clique_sizes(monkeypatch):
+    """How many maximal cliques of each size `communities.maximal_cliques` yields."""
+    sizes = Counter()
+    enumerate_maximal = communities.maximal_cliques
+
+    def counting_maximal(adj):
+        for mc in enumerate_maximal(adj):
+            sizes[len(mc)] += 1
+            yield mc
+
+    monkeypatch.setattr(communities, "maximal_cliques", counting_maximal)
+    return sizes
+
+
+def test_run_with_k_and_k_min_of_3_or_more_enumerates_no_clique_under_3_nodes(
+    tmp_path, clique_sizes
+):
+    assert main(["run", "--input", FIXTURE, "--outdir", str(tmp_path / "b"), *RUN_ARGS,
+                 "--k-min", "3"]) == 0
+    assert clique_sizes and min(clique_sizes) >= 3
+
+
+@pytest.mark.parametrize("k, k_min", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("rule", ["standard", "loose"])
+def test_run_with_k_or_k_min_2_takes_the_full_path_and_matches_brute_force(
+    tmp_path, clique_sizes, k, k_min, rule
+):
+    out = tmp_path / "bundle"
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS, "--k", str(k),
+                 "--k-min", str(k_min), "--k-max", "4", "--rule", rule]) == 0
+    assert clique_sizes[2] > 0  # the bare edges are enumerated too
+    ug = pipeline.load_undirected_graph(str(out / "nodes.txt"), str(out / "undirected_edges.csv"))
+    got = json.loads((out / f"communities_k{k}_{rule}.json").read_text())
+    assert [c["members"] for c in got] == [sorted(c) for c in sorted(
+        brute_force_detect(ug, k, rule), key=lambda c: (-len(c), min(c)))]
+    with open(out / f"sweep_{rule}.csv", newline="") as fh:
+        counts = {int(row["k"]): int(row["clique_count"]) for row in csv.DictReader(fh)}
+    assert counts == {j: len(brute_force_k_cliques(ug.nodes, named(ug).edges, j))
+                      for j in range(k_min, 5)}
+
+
+@pytest.mark.parametrize("k, k_min", [(2, 2), (3, 2), (5, 4)])
+def test_communities_subcommand_gives_the_runs_files_on_either_path(tmp_path, k, k_min):
+    out, sub = tmp_path / "bundle", tmp_path / "sub"
+    flags = [*RUN_ARGS, "--k", str(k), "--k-min", str(k_min)]
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), *flags]) == 0
+    assert main(["communities", "--graph", str(out), "--outdir", str(sub), *flags[4:]]) == 0
+    assert sorted(os.listdir(sub)) == [f"communities_k{k}_standard.json", "sweep_standard.csv"]
+    for name in os.listdir(sub):
+        assert (sub / name).read_bytes() == (out / name).read_bytes()
+
+
+def graph_files(tmp_path, rows, nodes="abc"):
+    """A nodes.txt of `nodes` and an undirected_edges.csv of `rows` in `tmp_path`."""
+    nodes_path, edges_path = tmp_path / "nodes.txt", tmp_path / "undirected_edges.csv"
+    nodes_path.write_text("".join(f"{node}\n" for node in nodes))
+    edges_path.write_text("".join(f"{row}\r\n" for row in ["u,v,weight", *rows]))
+    return str(nodes_path), str(edges_path)
+
+
+def load_error(tmp_path, rows):
+    nodes_path, edges_path = graph_files(tmp_path, rows)
+    with pytest.raises(ValueError) as info:
+        pipeline.load_undirected_graph(nodes_path, edges_path)
+    message = str(info.value)
+    assert message.startswith(f"{edges_path}: line ")
+    return message[len(edges_path) + 2:]
+
+
+def test_loading_an_edge_whose_node_is_not_in_nodes_txt_names_file_line_and_node(tmp_path):
+    assert load_error(tmp_path, ["a,b,1", "b,zz_missing,2"]) == (
+        f"line 3: node 'zz_missing' is not in {tmp_path / 'nodes.txt'}")
+
+
+def test_loading_an_edge_whose_u_does_not_sort_before_its_v_fails(tmp_path):
+    # a reversed duplicate row is no longer merged into the first
+    assert load_error(tmp_path, ["a,b,1", "b,a,1"]) == (
+        "line 3: node 'b' does not sort before node 'a'")
+    assert load_error(tmp_path, ["c,c,4"]) == "line 2: node 'c' does not sort before node 'c'"
+
+
+def test_loading_a_pair_listed_twice_fails_at_its_second_line(tmp_path):
+    assert load_error(tmp_path, ["b,c,1", "a,c,1", "a,b,2", "b,c,3", "a,c,1"]) == (
+        "line 5: the pair 'b', 'c' is listed twice")
+
+
+@pytest.mark.parametrize("weight", ["0", "-1", "1.5", "x", "", " 2", "\u0663"])
+def test_loading_a_weight_that_is_not_a_positive_integer_fails(tmp_path, weight):
+    assert load_error(tmp_path, ["a,b,1", f"a,c,{weight}"]) == (
+        f"line 3: the weight {weight!r} of 'a', 'c' is not a positive integer")
+
+
+def test_loading_edge_rows_in_any_order_gives_the_sorted_graph(tmp_path):
+    ug = pipeline.load_undirected_graph(*graph_files(tmp_path, ["b,c,3", "a,c,2", "a,b,1"],
+                                                     nodes="cbad"))
+    assert ug.nodes == ["a", "b", "c", "d"]
+    assert ug.edges.tolist() == [[0, 1], [0, 2], [1, 2]] and ug.weights.tolist() == [1, 2, 3]
+
+
+def test_communities_subcommand_names_the_edge_file_line_and_unknown_node(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
+    first = (out / "nodes.txt").read_text().splitlines()[0]
+    with open(out / "undirected_edges.csv", "a", encoding="utf-8", newline="") as fh:
+        fh.write(f"{first},zz_missing,1\r\n")
+    lines = len((out / "undirected_edges.csv").read_text().splitlines())
+    assert main(["communities", "--graph", str(out), "--outdir", str(tmp_path / "sub"),
+                 "--k", "4"]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {out / 'undirected_edges.csv'}: line {lines}: node 'zz_missing' is not in "
+        f"{out / 'nodes.txt'}\n")
 
 
 def test_resume_that_reuses_only_ingest_parses_filtered_once(tmp_path, calls):
