@@ -15,7 +15,15 @@ import sys
 
 from .communities import RULES
 from .config import PipelineConfig, validate_config
-from .pipeline import TABLE, Stage, StageError, render_report, run_pipeline, run_stage
+from .pipeline import (
+    TABLE,
+    InputFileError,
+    Stage,
+    StageError,
+    render_report,
+    run_pipeline,
+    run_stage,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,7 +163,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.cause if isinstance(exc, StageError) else exc
-        if isinstance(cause, (FileNotFoundError, IsADirectoryError, PermissionError)):
+        if isinstance(cause, (FileNotFoundError, IsADirectoryError, PermissionError,
+                              InputFileError)):
             return EXIT_INPUT
         return EXIT_STAGE
     return EXIT_OK

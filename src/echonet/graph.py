@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .records import TweetRecord
+from .records import RecordTable
 
 CHUNK = 1 << 12  # array items turned into Python values at a time
 
@@ -131,12 +131,11 @@ class RoleScore:
     label: str
 
 
-def build_retweet_graph(records: Iterable[TweetRecord]) -> RetweetGraph:
+def build_retweet_graph(table: RecordTable) -> RetweetGraph:
     """Aggregate retweet events into edge weights; self-retweets dropped."""
     seen: dict[str, int] = {}  # user id -> position in order of first appearance
     ends = array("q")  # the (user, target) positions of each retweet
-    for rec in records:
-        user, target = rec.user_id, rec.retweet_of_user_id
+    for user, target in zip(table.user_id, table.retweet_of_user_id):
         u = seen.setdefault(user, len(seen))
         if target is not None and target != user:
             ends.append(u)

@@ -5,10 +5,14 @@ function, the config fields that shape its outputs, and the bundle files it
 reads and writes. `run_pipeline`, the subcommands, `--resume` and the manifest
 all derive from it. Files are the interface between stages, so each one can be
 re-run and inspected on its own. Within one `run_pipeline` call, the records
-`ingest` kept also pass to the later stages in memory (`StageFiles.records`),
-so each record file is parsed at most once per run, and the symmetrized graph
-passes from `graph` to `communities` the same way, so `communities` reads
+`ingest` kept also pass to the later stages in memory, as the `RecordTable`
+that parsing `filtered.jsonl` back would give (`StageFiles.records`), so each
+record file is parsed at most once per run, and the symmetrized graph passes
+from `graph` to `communities` the same way, so `communities` reads
 `nodes.txt` and `undirected_edges.csv` only when `graph` did not run before it.
+`ingest` is one streaming pass over the input: each record is parsed,
+filtered, written to `filtered.jsonl` and appended to the table, and no list
+of whole records is built.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .graph import (
 from .profiles import DEFAULT_STOPLIST, NoDescriptionsError, description_term_proportions
 from .records import (
     ParseStats,
+    RecordTable,
     TweetRecord,
     corpus_summary,
     keyword_filter,
@@ -65,6 +70,10 @@ EDGES = "undirected_edges.csv"
 COMMUNITIES = "communities_k{k}_{rule}.json"
 STOPLIST = "stoplist.txt"  # read only when the profiles subcommand points it at a file
 MANIFEST = "manifest.json"
+
+
+class InputFileError(ValueError):
+    """A bundle file given as input cannot be read as what it should hold."""
 
 
 class StageError(RuntimeError):
@@ -102,14 +111,15 @@ class StageFiles:
     community id), and lives at `<outdir>/<name>` unless `redirects` maps its
     template to another path. `written` maps each name written to its path.
     `parsed` maps the path of each file parsed or built so far to what it
-    holds: a record file to its records, the edge file to the symmetrized
-    graph, which `communities` takes out. The stages of one run share it."""
+    holds: a record file to its `RecordTable`, the edge file to the
+    symmetrized graph, which `communities` takes out. The stages of one run
+    share it."""
 
     stage: Stage
     config: PipelineConfig
     redirects: dict[str, str] = field(default_factory=dict)
     written: dict[str, str] = field(default_factory=dict)
-    parsed: dict[str, list[TweetRecord] | UndirectedGraph] = field(default_factory=dict)
+    parsed: dict[str, RecordTable | UndirectedGraph] = field(default_factory=dict)
 
     def name(self, template: str, **extra) -> str:
         if template not in self.stage.reads and template not in self.stage.writes:
@@ -128,7 +138,7 @@ class StageFiles:
             yield fh
         self.written[self.name(template, **extra)] = path
 
-    def records(self, template: str) -> list[TweetRecord]:
+    def records(self, template: str) -> RecordTable:
         """The records of the file `template` names: parsed on first use, then
         taken from `parsed`."""
         path = self.path(template)
@@ -153,10 +163,17 @@ def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
     """Parse, keyword-filter and summarize the input records."""
     parse_stats = ParseStats()
     keywords = config.keywords
-    kept = read_records(config.input, parse_stats, lambda r: keyword_filter(r, keywords))
     with files.create(FILTERED) as fh:
-        # a generator, not a list: the file's lines are never all in memory
-        fh.writelines(record_to_json(rec) + "\n" for rec in kept)
+        write = fh.write
+
+        def keep(rec: TweetRecord) -> bool:
+            # a kept record's line is written as it is parsed: one pass
+            if keyword_filter(rec, keywords):
+                write(record_to_json(rec) + "\n")
+                return True
+            return False
+
+        kept = read_records(config.input, parse_stats, keep)
     files.parsed[files.path(FILTERED)] = kept  # what parsing the file back yields
     stats = asdict(corpus_summary(kept))
     stats["malformed_lines"] = parse_stats.malformed
@@ -191,9 +208,9 @@ def stage_graph(config: PipelineConfig, files: StageFiles) -> None:
 
 def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
     """The graph that a `nodes.txt` and an `undirected_edges.csv` hold. The
-    edge rows may come in any order. Raises ValueError, naming the file, the
-    line and the node, for a row whose endpoint is not in `nodes_path`, whose
-    u does not sort before its v, that repeats an earlier pair, or whose
+    edge rows may come in any order. Raises InputFileError, naming the file,
+    the line and the node, for a row whose endpoint is not in `nodes_path`,
+    whose u does not sort before its v, that repeats an earlier pair, or whose
     weight is not a positive integer."""
     with open(nodes_path, encoding="utf-8") as fh:
         nodes = sorted({line.rstrip("\n") for line in fh if line.strip()})
@@ -202,8 +219,8 @@ def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
     with open(edges_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
 
-        def bad(problem: str) -> ValueError:
-            return ValueError(f"{edges_path}: line {reader.line_num}: {problem}")
+        def bad(problem: str) -> InputFileError:
+            return InputFileError(f"{edges_path}: line {reader.line_num}: {problem}")
 
         if next(reader, None) != ["u", "v", "weight"]:
             raise bad("the header is not u,v,weight")
@@ -230,7 +247,8 @@ def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
     if len(repeats):
         row = int(repeats.min())
         u, v = (nodes[i] for i in pairs[row].tolist())
-        raise ValueError(f"{edges_path}: line {lines[row]}: the pair {u!r}, {v!r} is listed twice")
+        raise InputFileError(
+            f"{edges_path}: line {lines[row]}: the pair {u!r}, {v!r} is listed twice")
     return UndirectedGraph(nodes, pairs[order], np.frombuffer(weights, dtype=np.int64)[order])
 
 
@@ -385,7 +403,7 @@ def run_stage(
     name: str,
     config: PipelineConfig,
     redirects: dict[str, str],
-    parsed: dict[str, list[TweetRecord] | UndirectedGraph] | None = None,
+    parsed: dict[str, RecordTable | UndirectedGraph] | None = None,
 ) -> dict[str, str]:
     """Run one stage, with the files in `redirects` (template -> path) outside
     the outdir; returns the name -> path of each file written. `parsed` holds
@@ -396,11 +414,17 @@ def run_stage(
     return files.written
 
 
+HASH_BLOCK = 1 << 16  # bytes read at a time by _sha256
+
+
 def _sha256(path: str) -> str:
+    """The file's SHA-256, read through one reused buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    buf = bytearray(HASH_BLOCK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
@@ -494,7 +518,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "stages": [],
         "files": [],
     }
-    parsed: dict[str, list[TweetRecord] | UndirectedGraph] = {}
+    parsed: dict[str, RecordTable | UndirectedGraph] = {}
     reuse = config.resume
     try:
         for stage in TABLE.values():

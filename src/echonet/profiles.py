@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
-from .records import TweetRecord
+from .records import RecordTable
 
 TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
@@ -36,7 +35,7 @@ class TermFrequencyTable:
 
 
 def description_term_proportions(
-    records: Iterable[TweetRecord],
+    table: RecordTable,
     stoplist: frozenset[str] = DEFAULT_STOPLIST,
     top_n: int = 10,
 ) -> TermFrequencyTable:
@@ -48,15 +47,14 @@ def description_term_proportions(
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    latest: dict[str, tuple] = {}
-    for rec in records:
-        description = rec.user_description
+    latest: dict[str, tuple[int, str]] = {}
+    for user, created, description in zip(table.user_id, table.created_us,
+                                          table.user_description):
         if description is None or not description.strip():
             continue
-        user, created_at = rec.user_id, rec.created_at
         prev = latest.get(user)
-        if prev is None or created_at > prev[0]:
-            latest[user] = (created_at, description)
+        if prev is None or created > prev[0]:
+            latest[user] = (created, description)
     if not latest:
         raise NoDescriptionsError("no users with nonempty descriptions")
     user_base = len(latest)

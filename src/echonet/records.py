@@ -1,4 +1,10 @@
-"""Tweet record ingestion: JSONL/CSV parsing, keyword filtering, corpus stats."""
+"""Tweet record ingestion: JSONL/CSV parsing, keyword filtering, corpus stats.
+
+A parsed line is a `TweetRecord`. The records a file holds, or those a
+filter kept, are read into one `RecordTable`: a column per field that a stage
+after `ingest` reads, so a record costs a few list slots, not an object of
+its own with a datetime and its text.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +13,9 @@ import functools
 import io
 import json
 import re
-import sys
+from array import array
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 HASHTAG_RE = re.compile(r"#([A-Za-z0-9_]+)")
@@ -18,8 +24,10 @@ HASHTAG_RE = re.compile(r"#([A-Za-z0-9_]+)")
 _encode = json.encoder.encode_basestring
 # the scanner json.loads runs: (value, end index) of the JSON text at an index
 _scan_json = json.decoder.JSONDecoder().scan_once
-_intern = sys.intern
 _fromisoformat = datetime.fromisoformat
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 DEFAULT_KEYWORDS = ("qanon", "#q", "#qanon")
 
@@ -47,10 +55,6 @@ class TweetRecord(NamedTuple):
     retweet_of_user_id: Optional[str] = None
     user_description: Optional[str] = None
 
-    @property
-    def is_retweet(self) -> bool:
-        return self.retweet_of_user_id is not None
-
 
 @dataclass
 class CorpusStats:
@@ -68,9 +72,64 @@ class ParseStats:
     records: int = 0  # well-formed records yielded
 
 
+def created_us(created_at: datetime) -> int:
+    """An aware datetime as exact int microseconds since the Unix epoch; the
+    ints order and tie as the datetimes compare."""
+    return (created_at - EPOCH) // _MICROSECOND
+
+
+class RecordTable:
+    """Records in input order, one column per field that a stage after
+    `ingest` reads: `text` is not carried, and `created_us` holds each
+    `created_at` as `created_us(created_at)` in an int64 array. Equal user
+    ids, retweet targets, descriptions, hashtags and hashtag tuples are one
+    object, shared through a dict that lives only while `from_records` fills
+    the table, so they are freed with the table."""
+
+    COLUMNS = ("tweet_id", "user_id", "created_us", "hashtags", "retweet_of_user_id",
+               "user_description")
+    __slots__ = COLUMNS + ("_shared",)
+
+    def __init__(self) -> None:
+        self.tweet_id: list[str] = []
+        self.user_id: list[str] = []
+        self.created_us = array("q")
+        self.hashtags: list[tuple[str, ...]] = []
+        self.retweet_of_user_id: list[Optional[str]] = []
+        self.user_description: list[Optional[str]] = []
+        self._shared: dict = {}
+
+    @classmethod
+    def from_records(cls, records: Iterable[TweetRecord]) -> RecordTable:
+        table = cls()
+        for rec in records:
+            table.append(rec)
+        table._shared.clear()  # the columns hold what they share
+        return table
+
+    def append(self, rec: TweetRecord) -> None:
+        shared = self._shared
+        share = shared.setdefault
+        tweet_id, user_id, created_at, _, hashtags, retweet_of, description = rec
+        self.tweet_id.append(tweet_id)
+        self.user_id.append(share(user_id, user_id))
+        self.created_us.append(created_us(created_at))
+        tags = shared.get(hashtags)
+        if tags is None:
+            tags = shared[hashtags] = tuple([share(tag, tag) for tag in hashtags])
+        self.hashtags.append(tags)
+        self.retweet_of_user_id.append(
+            retweet_of if retweet_of is None else share(retweet_of, retweet_of))
+        self.user_description.append(
+            description if description is None else share(description, description))
+
+    def __len__(self) -> int:
+        return len(self.tweet_id)
+
+
 def extract_hashtags(text: str) -> tuple[str, ...]:
     """Hashtags are maximal [A-Za-z0-9_]+ runs after '#', lowercased."""
-    return tuple([_intern(tag.lower()) for tag in HASHTAG_RE.findall(text)])
+    return tuple([tag.lower() for tag in HASHTAG_RE.findall(text)])
 
 
 def _not_one_line(name: str) -> RecordError:
@@ -87,16 +146,14 @@ def _normalize_hashtags(raw) -> tuple[str, ...]:
         tag = tag.lstrip("#").lower()
         if not tag or any(c.isspace() for c in tag) or "#" in tag:
             raise RecordError(f"bad hashtag token: {tag!r}")
-        tags.append(_intern(tag))
+        tags.append(tag)
     return tuple(tags)
 
 
 def record_from_mapping(obj: dict) -> TweetRecord:
-    """Build a validated TweetRecord from a parsed input mapping. User ids,
-    descriptions and hashtags repeat across records, so they are interned:
-    a corpus held in memory keeps one copy of each. This runs once per input
-    record, so the checks are written out inline rather than in helpers, in
-    a fixed order: the first one a record fails names the error."""
+    """Build a validated TweetRecord from a parsed input mapping. This runs
+    once per input record, so the checks are written out inline rather than
+    in helpers, in a fixed order: the first one a record fails names the error."""
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")
     get = obj.get
@@ -127,8 +184,6 @@ def record_from_mapping(obj: dict) -> TweetRecord:
             retweet_of = None
         elif "\n" in retweet_of or "\r" in retweet_of or retweet_of.isspace():
             raise _not_one_line("retweet_of_user_id")
-        else:
-            retweet_of = _intern(retweet_of)
     try:
         created = _fromisoformat(created_at.replace("Z", "+00:00"))
     except ValueError as exc:
@@ -139,9 +194,9 @@ def record_from_mapping(obj: dict) -> TweetRecord:
     if description is not None:
         if not isinstance(description, str):
             raise RecordError("optional field must be a string")
-        description = _intern(description) if description else None
+        description = description or None
     # the fields in declaration order, without the keyword handling of TweetRecord()
-    return tuple.__new__(TweetRecord, (tweet_id, _intern(user_id), created, text, hashtags,
+    return tuple.__new__(TweetRecord, (tweet_id, user_id, created, text, hashtags,
                                        retweet_of, description))
 
 
@@ -247,19 +302,19 @@ def read_records(
     path: str,
     stats: Optional[ParseStats] = None,
     keep: Optional[Callable[[TweetRecord], bool]] = None,
-) -> list[TweetRecord]:
-    """Read a JSONL (default) or .csv record file into memory. With `keep`,
-    only the records it accepts are held; the others are dropped as they are
-    parsed, so the whole file is never in memory at once. A CSV file is read as
-    UTF-8 after an optional byte order mark, each byte that is not UTF-8 as a
-    lone surrogate."""
+) -> RecordTable:
+    """Read a JSONL (default) or .csv record file into a RecordTable. With
+    `keep`, only the records it accepts are held; each record is dropped or
+    appended to the table as it is parsed, so no list of records is built. A
+    CSV file is read as UTF-8 after an optional byte order mark, each byte
+    that is not UTF-8 as a lone surrogate."""
     with open(path, "rb") as fh:
         if str(path).endswith(".csv"):
             text = io.TextIOWrapper(fh, encoding="utf-8-sig", errors="surrogateescape", newline="")
             records = parse_tweet_csv(text, stats)
         else:
             records = parse_tweet_stream(fh, stats)
-        return list(records if keep is None else filter(keep, records))
+        return RecordTable.from_records(records if keep is None else filter(keep, records))
 
 
 @functools.lru_cache(maxsize=8)
@@ -285,15 +340,10 @@ def keyword_filter(record: TweetRecord, keywords: Sequence[str]) -> bool:
     return False
 
 
-def corpus_summary(records: Iterable[TweetRecord]) -> CorpusStats:
-    stats = CorpusStats()
-    users = set()
-    for rec in records:
-        stats.tweet_count += 1
-        users.add(rec.user_id)
-        if rec.is_retweet:
-            stats.retweet_count += 1
-        if rec.user_description:
-            stats.records_with_description += 1
-    stats.unique_user_count = len(users)
-    return stats
+def corpus_summary(table: RecordTable) -> CorpusStats:
+    return CorpusStats(
+        tweet_count=len(table),
+        unique_user_count=len(set(table.user_id)),
+        retweet_count=len(table) - table.retweet_of_user_id.count(None),
+        records_with_description=sum(map(bool, table.user_description)),
+    )

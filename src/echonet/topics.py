@@ -8,7 +8,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .records import TweetRecord
+from .records import RecordTable
 
 # collection-query hashtags appear in (nearly) every tweet by construction
 DEFAULT_STOPTAGS = frozenset({"q", "qanon"})
@@ -69,7 +69,7 @@ class TopicModel:
 
 
 def build_community_corpus(
-    records: Iterable[TweetRecord],
+    table: RecordTable,
     community: Iterable[str],
     stoptags: frozenset[str] = DEFAULT_STOPTAGS,
     per_user: bool = False,
@@ -83,18 +83,16 @@ def build_community_corpus(
     vocab = Vocabulary()
     docs: list[Document] = []
     per_user_tags: dict[str, list[str]] = {}
-    for rec in records:
-        if rec.user_id not in members:
+    for user, tweet_id, hashtags in zip(table.user_id, table.tweet_id, table.hashtags):
+        if user not in members:
             continue
-        tags = [t for t in rec.hashtags if t not in stoptags]
+        tags = [t for t in hashtags if t not in stoptags]
         if not tags:
             continue
         if per_user:
-            per_user_tags.setdefault(rec.user_id, []).extend(tags)
+            per_user_tags.setdefault(user, []).extend(tags)
         else:
-            docs.append(
-                Document(doc_id=rec.tweet_id, tokens=tuple(vocab.add(t) for t in tags))
-            )
+            docs.append(Document(doc_id=tweet_id, tokens=tuple(vocab.add(t) for t in tags)))
     if per_user:
         for user in sorted(per_user_tags):
             tags = per_user_tags[user]

@@ -5,7 +5,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from datetime import datetime, timezone
 
-from echonet.records import TweetRecord, extract_hashtags
+from echonet.records import RecordTable, TweetRecord, extract_hashtags
 
 
 def make_record(
@@ -30,3 +30,8 @@ def make_record(
         retweet_of_user_id=retweet_of,
         user_description=description,
     )
+
+
+def columns(table: RecordTable) -> dict[str, list]:
+    """Every column a RecordTable carries, by name, as a list."""
+    return {name: list(getattr(table, name)) for name in RecordTable.COLUMNS}

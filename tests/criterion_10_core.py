@@ -23,6 +23,7 @@ from conftest import make_record
 from echonet.communities import community_count_sweep, maximal_clique_list
 from echonet.graph import build_retweet_graph, degree_summary, node_degrees, symmetrize
 from echonet.pipeline import _peak_rss_kb
+from echonet.records import RecordTable
 
 
 def scale_free_events(n_nodes, n_edges, m, seed):
@@ -51,10 +52,10 @@ def scale_free_events(n_nodes, n_edges, m, seed):
 def main():
     start = time.monotonic()
     events = scale_free_events(100_000, 430_000, m=4, seed=10)
-    records = [
+    records = RecordTable.from_records(
         make_record(f"t{i}", f"u{u}", retweet_of=f"u{v}")
         for i, (u, v) in enumerate(events)
-    ]
+    )
     g = build_retweet_graph(records)
     summary = degree_summary(node_degrees(g))
     ug = symmetrize(g, 1)

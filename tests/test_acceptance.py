@@ -26,6 +26,7 @@ from echonet.config import PipelineConfig
 from echonet.graph import RetweetGraph, UndirectedGraph, degree_summary, node_degrees
 from echonet.pipeline import run_pipeline
 from echonet.profiles import description_term_proportions
+from echonet.records import RecordTable
 from echonet.topics import Document, GibbsSampler, fit_lda
 from oracles import brute_force_detect, complete_graph, package_graph
 from test_topics import collapsed_posterior, gibbs_state_distribution, vocab_of
@@ -301,7 +302,7 @@ def test_criterion_11_profile_recount():
             )
         if all(r.user_description is None for r in records):
             continue
-        table = description_term_proportions(records, frozenset(), 50)
+        table = description_term_proportions(RecordTable.from_records(records), frozenset(), 50)
         latest = {}
         for r in records:
             if r.user_description and (
@@ -317,7 +318,8 @@ def test_criterion_11_profile_recount():
         assert table.user_base == len(latest)
         assert table.terms == [(t, c / len(latest)) for t, c in expected]
         # duplication of a user's tweets never changes proportions
-        assert description_term_proportions(records * 2, frozenset(), 50) == table
+        twice = RecordTable.from_records(records * 2)
+        assert description_term_proportions(twice, frozenset(), 50) == table
 
 
 @criterion(12, "running the pipeline twice yields byte-identical data artifacts")

@@ -17,6 +17,7 @@ from echonet.graph import (
     node_degrees,
     symmetrize,
 )
+from echonet.records import RecordTable
 import oracles
 from oracles import moments, named
 
@@ -27,7 +28,7 @@ def retweet(i, src, dst):
 
 def graph_from_events(events):
     return build_retweet_graph(
-        [retweet(i, u, v) for i, (u, v) in enumerate(events)]
+        RecordTable.from_records(retweet(i, u, v) for i, (u, v) in enumerate(events))
     )
 
 
@@ -48,7 +49,8 @@ def test_build_basic():
 
 
 def test_build_isolated_nodes():
-    g = build_retweet_graph([make_record(str(i), f"u{i}") for i in range(5)])
+    g = build_retweet_graph(RecordTable.from_records(make_record(str(i), f"u{i}")
+                                                     for i in range(5)))
     assert len(g.nodes) == 5
     assert named(g).edges == {}
 
@@ -260,7 +262,7 @@ def test_degree_reports_and_symmetrize_equal_the_dict_based_oracles():
             records.append(make_record(f"t{i}", u, retweet_of=v if rng.random() < 0.8 else None))
         # a user whose only record is a self-retweet is a node of degree 0
         records.append(make_record("self", f"solo{trial % 3}", retweet_of=f"solo{trial % 3}"))
-        g = build_retweet_graph(records)
+        g = build_retweet_graph(RecordTable.from_records(records))
         by_name = named(g)
         tau = rng.choice([0.1, 0.5, 1.0, 1])
         degrees = node_degrees(g)

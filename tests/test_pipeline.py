@@ -4,6 +4,7 @@ the latest run, also after the run was killed and resumed."""
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -23,7 +24,8 @@ from echonet import communities, pipeline
 from echonet.cli import main
 from echonet.config import _HASH_EXCLUDED, PipelineConfig
 from echonet.graph import UndirectedGraph
-from echonet.records import CSV_COLUMNS, read_records, record_to_json
+from conftest import columns
+from echonet.records import CSV_COLUMNS, parse_tweet_stream, read_records, record_to_json
 from oracles import brute_force_detect, brute_force_k_cliques, named
 
 ROOT = Path(__file__).parent.parent
@@ -174,6 +176,7 @@ def load_error(tmp_path, rows):
     nodes_path, edges_path = graph_files(tmp_path, rows)
     with pytest.raises(ValueError) as info:
         pipeline.load_undirected_graph(nodes_path, edges_path)
+    assert type(info.value) is pipeline.InputFileError
     message = str(info.value)
     assert message.startswith(f"{edges_path}: line ")
     return message[len(edges_path) + 2:]
@@ -217,10 +220,18 @@ def test_communities_subcommand_names_the_edge_file_line_and_unknown_node(tmp_pa
         fh.write(f"{first},zz_missing,1\r\n")
     lines = len((out / "undirected_edges.csv").read_text().splitlines())
     assert main(["communities", "--graph", str(out), "--outdir", str(tmp_path / "sub"),
-                 "--k", "4"]) == 4
+                 "--k", "4"]) == 3
     assert capsys.readouterr().err == (
         f"error: {out / 'undirected_edges.csv'}: line {lines}: node 'zz_missing' is not in "
         f"{out / 'nodes.txt'}\n")
+
+
+@pytest.mark.parametrize("rows", [["a,zz,1"], ["a,b,0"], ["b,a,1"], ["a,b,1", "a,b,1"]],
+                         ids=["unknown-node", "bad-weight", "u-after-v", "repeated-pair"])
+def test_communities_subcommand_on_an_edge_file_it_cannot_read_is_an_input_error(tmp_path, rows):
+    graph_files(tmp_path, rows)
+    assert main(["communities", "--graph", str(tmp_path), "--outdir", str(tmp_path / "sub"),
+                 "--k", "3"]) == 3
 
 
 def test_resume_that_reuses_only_ingest_parses_filtered_once(tmp_path, calls):
@@ -499,11 +510,21 @@ def test_ingest_hands_on_what_parsing_filtered_jsonl_yields(mappings, fmt):
         parsed = {}
         written = pipeline.run_stage("ingest", config, {}, parsed)
         filtered = written["filtered.jsonl"]
-        handed_on = parsed[filtered]
-        reparsed = read_records(filtered)
-        # datetime equality ignores the UTC offset, the serialized form does not
-        assert [record_to_json(r) for r in handed_on] == [record_to_json(r) for r in reparsed]
-        assert handed_on == reparsed
+        assert columns(parsed[filtered]) == columns(read_records(filtered))
+        # each line is written as the record it holds serializes
+        with open(filtered, "rb") as fh:
+            lines = fh.readlines()
+        assert b"".join(lines).decode("utf-8") == "".join(
+            record_to_json(r) + "\n" for r in parse_tweet_stream(lines))
+
+
+@pytest.mark.parametrize("size", [0, pipeline.HASH_BLOCK - 1, pipeline.HASH_BLOCK,
+                                  pipeline.HASH_BLOCK + 1])
+def test_sha256_of_a_file_is_the_digest_of_its_bytes(tmp_path, size):
+    data = os.urandom(size)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert pipeline._sha256(str(path)) == hashlib.sha256(data).hexdigest()
 
 
 def test_tracer_rebinds_every_name_it_patches_and_restores_it(tmp_path):

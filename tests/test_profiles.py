@@ -8,6 +8,12 @@ from echonet.profiles import (
     DEFAULT_STOPLIST,
     description_term_proportions,
 )
+from echonet.records import RecordTable
+
+
+def proportions(records, stoplist, top_n):
+    """`description_term_proportions` of the table that holds `records`."""
+    return description_term_proportions(RecordTable.from_records(records), stoplist, top_n)
 
 
 def test_basic_proportion():
@@ -17,14 +23,14 @@ def test_basic_proportion():
         make_record("t3", "c", description="hello world"),
         make_record("t4", "d", description="nothing much"),
     ]
-    table = description_term_proportions(records, frozenset(), 20)
+    table = proportions(records, frozenset(), 20)
     assert table.user_base == 4
     assert ("maga", 0.25) in table.terms
 
 
 def test_per_user_dedup_within_description():
     records = [make_record("t1", "a", description="MAGA maga Maga")]
-    table = description_term_proportions(records, frozenset(), 5)
+    table = proportions(records, frozenset(), 5)
     assert table.terms == [("maga", 1.0)]
 
 
@@ -33,7 +39,7 @@ def test_latest_description_wins():
         make_record("t1", "a", description="old words", created="2018-07-01T00:00:00"),
         make_record("t2", "a", description="new stuff", created="2018-07-02T00:00:00"),
     ]
-    table = description_term_proportions(records, frozenset(), 5)
+    table = proportions(records, frozenset(), 5)
     assert dict(table.terms) == {"new": 1.0, "stuff": 1.0}
 
 
@@ -42,8 +48,8 @@ def test_duplication_invariance():
         make_record("t1", "a", description="patriot forever"),
         make_record("t2", "b", description="love my country"),
     ]
-    base = description_term_proportions(records, frozenset(), 10)
-    doubled = description_term_proportions(records + records, frozenset(), 10)
+    base = proportions(records, frozenset(), 10)
+    doubled = proportions(records + records, frozenset(), 10)
     assert base == doubled
 
 
@@ -58,15 +64,15 @@ def test_order_invariance():
         )
         for i in range(28)
     ]
-    base = description_term_proportions(records, frozenset(), 10)
+    base = proportions(records, frozenset(), 10)
     shuffled = list(records)
     rng.shuffle(shuffled)
-    assert description_term_proportions(shuffled, frozenset(), 10) == base
+    assert proportions(shuffled, frozenset(), 10) == base
 
 
 def test_stoplist_and_short_tokens_excluded():
     records = [make_record("t1", "a", description="I am the proud NRA patriot x")]
-    table = description_term_proportions(records, DEFAULT_STOPLIST, 10)
+    table = proportions(records, DEFAULT_STOPLIST, 10)
     terms = dict(table.terms)
     assert "the" not in terms and "am" not in terms and "x" not in terms
     assert {"proud", "nra", "patriot"} <= set(terms)
@@ -74,9 +80,9 @@ def test_stoplist_and_short_tokens_excluded():
 
 def test_no_descriptions_error():
     with pytest.raises(ValueError):
-        description_term_proportions([make_record("t1", "a")], frozenset(), 5)
+        proportions([make_record("t1", "a")], frozenset(), 5)
     with pytest.raises(ValueError):
-        description_term_proportions([make_record("t1", "a", description="   ")], frozenset(), 5)
+        proportions([make_record("t1", "a", description="   ")], frozenset(), 5)
 
 
 def test_top_n_and_tie_break():
@@ -85,7 +91,7 @@ def test_top_n_and_tie_break():
         make_record("t2", "b", description="zebra apple"),
         make_record("t3", "c", description="banana"),
     ]
-    table = description_term_proportions(records, frozenset(), 2)
+    table = proportions(records, frozenset(), 2)
     assert [t for t, _ in table.terms] == ["apple", "zebra"]
 
 
@@ -119,7 +125,7 @@ def test_brute_force_recount_oracle():
                     latest[r.user_id] = (r.created_at, r.user_description)
         if not latest:
             with pytest.raises(ValueError):
-                description_term_proportions(records, stop, 50)
+                proportions(records, stop, 50)
             continue
         counts = {}
         for _, desc in latest.values():
@@ -127,7 +133,7 @@ def test_brute_force_recount_oracle():
                 if len(tok) >= 2 and tok not in stop:
                     counts[tok] = counts.get(tok, 0) + 1
         expected = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:50]
-        table = description_term_proportions(records, stop, 50)
+        table = proportions(records, stop, 50)
         assert table.user_base == len(latest)
         assert table.terms == [(t, c / len(latest)) for t, c in expected]
         assert all(0 < p <= 1 for _, p in table.terms)

@@ -1,18 +1,23 @@
+import gc
+import io
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import asdict
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_record
+from conftest import columns, make_record
 from echonet.records import (
+    DEFAULT_KEYWORDS,
     ParseStats,
     RecordError,
+    RecordTable,
     corpus_summary,
     extract_hashtags,
     keyword_filter,
@@ -20,6 +25,7 @@ from echonet.records import (
     parse_tweet_stream,
     read_records,
     TweetRecord,
+    created_us,
     record_from_mapping,
     record_to_json,
 )
@@ -117,12 +123,12 @@ def test_corpus_summary_basic():
         make_record("2", "a", retweet_of="b"),
         make_record("3", "b"),
     ]
-    stats = corpus_summary(records)
+    stats = corpus_summary(RecordTable.from_records(records))
     assert (stats.tweet_count, stats.unique_user_count, stats.retweet_count) == (3, 2, 1)
 
 
 def test_corpus_summary_empty():
-    stats = corpus_summary([])
+    stats = corpus_summary(RecordTable())
     assert asdict(stats) == {
         "tweet_count": 0,
         "unique_user_count": 0,
@@ -142,7 +148,7 @@ def test_corpus_summary_recount_oracle():
         )
         for i in range(10_000)
     ]
-    stats = corpus_summary(records)
+    stats = corpus_summary(RecordTable.from_records(records))
     # independent hash-set recount
     assert stats.tweet_count == len(records)
     assert stats.unique_user_count == len({r.user_id for r in records})
@@ -158,8 +164,8 @@ def test_corpus_summary_permutation_invariant(perm):
         make_record(f"t{i}", f"u{i % 3}", retweet_of="u0" if i % 2 else None)
         for i in range(8)
     ]
-    base = corpus_summary(records)
-    shuffled = corpus_summary([records[i] for i in perm])
+    base = corpus_summary(RecordTable.from_records(records))
+    shuffled = corpus_summary(RecordTable.from_records(records[i] for i in perm))
     assert base == shuffled
 
 
@@ -237,9 +243,27 @@ def test_read_records_with_keep_holds_only_accepted_records(tmp_path, suffix):
         path.write_text("\n".join([GOOD_LINE, "{broken", GOOD_LINE.replace("#QAnon", "")]))
     stats = ParseStats()
     kept = read_records(str(path), stats, lambda r: keyword_filter(r, ["#qanon"]))
-    everything = read_records(str(path))
-    assert kept == [r for r in everything if keyword_filter(r, ["#qanon"])] != []
     assert (stats.records, stats.malformed) == (2, 1)
+    with open(path, "rb") as fh:
+        if suffix == ".csv":
+            parsed = list(parse_tweet_csv(io.TextIOWrapper(fh, encoding="utf-8", newline="")))
+        else:
+            parsed = list(parse_tweet_stream(fh))
+    accepted = [r for r in parsed if keyword_filter(r, ["#qanon"])]
+    assert columns(kept) == columns(RecordTable.from_records(accepted))
+    assert len(kept) == 1
+
+
+def read_with_records(path, stats):
+    """The table `read_records` reads from `path`, and the records it appended
+    to it, which hold the text that the table does not carry."""
+    records = []
+
+    def keep(rec):
+        records.append(rec)
+        return True
+
+    return read_records(str(path), stats, keep), records
 
 
 def test_provided_hashtags_normalized():
@@ -277,9 +301,9 @@ def test_lone_surrogate_in_any_string_field_is_malformed(tmp_path):
     path = tmp_path / "tweets.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     stats = ParseStats()
-    records = read_records(str(path), stats)
+    table, records = read_with_records(path, stats)
     assert (stats.malformed, stats.records) == (len(lone) + 1, len(kept))
-    assert [r.tweet_id for r in records] == list(kept)
+    assert table.tweet_id == [r.tweet_id for r in records] == list(kept)
     assert records[0].text == "qanon \U0001f600" and records[1].text == "qanon \\ud800"
     for rec in records:
         record_to_json(rec).encode("utf-8")
@@ -302,7 +326,7 @@ def test_csv_row_with_a_field_over_the_size_limit_is_malformed(tmp_path):
     )
     stats = ParseStats()
     records = read_records(str(path), stats)
-    assert [r.tweet_id for r in records] == ["t1", "t3"]
+    assert records.tweet_id == ["t1", "t3"]
     assert (stats.records, stats.malformed) == (2, 1)
 
 
@@ -317,8 +341,8 @@ def test_csv_row_with_a_byte_that_is_not_utf8_is_malformed(tmp_path, bad_row):
                      + bad_row
                      + b"t3,u3,2018-07-01T00:02:00Z,qanon again\n")
     stats = ParseStats()
-    records = read_records(str(path), stats)
-    assert [r.tweet_id for r in records] == ["t1", "t3"]
+    table, records = read_with_records(path, stats)
+    assert table.tweet_id == [r.tweet_id for r in records] == ["t1", "t3"]
     assert records[0].text == "#QAnon \u00dcn\u00ef"
     assert (stats.records, stats.malformed) == (2, 1)
 
@@ -330,7 +354,7 @@ def test_csv_starting_with_a_byte_order_mark_keeps_every_row(tmp_path):
                      b"t2,u2,2018-07-01T00:01:00Z,qanon again\n")
     stats = ParseStats()
     records = read_records(str(path), stats)
-    assert [(r.tweet_id, r.user_id) for r in records] == [("t1", "u1"), ("t2", "u2")]
+    assert list(zip(records.tweet_id, records.user_id)) == [("t1", "u1"), ("t2", "u2")]
     assert (stats.records, stats.malformed) == (2, 0)
 
 
@@ -411,3 +435,89 @@ def test_parser_gives_the_json_loads_oracles_records_and_counts(lines):
     assert [record_to_json(r) for r in got] == [record_to_json(r) for r in want]
     assert got == want
     assert got_stats == want_stats
+
+
+_MINUTES = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(lambda m: timedelta(minutes=m))
+
+
+@st.composite
+def _created_at_texts(draw):
+    """created_at values as an input file may write them: naive, with Z, or
+    with an offset, some of them naming one instant in several ways."""
+    instant = draw(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)))
+    texts = []
+    for _ in range(draw(st.integers(2, 6))):
+        form = draw(st.sampled_from(["naive", "Z", "offset"]))
+        local = draw(st.just(instant) | st.datetimes())
+        if form == "naive":
+            texts.append(local.isoformat())
+        elif form == "Z":
+            texts.append(local.isoformat() + "Z")
+        else:
+            offset = draw(_MINUTES)
+            if local is instant and draw(st.booleans()):
+                local += offset  # the instant itself, written in another zone
+            texts.append(local.replace(tzinfo=timezone(offset)).isoformat())
+    return texts
+
+
+@given(_created_at_texts())
+@example(["0001-01-01T00:00:00+23:59", "0001-01-01T00:00:00Z", "0001-01-01T00:00:00",
+          "0001-01-01T23:59:00+23:59", "9999-12-31T23:59:59.999999",
+          "9999-12-31T00:00:59.999999-23:59", "9999-12-31T23:59:59.999998Z"])
+@example(["1970-01-01T00:00:00.000001Z", "1969-12-31T23:59:59.999999+00:00",
+          "1970-01-01T01:00:00+01:00", "1970-01-01T00:00:00"])
+def test_created_us_orders_and_ties_as_the_aware_datetimes_do(texts):
+    records = [record_from_mapping({"tweet_id": f"t{i}", "user_id": "u", "created_at": text,
+                                    "text": ""}) for i, text in enumerate(texts)]
+    stamps = [rec.created_at for rec in records]
+    micros = list(RecordTable.from_records(records).created_us)
+    assert micros == [created_us(stamp) for stamp in stamps]
+    for (a, x), (b, y) in itertools.product(zip(stamps, micros), repeat=2):
+        assert (a < b, a == b, a > b) == (x < y, x == y, x > y)
+
+
+_BIO_WORDS = ("patriot mom dad truth freedom veteran nurse teacher family faith country "
+              "music proud blessed news dog lover constitution liberty farmer writer").split()
+_TAGS = ("maga", "wwg1wga", "trump", "news", "greatawakening", "kag", "trend1", "trend2")
+
+
+def test_read_records_holds_under_200_bytes_per_kept_record(tmp_path):
+    """A memory guard. About 20,000 of 24,000 seeded records pass the default
+    keyword filter: 19-digit tweet ids, 2,000 users who each carry a profile
+    description, 70% retweets, and up to three hashtags each. The table that
+    `read_records` returns must retain under 200 bytes per kept record, as
+    tracemalloc counts them."""
+    rng = random.Random(14)
+    users = [str(rng.randrange(10**9, 10**10)) for _ in range(2000)]
+    bios = {user: " ".join(rng.sample(_BIO_WORDS, rng.randint(3, 7))) for user in users}
+    start = datetime(2020, 6, 1, tzinfo=timezone.utc)
+    path = tmp_path / "tweets.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(24_000):
+            user = rng.choice(users)
+            words = rng.choices(_BIO_WORDS, k=rng.randint(4, 12))
+            words += ["#" + tag for tag in rng.sample(_TAGS, rng.randint(0, 3))]
+            if rng.random() < 0.85:
+                words.insert(rng.randrange(len(words)), rng.choice(DEFAULT_KEYWORDS))
+            obj = {"tweet_id": str(10**18 + rng.randrange(10**18)), "user_id": user,
+                   "created_at": (start + timedelta(seconds=7 * i)).isoformat(),
+                   "text": " ".join(words), "user_description": bios[user]}
+            if rng.random() < 0.7:
+                obj["retweet_of_user_id"] = rng.choice(users)
+            fh.write(json.dumps(obj) + "\n")
+
+    def keep(rec):
+        return keyword_filter(rec, DEFAULT_KEYWORDS)
+
+    keep(make_record("t", "u", "warm the keyword cache"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = read_records(str(path), None, keep)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 19_000 <= len(table) <= 21_000
+    assert retained / len(table) < 200, retained / len(table)

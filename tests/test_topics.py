@@ -20,6 +20,7 @@ from echonet.topics import (
     topic_keywords,
     topic_word_distribution,
 )
+from echonet.records import RecordTable
 
 
 def vocab_of(tokens):
@@ -38,7 +39,7 @@ def test_corpus_member_tweets_only():
         make_record("t2", "a", "no tags"),
         make_record("t3", "c", "#z"),
     ]
-    vocab, docs = build_community_corpus(records, {"a"})
+    vocab, docs = build_community_corpus(RecordTable.from_records(records), {"a"})
     assert [d.tokens for d in docs] == [(0, 1)]
     assert vocab.token(0) == "x" and vocab.token(1) == "y"
 
@@ -46,12 +47,12 @@ def test_corpus_member_tweets_only():
 def test_corpus_stoplist_forces_empty_error():
     records = [make_record("t1", "a", "#qanon")]
     with pytest.raises(EmptyCorpusError):
-        build_community_corpus(records, {"a"})
+        build_community_corpus(RecordTable.from_records(records), {"a"})
 
 
 def test_corpus_requires_nonempty_community():
     with pytest.raises(ValueError):
-        build_community_corpus([], set())
+        build_community_corpus(RecordTable(), set())
 
 
 def test_corpus_group_oracle():
@@ -75,7 +76,7 @@ def test_corpus_group_oracle():
         ]
         expected = [doc for doc in expected if doc]
         try:
-            vocab, docs = build_community_corpus(records, community)
+            vocab, docs = build_community_corpus(RecordTable.from_records(records), community)
         except EmptyCorpusError:
             assert expected == []
             continue
@@ -89,7 +90,8 @@ def test_corpus_per_user_aggregation():
         make_record("t2", "a", "#y"),
         make_record("t3", "b", "#z"),
     ]
-    vocab, docs = build_community_corpus(records, {"a", "b"}, per_user=True)
+    vocab, docs = build_community_corpus(RecordTable.from_records(records), {"a", "b"},
+                                         per_user=True)
     by_id = {d.doc_id: [vocab.token(w) for w in d.tokens] for d in docs}
     assert by_id == {"a": ["x", "y"], "b": ["z"]}
 
