@@ -80,29 +80,45 @@ def degeneracy_order(adj: Mapping[Hashable, set]) -> list:
     return order
 
 
-def _expand(adj: Mapping[Hashable, set], r: set, p: set, x: set, out: list[frozenset]) -> None:
-    """Append to `out` each maximal clique that extends `r` by members of `p`
-    and by none of `x`."""
-    if not p:
-        if not x:
-            out.append(frozenset(r))
-        return
-    pivot = max(p | x, key=lambda v: len(adj[v] & p))
-    for v in list(p - adj[pivot]):
-        nbrs = adj[v]
-        _expand(adj, r | {v}, p & nbrs, x & nbrs, out)
-        p.remove(v)
-        x.add(v)
+def maximal_cliques(
+    adj: Mapping[Hashable, set], min_size: int = 1, leaves: Optional[Counter] = None
+) -> Iterator[frozenset]:
+    """Bron-Kerbosch with the pivot taken from P alone, outer loop in
+    degeneracy order: yields the maximal cliques of at least `min_size`
+    vertices, one outer vertex at a time, and adds one (held, pivots) pair per
+    leaf to `leaves`. Its recursion is the pivot tree of Jain & Seshadhri
+    (2020, "The Power of Pivoting for Exact Clique Counting"): below a node
+    holding the clique `r`, whose first `held` vertices were branched on and
+    the rest are pivots, each clique extends `r` by members of `p` and is the
+    held vertices of exactly one leaf plus a subset of its pivots. `x` holds
+    the vertices that extend `r` in the cliques of earlier branches, so a leaf
+    that none of them extends is a maximal clique. A subtree whose cliques all
+    have fewer than `min_size` vertices is skipped."""
+    if leaves is None:
+        leaves = Counter()
 
+    def walk(r: list, held: int, p: set, x: set) -> None:
+        while len(r) + len(p) >= min_size:
+            if not p:
+                leaves[held, len(r) - held] += 1
+                if not x:
+                    found.append(frozenset(r))
+                return
+            pivot = max(p, key=lambda u: len(adj[u] & p))
+            nbrs = adj[pivot]
+            for v in [u for u in p if u != pivot and u not in nbrs]:
+                p.remove(v)
+                walk(r + [v], held + 1, p & adj[v], x & adj[v])
+                x.add(v)
+            r.append(pivot)
+            p &= nbrs
+            x &= nbrs
 
-def maximal_cliques(adj: Mapping[Hashable, set]) -> Iterator[frozenset]:
-    """Bron-Kerbosch with pivoting, outer loop in degeneracy order; yields the
-    cliques of one outer vertex at a time."""
     done: set = set()
     for v in degeneracy_order(adj):
         nbrs = adj[v]
         found: list[frozenset] = []
-        _expand(adj, {v}, nbrs - done, nbrs & done, found)
+        walk([v], 1, nbrs - done, nbrs & done)
         done.add(v)
         yield from found
 
@@ -153,19 +169,15 @@ def triangle_edges(ug: UndirectedGraph) -> np.ndarray:
 
 class MaximalCliques(list):
     """The maximal cliques of a graph that have at least `min_size` nodes,
-    each a sorted tuple of names. The k-cliques of the smaller ones are not
-    in it, so `detect_communities` and `community_count_sweep` refuse a
-    k below `min_size`."""
+    each a sorted tuple of names, and the leaves of the pivot tree that
+    listed them, (held, pivots) -> how many. The k-cliques of smaller cliques
+    are not in it, so `detect_communities` and `community_count_sweep` refuse
+    a k below `min_size`."""
 
-    def __init__(self, cliques: Iterable[tuple[str, ...]], min_size: int):
+    def __init__(self, cliques: Iterable[tuple[str, ...]], min_size: int, leaves: Counter):
         super().__init__(cliques)
         self.min_size = min_size
-
-
-def _check_level(maximal: Iterable, k: int) -> None:
-    if isinstance(maximal, MaximalCliques) and k < maximal.min_size:
-        raise ValueError(f"the cliques were listed from {maximal.min_size} nodes on; "
-                         f"k = {k} needs smaller ones")
+        self.leaves = leaves
 
 
 def maximal_clique_list(ug: UndirectedGraph, min_size: int = 1) -> MaximalCliques:
@@ -179,58 +191,29 @@ def maximal_clique_list(ug: UndirectedGraph, min_size: int = 1) -> MaximalClique
     in T: every edge of such a clique lies in a triangle, so the clique lies in
     T, and a node that extends it in `ug` joins it by edges that lie in
     triangles, so it extends it in T too. T has no smaller maximal clique,
-    since each of its edges lies in a triangle of T."""
+    since each of its edges lies in a triangle of T. Every clique of 3 or more
+    nodes lies in T as well, so the walk's leaves count them all."""
     adj = ug.adjacency(triangle_edges(ug) if min_size >= 3 else None)
     names = ug.nodes
-    return MaximalCliques(
-        (tuple([names[i] for i in sorted(mc)]) for mc in maximal_cliques(adj)
-         if len(mc) >= min_size),
-        min_size,
-    )
-
-
-def _pivot_leaves(
-    adj: dict[str, set[str]], p: set[str], held: int, pivots: int, k_min: int, leaves: Counter
-) -> None:
-    """Walk the pivot tree below a node whose cliques extend `held` vertices by
-    members of `p`, adding one (held, pivots) pair to `leaves` per leaf. Each
-    such clique is the held vertices plus a subset of one leaf's pivots, in
-    exactly one way (Jain & Seshadhri 2020, "The Power of Pivoting for Exact
-    Clique Counting"). A subtree whose cliques all have fewer than `k_min`
-    vertices is skipped."""
-    if held + pivots + len(p) < k_min:
-        return
-    while len(p) > 1:
-        pivot = max(p, key=lambda u: len(adj[u] & p))
-        nbrs = adj[pivot]
-        for v in [u for u in p if u != pivot and u not in nbrs]:
-            p.discard(v)
-            _pivot_leaves(adj, p & adj[v], held + 1, pivots, k_min, leaves)
-        p = p & nbrs
-        pivots += 1
-    leaves[held, pivots + len(p)] += 1
+    leaves: Counter = Counter()
+    cliques = [tuple([names[i] for i in sorted(mc)])
+               for mc in maximal_cliques(adj, min_size, leaves)]
+    return MaximalCliques(cliques, min_size, leaves)
 
 
 def _clique_counts(
-    maximal: Iterable[tuple[str, ...]], k_min: int, k_max: int, max_cliques: Optional[int]
+    maximal: MaximalCliques, k_min: int, k_max: int, max_cliques: Optional[int]
 ) -> dict[int, int]:
-    """Distinct k-cliques for each k in k_min..k_max, in one walk of a pivot
-    tree, of the graph that the given maximal cliques span: every k-clique with
-    k >= k_min lies in a maximal clique of at least k_min nodes, so the others
-    are left out. Each clique is counted at its smallest id. Raises
-    CliqueBudgetExceeded if a k has more than `max_cliques`."""
-    adj: dict[str, set[str]] = {}
-    for mc in maximal:
-        if len(mc) >= k_min:
-            for v in mc:
-                adj.setdefault(v, set()).update(mc)
-    leaves: Counter = Counter()
-    for v, nbrs in adj.items():
-        nbrs.discard(v)
-    for v, nbrs in adj.items():
-        _pivot_leaves(adj, {u for u in nbrs if u > v}, 1, 0, k_min, leaves)
+    """Distinct k-cliques for each k in k_min..k_max, from the pivot-tree
+    leaves that listing `maximal` gave: a leaf with h held vertices and q
+    pivots stands for C(q, k - h) k-cliques. Raises ValueError if the cliques
+    were listed from more than k_min nodes on, and CliqueBudgetExceeded if a k
+    has more than `max_cliques`."""
+    if k_min < maximal.min_size:
+        raise ValueError(f"the cliques were listed from {maximal.min_size} nodes on; "
+                         f"k = {k_min} needs smaller ones")
     counts = {
-        k: sum(n * math.comb(q, k - h) for (h, q), n in leaves.items() if h <= k)
+        k: sum(n * math.comb(q, k - h) for (h, q), n in maximal.leaves.items() if h <= k)
         for k in range(k_min, k_max + 1)
     }
     for k, count in counts.items():
@@ -328,7 +311,7 @@ def percolate(cliques: Iterable[Iterable[str]], k: int, rule: str = "standard") 
 
 
 def detect_communities(
-    maximal: Iterable[tuple[str, ...]],
+    maximal: MaximalCliques,
     k: int,
     rule: str = "standard",
     max_cliques: Optional[int] = None,
@@ -345,29 +328,27 @@ def detect_communities(
     has more than `max_cliques` distinct k-cliques."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    _check_level(maximal, k)
-    active = sorted(tuple(sorted(mc)) for mc in maximal if len(mc) >= k)
-    count = _clique_counts(active, k, k, max_cliques)[k]
+    count = _clique_counts(maximal, k, k, max_cliques)[k]
+    active = sorted(mc for mc in maximal if len(mc) >= k)
     return CommunityCover(k, rule, _percolate(active, k, rule), count)
 
 
 def community_count_sweep(
-    maximal: Sequence[tuple[str, ...]],
+    maximal: MaximalCliques,
     k_min: int,
     k_max: int,
     rule: str = "standard",
     max_cliques: Optional[int] = None,
 ) -> SweepResult:
     """Community and distinct k-clique count per k, given the graph's
-    `maximal_clique_list`. The clique counts come from one pivot-tree walk and
-    are checked against `max_cliques` before any level is percolated."""
+    `maximal_clique_list`. The clique counts come from the leaves of the walk
+    that listed the cliques and are checked against `max_cliques` before any
+    level is percolated."""
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
-    _check_level(maximal, k_min)
-    cliques = [tuple(sorted(mc)) for mc in maximal if len(mc) >= k_min]
-    counts = _clique_counts(cliques, k_min, k_max, max_cliques)
+    counts = _clique_counts(maximal, k_min, k_max, max_cliques)
     result = SweepResult(k_min=k_min, k_max=k_max, rule=rule, clique_counts=counts)
     for k in range(k_min, k_max + 1):
-        active = [c for c in cliques if len(c) >= k]
+        active = [c for c in maximal if len(c) >= k]
         result.community_counts[k] = len(_percolate(active, k, rule))
     return result

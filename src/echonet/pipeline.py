@@ -255,14 +255,14 @@ def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
 def write_community_outputs(config: PipelineConfig, ug: UndirectedGraph, files: StageFiles) -> None:
     maximal = maximal_clique_list(ug, min(config.k, config.k_min))
     cover = detect_communities(maximal, config.k, config.rule, config.max_cliques)
+    sweep = community_count_sweep(
+        maximal, config.k_min, config.k_max, config.rule, config.max_cliques
+    )
     payload = [
         {"community_id": i, "size": len(c), "members": sorted(c)}
         for i, c in enumerate(cover.communities)
     ]
     _write_json(files, COMMUNITIES, payload)
-    sweep = community_count_sweep(
-        maximal, config.k_min, config.k_max, config.rule, config.max_cliques
-    )
     ks = range(config.k_min, config.k_max + 1)
     _write_csv(files, "sweep_{rule}.csv", ["k", "community_count", "clique_count"],
                [(k, sweep.community_counts[k], sweep.clique_counts[k]) for k in ks])
@@ -276,6 +276,25 @@ def stage_communities(config: PipelineConfig, files: StageFiles) -> None:
     write_community_outputs(config, ug, files)
 
 
+def load_communities(path: str) -> list[dict]:
+    """The entries of a communities file, by community id. Raises
+    InputFileError, naming the file, if it is not a JSON list of objects that
+    each have an integer `community_id` and a list of `members`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            entries = json.load(fh)
+        except ValueError as exc:
+            raise InputFileError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(entries, list):
+        raise InputFileError(f"{path}: not a list of communities")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and type(entry.get("community_id")) is int
+                and isinstance(entry.get("members"), list)):
+            raise InputFileError(f"{path}: entry {i} is not an object with an integer "
+                                 f"'community_id' and a list of 'members'")
+    return sorted(entries, key=lambda entry: entry["community_id"])
+
+
 def _fit_one_community(job):
     cid, vocab, docs, config = job
     return fit_lda(docs, vocab, config.n_topics, config.resolved_alpha(), config.beta,
@@ -285,10 +304,8 @@ def _fit_one_community(job):
 def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
     """Fit a hashtag topic model per community."""
     records = files.records(FILTERED)
-    with open(files.path(COMMUNITIES), encoding="utf-8") as fh:
-        communities = sorted(json.load(fh), key=lambda entry: entry["community_id"])
     jobs = []
-    for entry in communities:
+    for entry in load_communities(files.path(COMMUNITIES)):
         cid = entry["community_id"]
         try:
             vocab, docs = build_community_corpus(
@@ -441,14 +458,15 @@ def _stage_key(stage: Stage, config: PipelineConfig) -> dict:
 def _reusable(previous: dict | None, key: dict, outdir: str) -> bool:
     """An earlier run recorded this stage under the same key, and every output
     it recorded still has the digest it was written with."""
-    if previous is None or any(previous.get(k) != v for k, v in key.items()):
+    outputs = previous.get("outputs") if previous else None
+    if not isinstance(outputs, dict) or any(previous.get(k) != v for k, v in key.items()):
         return False
     try:
         return all(
             _sha256(os.path.join(outdir, name)) == digest
-            for name, digest in previous["outputs"].items()
+            for name, digest in outputs.items()
         )
-    except OSError:
+    except (OSError, ValueError):
         return False
 
 
@@ -587,7 +605,7 @@ def render_report(outdir: str) -> str:
             f"(weighted sum {net['weighted_edge_sum']})"
         )
     for name in manifest["files"]:
-        if name.startswith("communities_k"):
+        if name.startswith("communities_k") and name not in missing:
             lines.append(f"{name}: {len(load(name))} communities")
     lines.append(f"files: {len(manifest['files'])}")
     return "\n".join(lines)

@@ -297,18 +297,15 @@ def test_budget_counts_distinct_k_cliques_exactly():
         detect_communities(overlapping, 3, max_cliques=15)
 
 
-def test_unsorted_maximal_cliques_count_each_k_clique_once():
-    # two overlapping K5s share a K4; given as frozensets, or as tuples in
-    # opposite orders, the shared triangles come out in different orders
+def test_maximal_cliques_in_any_order_percolate_alike():
+    # two overlapping K5s share a K4; listed in either order, the shared
+    # triangles come out in different orders
     pairs = list(itertools.combinations("abcde", 2)) + list(itertools.combinations("bcdef", 2))
-    ug = ug_from_pairs(pairs)
-    expected = detect_communities(maximal_clique_list(ug), 3)
-    for maximal in (list(maximal_cliques(name_adjacency(ug))),
-                    [tuple("abcde"), tuple("fedcb")]):
-        cover = detect_communities(maximal, 3, max_cliques=16)
-        assert cover.source_clique_count == 16
-        assert cover.communities == expected.communities
-        assert community_count_sweep(maximal, 3, 5).clique_counts == {3: 16, 4: 9, 5: 2}
+    maximal = maximal_clique_list(ug_from_pairs(pairs))
+    expected = detect_communities(maximal, 3)
+    for given in ([tuple("abcde"), tuple("bcdef")], [tuple("bcdef"), tuple("abcde")]):
+        wrapped = MaximalCliques(given, maximal.min_size, maximal.leaves)
+        assert detect_communities(wrapped, 3).communities == expected.communities
 
 
 def planted_graph(rng, n, p, cliques):
@@ -356,7 +353,7 @@ def test_equal_communities_sharing_their_minimum_keep_smallest_k_clique_order():
     expected = [frozenset("abwyz"), frozenset("adefg")]
     assert ordered_brute_force_detect(ug, 3, "standard") == expected
     maximal = maximal_clique_list(ug)
-    for given in (maximal, maximal[::-1]):
+    for given in (maximal, MaximalCliques(maximal[::-1], maximal.min_size, maximal.leaves)):
         assert detect_communities(given, 3, "standard").communities == expected
 
 
@@ -482,18 +479,20 @@ def test_triangle_path_matches_brute_force_under_both_rules():
     for trial in range(40):
         ug = planted_graph(rng, rng.randint(6, 13), rng.choice([0.1, 0.3, 0.5]),
                            [rng.randint(3, 6) for _ in range(rng.randint(1, 3))])
-        maximal = maximal_clique_list(ug, 3)
         counts = {k: len(brute_force_k_cliques(ug.nodes, named(ug).edges, k))
                   for k in range(3, 7)}
         for rule in ("standard", "loose"):
-            sweep = community_count_sweep(maximal, 3, 6, rule)
-            assert sweep.clique_counts == counts, (trial, rule)
-            for k in range(3, 7):
-                expected = ordered_brute_force_detect(ug, k, rule)
-                cover = detect_communities(maximal, k, rule)
-                assert cover.communities == expected, (trial, rule, k)
-                assert cover.source_clique_count == counts[k]
-                assert sweep.community_counts[k] == len(expected)
+            expected = {k: ordered_brute_force_detect(ug, k, rule) for k in range(3, 7)}
+            for min_size in (3, 4, 5):
+                maximal = maximal_clique_list(ug, min_size)
+                ks = range(min_size, 7)
+                sweep = community_count_sweep(maximal, min_size, 6, rule)
+                assert sweep.clique_counts == {k: counts[k] for k in ks}, (trial, rule, min_size)
+                for k in ks:
+                    cover = detect_communities(maximal, k, rule)
+                    assert cover.communities == expected[k], (trial, rule, min_size, k)
+                    assert cover.source_clique_count == counts[k]
+                    assert sweep.community_counts[k] == len(expected[k])
 
 
 def test_cliques_listed_from_m_nodes_on_are_never_percolated_below_m():

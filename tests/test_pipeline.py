@@ -9,6 +9,7 @@ import importlib.util
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -54,9 +55,9 @@ def calls(monkeypatch):
         seen["load_undirected_graph"] += 1
         return load(*args)
 
-    def counting_maximal(adj):
+    def counting_maximal(*args):
         seen["maximal_cliques"] += 1
-        return enumerate_maximal(adj)
+        return enumerate_maximal(*args)
 
     monkeypatch.setattr(pipeline, "read_records", counting_read)
     monkeypatch.setattr(pipeline, "load_undirected_graph", counting_load)
@@ -117,8 +118,8 @@ def clique_sizes(monkeypatch):
     sizes = Counter()
     enumerate_maximal = communities.maximal_cliques
 
-    def counting_maximal(adj):
-        for mc in enumerate_maximal(adj):
+    def counting_maximal(*args):
+        for mc in enumerate_maximal(*args):
             sizes[len(mc)] += 1
             yield mc
 
@@ -404,6 +405,50 @@ def test_run_killed_at_a_replace_resumes_to_the_fresh_bundle(tmp_path, fresh_run
     finished = pipeline.STAGES.index(stage)  # the stages the killed run's manifest lists
     resumed = [s["resumed"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
     assert resumed == [i < finished for i in range(len(pipeline.STAGES))]
+
+
+def test_run_over_the_clique_budget_writes_no_communities_file(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), "--k", "3", "--k-min", "3",
+                 "--k-max", "5", "--max-cliques", "300", "--n-topics", "2", "--iters", "20"]) == 4
+    assert "420 distinct 4-cliques" in capsys.readouterr().err
+    assert not list(out.glob("communities_k*"))
+
+
+def test_report_names_a_missing_communities_file(tmp_path, fresh_run, capsys):
+    out = tmp_path / "bundle"
+    shutil.copytree(fresh_run[0], out)
+    os.remove(out / "communities_k4_standard.json")
+    assert main(["report", "--outdir", str(out)]) == 0
+    assert "MISSING FILES: communities_k4_standard.json" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("text", ["not json\n", '{"0": {"community_id": 0, "members": []}}',
+                                  '[{"community_id": 0}]'],
+                         ids=["not-json", "not-a-list", "no-members"])
+def test_topics_subcommand_on_a_communities_file_it_cannot_read_is_an_input_error(
+    tmp_path, fresh_run, capsys, text
+):
+    bad = tmp_path / "communities.json"
+    bad.write_text(text)
+    assert main(["topics", "--records", str(fresh_run[0] / "filtered.jsonl"),
+                 "--communities", str(bad), "--outdir", str(tmp_path / "sub")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("outputs", [["nodes.txt"], {"nodes\u0000.txt": "0"}],
+                         ids=["list", "nul-in-name"])
+def test_resume_reruns_a_stage_whose_recorded_outputs_are_malformed(tmp_path, fresh_run, outputs):
+    fresh, _ = fresh_run
+    out = tmp_path / "bundle"
+    shutil.copytree(fresh, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["stages"][1]["outputs"] = outputs
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), "--resume", *RUN_ARGS]) == 0
+    resumed = [s["resumed"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
+    assert resumed == [True, False, False, False, False]
+    assert data_files(out) == data_files(fresh)
 
 
 def test_rerun_deletes_only_plain_files_in_the_outdir(tmp_path):
