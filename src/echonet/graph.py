@@ -8,7 +8,6 @@ is written.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
@@ -60,14 +59,6 @@ class UndirectedGraph(_Graph):
             for u, v, w in zip(rows[:, 0].tolist(), rows[:, 1].tolist(),
                                self.weights[s:s + CHUNK].tolist()):
                 yield names[u], names[v], w
-
-
-def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """The index where each run of equal values in `sorted_keys` starts."""
-    first = np.empty(len(sorted_keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    return np.flatnonzero(first)
 
 
 def _key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
@@ -133,27 +124,17 @@ class RoleScore:
 
 def build_retweet_graph(table: RecordTable) -> RetweetGraph:
     """Aggregate retweet events into edge weights; self-retweets dropped."""
-    seen: dict[str, int] = {}  # user id -> position in order of first appearance
-    ends = array("q")  # the (user, target) positions of each retweet
-    for user, target in zip(table.user_id, table.retweet_of_user_id):
-        u = seen.setdefault(user, len(seen))
-        if target is not None and target != user:
-            ends.append(u)
-            ends.append(seen.setdefault(target, len(seen)))
-    nodes = sorted(seen)
+    codes = table.user_codes
+    nodes = sorted(codes)
     n = len(nodes)
-    ids = np.empty(n, dtype=np.int64)  # position -> id
-    ids[np.fromiter(map(seen.__getitem__, nodes), dtype=np.int64, count=n)] = np.arange(n)
-    # each input is dropped once used: at 100k users they take tens of MB
-    del seen
-    pairs = ids[np.frombuffer(ends, dtype=np.int64)].reshape(-1, 2)
-    del ends
-    keys = pairs[:, 0] * n + pairs[:, 1]
-    del pairs
-    keys.sort()
-    starts = _run_starts(keys)
-    weights = np.diff(starts, append=len(keys))
-    return RetweetGraph(nodes, _key_pairs(keys[starts], n), weights)
+    ids = np.empty(n, dtype=np.int64)  # user code -> id
+    ids[np.fromiter(map(codes.__getitem__, nodes), dtype=np.int64, count=n)] = np.arange(n)
+    users = np.frombuffer(table.user_id, dtype=np.int64)
+    targets = np.frombuffer(table.retweet_of_user_id, dtype=np.int64)
+    retweets = (targets >= 0) & (targets != users)
+    keys, weights = np.unique(ids[users[retweets]] * n + ids[targets[retweets]],
+                              return_counts=True)
+    return RetweetGraph(nodes, _key_pairs(keys, n), weights)
 
 
 @dataclass(frozen=True)
@@ -238,10 +219,7 @@ def symmetrize(g: RetweetGraph, min_weight: int = 1) -> UndirectedGraph:
         raise ValueError("min_weight must be >= 1")
     n = len(g.nodes)
     src, dst = g.edges[:, 0], g.edges[:, 1]
-    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = _run_starts(keys)
-    weights = np.add.reduceat(g.weights[order], starts)
+    keys, pair = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst), return_inverse=True)
+    weights = np.bincount(pair, weights=g.weights, minlength=len(keys)).astype(np.int64)
     kept = weights >= min_weight
-    return UndirectedGraph(g.nodes, _key_pairs(keys[starts][kept], n), weights[kept])
+    return UndirectedGraph(g.nodes, _key_pairs(keys[kept], n), weights[kept])

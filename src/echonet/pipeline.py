@@ -104,6 +104,15 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _read_json(path: str):
+    """The JSON value in the file `path`; InputFileError if it is not JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InputFileError(f"{path}: not JSON: {exc}") from exc
+
+
 @dataclass
 class StageFiles:
     """Where one stage reads and writes. A file is named by its template in
@@ -280,11 +289,7 @@ def load_communities(path: str) -> list[dict]:
     """The entries of a communities file, by community id. Raises
     InputFileError, naming the file, if it is not a JSON list of objects that
     each have an integer `community_id` and a list of `members`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            entries = json.load(fh)
-        except ValueError as exc:
-            raise InputFileError(f"{path}: not JSON: {exc}") from exc
+    entries = _read_json(path)
     if not isinstance(entries, list):
         raise InputFileError(f"{path}: not a list of communities")
     for i, entry in enumerate(entries):
@@ -470,14 +475,23 @@ def _reusable(previous: dict | None, key: dict, outdir: str) -> bool:
         return False
 
 
+def load_manifest(outdir: str) -> dict:
+    """The manifest in `outdir`. Raises InputFileError, naming the file, if it
+    is not JSON or not an echonet manifest: an object with `tool` "echonet"
+    and lists of `files` and `stages`."""
+    path = os.path.join(outdir, MANIFEST)
+    manifest = _read_json(path)
+    if not isinstance(manifest, dict) or manifest.get("tool") != "echonet" or not all(
+            isinstance(manifest.get(key), list) for key in ("files", "stages")):
+        raise InputFileError(f"{path}: not an echonet manifest")
+    return manifest
+
+
 def _previous_manifest(outdir: str) -> tuple[dict[str, dict], list[str]]:
     """The stages (by name) and the files of the echonet manifest already in
     `outdir`; none if the manifest is missing, unreadable or another tool's."""
     try:
-        with open(os.path.join(outdir, MANIFEST), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("tool") != "echonet":
-            return {}, []
+        manifest = load_manifest(outdir)
         files = [name for name in manifest["files"] if isinstance(name, str)]
         return {s["name"]: s for s in manifest["stages"]}, files
     except (OSError, ValueError, KeyError, TypeError):
@@ -577,10 +591,9 @@ def render_report(outdir: str) -> str:
     """Human-readable bundle summary; validates the manifest's file list."""
 
     def load(name):
-        with open(os.path.join(outdir, name), encoding="utf-8") as fh:
-            return json.load(fh)
+        return _read_json(os.path.join(outdir, name))
 
-    manifest = load(MANIFEST)
+    manifest = load_manifest(outdir)
     missing = [f for f in manifest["files"] if not os.path.exists(os.path.join(outdir, f))]
     lines = [
         f"echonet bundle {manifest['version']} (config {manifest['config_hash'][:12]})",

@@ -47,7 +47,7 @@ def description_term_proportions(
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    latest: dict[str, tuple[int, str]] = {}
+    latest: dict[int, tuple[int, str]] = {}  # user code -> (created_us, description)
     for user, created, description in zip(table.user_id, table.created_us,
                                           table.user_description):
         if description is None or not description.strip():

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 HASHTAG_RE = re.compile(r"#([A-Za-z0-9_]+)")
 
 # a JSON string literal, escaped as json.dumps(..., ensure_ascii=False) escapes it
@@ -80,23 +82,25 @@ def created_us(created_at: datetime) -> int:
 
 class RecordTable:
     """Records in input order, one column per field that a stage after
-    `ingest` reads: `text` is not carried, and `created_us` holds each
-    `created_at` as `created_us(created_at)` in an int64 array. Equal user
-    ids, retweet targets, descriptions, hashtags and hashtag tuples are one
-    object, shared through a dict that lives only while `from_records` fills
-    the table, so they are freed with the table."""
+    `ingest` reads: `text` is not carried, and `created_us`, `user_id` and
+    `retweet_of_user_id` are int64 arrays of `created_us(created_at)` and of
+    user codes (-1: no target). `user_codes` names each author and target
+    once, mapped to its code, its rank in order of first appearance. Equal
+    descriptions, hashtags and hashtag tuples are one object, shared through
+    a dict that lives only while `from_records` fills the table."""
 
     COLUMNS = ("tweet_id", "user_id", "created_us", "hashtags", "retweet_of_user_id",
                "user_description")
-    __slots__ = COLUMNS + ("_shared",)
+    __slots__ = COLUMNS + ("user_codes", "_shared")
 
     def __init__(self) -> None:
         self.tweet_id: list[str] = []
-        self.user_id: list[str] = []
+        self.user_id = array("q")
         self.created_us = array("q")
         self.hashtags: list[tuple[str, ...]] = []
-        self.retweet_of_user_id: list[Optional[str]] = []
+        self.retweet_of_user_id = array("q")
         self.user_description: list[Optional[str]] = []
+        self.user_codes: dict[str, int] = {}
         self._shared: dict = {}
 
     @classmethod
@@ -108,23 +112,28 @@ class RecordTable:
         return table
 
     def append(self, rec: TweetRecord) -> None:
-        shared = self._shared
+        shared, codes = self._shared, self.user_codes
         share = shared.setdefault
         tweet_id, user_id, created_at, _, hashtags, retweet_of, description = rec
         self.tweet_id.append(tweet_id)
-        self.user_id.append(share(user_id, user_id))
+        self.user_id.append(codes.setdefault(user_id, len(codes)))
         self.created_us.append(created_us(created_at))
         tags = shared.get(hashtags)
         if tags is None:
             tags = shared[hashtags] = tuple([share(tag, tag) for tag in hashtags])
         self.hashtags.append(tags)
         self.retweet_of_user_id.append(
-            retweet_of if retweet_of is None else share(retweet_of, retweet_of))
+            -1 if retweet_of is None else codes.setdefault(retweet_of, len(codes)))
         self.user_description.append(
             description if description is None else share(description, description))
 
     def __len__(self) -> int:
         return len(self.tweet_id)
+
+    def rows_of(self, users: Iterable[str]) -> np.ndarray:
+        """The positions of the records that `users` wrote, in input order."""
+        codes = [self.user_codes[user] for user in users if user in self.user_codes]
+        return np.flatnonzero(np.isin(np.frombuffer(self.user_id, dtype=np.int64), codes))
 
 
 def extract_hashtags(text: str) -> tuple[str, ...]:
@@ -344,6 +353,6 @@ def corpus_summary(table: RecordTable) -> CorpusStats:
     return CorpusStats(
         tweet_count=len(table),
         unique_user_count=len(set(table.user_id)),
-        retweet_count=len(table) - table.retweet_of_user_id.count(None),
+        retweet_count=len(table) - table.retweet_of_user_id.count(-1),
         records_with_description=sum(map(bool, table.user_description)),
     )

@@ -82,21 +82,20 @@ def build_community_corpus(
         raise ValueError("community must be nonempty")
     vocab = Vocabulary()
     docs: list[Document] = []
-    per_user_tags: dict[str, list[str]] = {}
-    for user, tweet_id, hashtags in zip(table.user_id, table.tweet_id, table.hashtags):
-        if user not in members:
-            continue
-        tags = [t for t in hashtags if t not in stoptags]
+    per_user_tags: dict[int, list[str]] = {}  # user code -> tags
+    for row in table.rows_of(members).tolist():
+        tags = [t for t in table.hashtags[row] if t not in stoptags]
         if not tags:
             continue
         if per_user:
-            per_user_tags.setdefault(user, []).extend(tags)
+            per_user_tags.setdefault(table.user_id[row], []).extend(tags)
         else:
-            docs.append(Document(doc_id=tweet_id, tokens=tuple(vocab.add(t) for t in tags)))
+            docs.append(Document(doc_id=table.tweet_id[row], tokens=tuple(map(vocab.add, tags))))
     if per_user:
-        for user in sorted(per_user_tags):
-            tags = per_user_tags[user]
-            docs.append(Document(doc_id=user, tokens=tuple(vocab.add(t) for t in tags)))
+        for user in sorted(members & table.user_codes.keys()):
+            tags = per_user_tags.get(table.user_codes[user])
+            if tags:
+                docs.append(Document(doc_id=user, tokens=tuple(map(vocab.add, tags))))
     if not docs:
         raise EmptyCorpusError(
             f"community {community_id if community_id is not None else sorted(members)[:3]}: "

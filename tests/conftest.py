@@ -33,5 +33,7 @@ def make_record(
 
 
 def columns(table: RecordTable) -> dict[str, list]:
-    """Every column a RecordTable carries, by name, as a list."""
-    return {name: list(getattr(table, name)) for name in RecordTable.COLUMNS}
+    """Every column a RecordTable carries, by name, as a list, and the user
+    names its codes stand for, in code order."""
+    return {"user_codes": list(table.user_codes),
+            **{name: list(getattr(table, name)) for name in RecordTable.COLUMNS}}

@@ -3,7 +3,8 @@
 Deliberately naive: subset enumeration, pairwise adjacency checks, BFS over
 clique overlap, the numpy formulas the topics layer computes in a faster
 order, dict-based degree reports, a record parser built on `json.loads`
-with one helper per check, and the dict a record's JSON line encodes.
+with one helper per check, the dict a record's JSON line encodes, and scans
+over a list of records for the topic corpora and the description terms.
 Nothing here shares code with the package under test; it builds the
 package's result types so results compare with `==`. The graph oracles take
 and give graphs by name (`Named`); `named` and `package_graph` convert.
@@ -20,6 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from echonet.graph import DegreeStats, DegreeSummary, RoleScore, UndirectedGraph
+from echonet.profiles import TermFrequencyTable
 from echonet.records import RecordError, TweetRecord
 
 
@@ -398,3 +400,52 @@ def per_document_perplexity(model, held_out, passes=50):
         total_log += float(np.log(p).sum())
         total_tokens += int(words.size)
     return float(np.exp(-total_log / total_tokens))
+
+
+def community_corpus(records, community, stoptags, per_user=False):
+    """A community's hashtag corpus by a scan of every record in `records`:
+    (its vocabulary's tokens in index order, [(doc_id, token ids)]). One
+    document per member tweet that keeps a tag after `stoptags`, in input
+    order; with `per_user`, one per member with such a tweet, in name order,
+    holding the kept tags of its tweets in input order. A token's index is
+    the order of its first use."""
+    members = set(community)
+    docs, by_user = [], {}
+    for rec in records:
+        tags = [t for t in rec.hashtags if t not in stoptags]
+        if rec.user_id not in members or not tags:
+            continue
+        if per_user:
+            by_user.setdefault(rec.user_id, []).extend(tags)
+        else:
+            docs.append((rec.tweet_id, tags))
+    if per_user:
+        docs = sorted(by_user.items())
+    vocab = []
+    out = []
+    for doc_id, tags in docs:
+        for t in tags:
+            if t not in vocab:
+                vocab.append(t)
+        out.append((doc_id, tuple(vocab.index(t) for t in tags)))
+    return vocab, out
+
+
+def description_terms(records, stoplist, top_n):
+    """The `TermFrequencyTable` of the users' latest descriptions, recounted
+    from `records`, or None if no description holds more than whitespace.
+    Of two descriptions a user gave at the same instant, the first in input
+    order is the latest."""
+    latest = {}
+    for r in records:
+        if r.user_description and r.user_description.strip():
+            if r.user_id not in latest or r.created_at > latest[r.user_id][0]:
+                latest[r.user_id] = (r.created_at, r.user_description)
+    if not latest:
+        return None
+    counts = Counter()
+    for _, desc in latest.values():
+        counts.update(tok for tok in set(re.findall(r"[a-z0-9_]+", desc.lower()))
+                      if len(tok) >= 2 and tok not in stoplist)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+    return TermFrequencyTable([(t, c / len(latest)) for t, c in ranked], len(latest))

@@ -7,7 +7,6 @@ import json
 import math
 import random
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +27,7 @@ from echonet.pipeline import run_pipeline
 from echonet.profiles import description_term_proportions
 from echonet.records import RecordTable
 from echonet.topics import Document, GibbsSampler, fit_lda
-from oracles import brute_force_detect, complete_graph, package_graph
+from oracles import brute_force_detect, complete_graph, description_terms, package_graph
 from test_topics import collapsed_posterior, gibbs_state_distribution, vocab_of
 
 FIXTURE = str(Path(__file__).parent.parent / "fixtures" / "sample_tweets.jsonl")
@@ -282,7 +281,6 @@ def test_criterion_10_performance_envelope():
 
 @criterion(11, "profile term table matches brute-force recount on 100 fixtures")
 def test_criterion_11_profile_recount():
-    token_re = re.compile(r"[a-z0-9_]+")
     words = ["maga", "trump", "love", "god", "nra", "proud", "patriot", "q2"]
     for trial in range(100):
         rng = random.Random(1000 + trial)
@@ -303,20 +301,7 @@ def test_criterion_11_profile_recount():
         if all(r.user_description is None for r in records):
             continue
         table = description_term_proportions(RecordTable.from_records(records), frozenset(), 50)
-        latest = {}
-        for r in records:
-            if r.user_description and (
-                r.user_id not in latest or r.created_at > latest[r.user_id][0]
-            ):
-                latest[r.user_id] = (r.created_at, r.user_description)
-        counts = {}
-        for _, desc in latest.values():
-            for tok in set(token_re.findall(desc.lower())):
-                if len(tok) >= 2:
-                    counts[tok] = counts.get(tok, 0) + 1
-        expected = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert table.user_base == len(latest)
-        assert table.terms == [(t, c / len(latest)) for t, c in expected]
+        assert table == description_terms(records, frozenset(), 50)
         # duplication of a user's tweets never changes proportions
         twice = RecordTable.from_records(records * 2)
         assert description_term_proportions(twice, frozenset(), 50) == table

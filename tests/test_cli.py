@@ -140,6 +140,20 @@ def test_report_subcommand(tmp_path, capsys):
     assert "corpus:" in text and "network:" in text and "communities_k4" in text
 
 
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps({"tool": "another-tool", "outputs": []}),
+    json.dumps(["tool", "echonet"]),
+    json.dumps({"tool": "echonet", "files": "all", "stages": []}),
+], ids=["not-json", "foreign", "not-an-object", "files-not-a-list"])
+def test_report_on_a_manifest_it_cannot_read_is_an_input_error(tmp_path, capsys, text):
+    out = tmp_path / "bundle"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    assert run_cli("report", "--outdir", str(out)) == 3
+    assert str(out / "manifest.json") in capsys.readouterr().err
+
+
 def test_exit_code_config_error(capsys):
     assert run_cli("run", "--input", FIXTURE, "--tau", "1.5") == 2
     assert "tau" in capsys.readouterr().err

@@ -1,9 +1,9 @@
 import random
-import re
 
 import pytest
 
 from conftest import make_record
+from oracles import description_terms
 from echonet.profiles import (
     DEFAULT_STOPLIST,
     description_term_proportions,
@@ -96,7 +96,6 @@ def test_top_n_and_tie_break():
 
 
 def test_brute_force_recount_oracle():
-    token_re = re.compile(r"[a-z0-9_]+")
     words = ["maga", "trump", "love", "god", "nra", "proud", "the", "of"]
     for trial in range(100):
         rng = random.Random(trial)
@@ -117,25 +116,26 @@ def test_brute_force_recount_oracle():
                 )
             )
         stop = frozenset({"the", "of"})
-        # brute-force recount
-        latest = {}
-        for r in records:
-            if r.user_description and r.user_description.strip():
-                if r.user_id not in latest or r.created_at > latest[r.user_id][0]:
-                    latest[r.user_id] = (r.created_at, r.user_description)
-        if not latest:
+        expected = description_terms(records, stop, 50)
+        if expected is None:
             with pytest.raises(ValueError):
                 proportions(records, stop, 50)
             continue
-        counts = {}
-        for _, desc in latest.values():
-            for tok in set(token_re.findall(desc.lower())):
-                if len(tok) >= 2 and tok not in stop:
-                    counts[tok] = counts.get(tok, 0) + 1
-        expected = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:50]
         table = proportions(records, stop, 50)
-        assert table.user_base == len(latest)
-        assert table.terms == [(t, c / len(latest)) for t, c in expected]
+        assert table == expected
         assert all(0 < p <= 1 for _, p in table.terms)
         props = [p for _, p in table.terms]
         assert props == sorted(props, reverse=True)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("2018-07-01T12:00:00+00:00", "2018-07-01T12:00:00+00:00"),
+    ("2018-07-01T13:00:00+01:00", "2018-07-01T12:00:00+00:00"),
+], ids=["same-text", "across-offsets"])
+def test_of_two_descriptions_at_one_instant_the_first_in_input_order_wins(first, second):
+    for one, two in (("alpha", "omega"), ("omega", "alpha")):
+        records = [make_record("t1", "a", description=one, created=first),
+                   make_record("t2", "a", description=two, created=second)]
+        table = proportions(records, frozenset(), 5)
+        assert table == description_terms(records, frozenset(), 5)
+        assert table.terms == [(one, 1.0)]

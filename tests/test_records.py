@@ -354,7 +354,9 @@ def test_csv_starting_with_a_byte_order_mark_keeps_every_row(tmp_path):
                      b"t2,u2,2018-07-01T00:01:00Z,qanon again\n")
     stats = ParseStats()
     records = read_records(str(path), stats)
-    assert list(zip(records.tweet_id, records.user_id)) == [("t1", "u1"), ("t2", "u2")]
+    names = list(records.user_codes)
+    assert [(t, names[u]) for t, u in zip(records.tweet_id, records.user_id)] == [("t1", "u1"),
+                                                                                  ("t2", "u2")]
     assert (stats.records, stats.malformed) == (2, 0)
 
 

@@ -4,10 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record
-from oracles import NumpyGibbsChain, per_document_perplexity
+from oracles import NumpyGibbsChain, community_corpus, per_document_perplexity
 from echonet.topics import (
+    DEFAULT_STOPTAGS,
     Document,
     EmptyCorpusError,
     GibbsSampler,
@@ -55,33 +58,35 @@ def test_corpus_requires_nonempty_community():
         build_community_corpus(RecordTable(), set())
 
 
-def test_corpus_group_oracle():
-    rng = random.Random(5)
-    users = [f"u{i}" for i in range(20)]
-    communities = [set(users[i::5]) for i in range(5)]
-    tags = ["alpha", "beta", "gamma", "delta", "qanon"]
-    records = [
-        make_record(
-            f"t{i}",
-            rng.choice(users),
-            " ".join("#" + t for t in rng.sample(tags, rng.randint(0, 3))),
-        )
-        for i in range(300)
-    ]
-    for community in communities:
-        expected = [
-            [t for t in rec.hashtags if t not in ("q", "qanon")]
-            for rec in records
-            if rec.user_id in community
-        ]
-        expected = [doc for doc in expected if doc]
-        try:
-            vocab, docs = build_community_corpus(RecordTable.from_records(records), community)
-        except EmptyCorpusError:
-            assert expected == []
-            continue
-        got = [[vocab.token(w) for w in d.tokens] for d in docs]
-        assert got == expected
+_AUTHORS = ["a", "b", "c", "d"]
+_TWEETS = st.lists(st.tuples(st.sampled_from(_AUTHORS),
+                             st.none() | st.sampled_from(["a", "b", "target"]),
+                             st.lists(st.sampled_from(["alpha", "beta", "gamma", "q", "qanon"]),
+                                      max_size=3)),
+                   max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tweets=_TWEETS, members=st.sets(st.sampled_from(_AUTHORS)), per_user=st.booleans())
+@example(tweets=[("b", None, ["beta"]), ("a", "b", ["alpha", "beta"])], members={"a", "b"},
+         per_user=True)  # first appearance is not name order
+def test_corpus_matches_the_scan_oracle(tweets, members, per_user):
+    # "stop" tweets only stoptags, "target" is only retweeted, "absent" is in no record
+    records = [make_record("t0", "stop", hashtags=["qanon", "q"])]
+    records += [make_record(f"t{i + 1}", user, retweet_of=target, hashtags=tags)
+                for i, (user, target, tags) in enumerate(tweets)]
+    records.append(make_record("tz", "d", retweet_of="target", hashtags=["gamma"]))
+    community = members | {"stop", "target", "absent"}
+    expected_vocab, expected_docs = community_corpus(records, community, DEFAULT_STOPTAGS,
+                                                     per_user)
+    table = RecordTable.from_records(records)
+    if not expected_docs:
+        with pytest.raises(EmptyCorpusError):
+            build_community_corpus(table, community, per_user=per_user)
+        return
+    vocab, docs = build_community_corpus(table, community, per_user=per_user)
+    assert [vocab.token(i) for i in range(len(vocab))] == expected_vocab
+    assert [(d.doc_id, d.tokens) for d in docs] == expected_docs
 
 
 def test_corpus_per_user_aggregation():
