@@ -133,6 +133,8 @@ def validate_config(config: PipelineConfig) -> list[str]:
         errors.append("beta: must be positive")
     if config.iterations < 1:
         errors.append("iterations: must be >= 1")
+    if config.seed < 0:
+        errors.append("seed: must be >= 0")
     if config.top_n_keywords < 1:
         errors.append("top_n_keywords: must be >= 1")
     if config.top_n_terms < 1:

@@ -113,15 +113,6 @@ class DegreeSummary:
         }
 
 
-@dataclass(slots=True)
-class RoleScore:
-    user: str
-    in_deg: float
-    out_deg: float
-    score: float
-    label: str
-
-
 def build_retweet_graph(table: RecordTable) -> RetweetGraph:
     """Aggregate retweet events into edge weights; self-retweets dropped."""
     codes = table.user_codes
@@ -193,24 +184,32 @@ def degree_histogram(d: NodeDegrees) -> list[tuple[str, int, int, int]]:
     return rows
 
 
-def classify_roles(d: NodeDegrees, tau: float) -> list[RoleScore]:
+ROLE_LABELS = ("distributor", "mixed", "producer")  # at 1 + (score >= tau) - (score <= -tau)
+
+
+def classify_roles(d: NodeDegrees, tau: float) -> Iterator[tuple[str, float, float, float, str]]:
     """Score = (in - out) / (in + out) over weighted degrees; +1 pure producer,
-    -1 pure distributor. Sorted by |score| descending, then user id."""
+    -1 pure distributor. A score >= tau labels a producer, <= -tau a
+    distributor, and any other mixed. The scores, their order (by |score|
+    descending, then user id) and the labels are computed here, as arrays;
+    the rows of roles.csv, (user, in_deg, out_deg, score, label), are made
+    from them as the returned iterator is read."""
     if not 0 < tau <= 1:
         raise ValueError("tau must be in (0, 1]")
-    if not d.nodes:
-        return []
     in_w, out_w = d.in_weighted.astype(np.float64), d.out_weighted.astype(np.float64)
     total = in_w + out_w
     score = np.divide(in_w - out_w, total, out=np.zeros(len(total)), where=total != 0)
     order = np.argsort(-np.abs(score), kind="stable")  # ties stay in id order
-    nodes = d.nodes
-    roles = []
-    for k, s, i, o in zip(order.tolist(), score[order].tolist(), in_w[order].tolist(),
-                          out_w[order].tolist()):
-        label = "producer" if s >= tau else "distributor" if s <= -tau else "mixed"
-        roles.append(RoleScore(user=nodes[k], in_deg=i, out_deg=o, score=s, label=label))
-    return roles
+    label = 1 + (score >= tau).astype(np.int8) - (score <= -tau).astype(np.int8)
+    return _role_rows(d.nodes, order, in_w, out_w, score, label)
+
+
+def _role_rows(names, order, in_w, out_w, score, label):
+    for s in range(0, len(order), CHUNK):
+        ids = order[s:s + CHUNK]
+        for k, i, o, sc, lb in zip(ids.tolist(), in_w[ids].tolist(), out_w[ids].tolist(),
+                                   score[ids].tolist(), label[ids].tolist()):
+            yield names[k], i, o, sc, ROLE_LABELS[lb]
 
 
 def symmetrize(g: RetweetGraph, min_weight: int = 1) -> UndirectedGraph:

@@ -197,9 +197,8 @@ def write_graph_outputs(
     _write_json(files, "network_stats.json", degree_summary(degrees).to_dict())
     _write_csv(files, "degree_histogram.csv", ["weighting", "degree", "out_count", "in_count"],
                degree_histogram(degrees))
-    roles = classify_roles(degrees, tau)
     _write_csv(files, "roles.csv", ["user_id", "in_deg", "out_deg", "score", "label"],
-               ((r.user, r.in_deg, r.out_deg, repr(r.score), r.label) for r in roles))
+               classify_roles(degrees, tau))
     _write_csv(files, EDGES, ["u", "v", "weight"], ug.named_edges())
     with files.create(NODES) as fh:
         fh.writelines(node + "\n" for node in ug.nodes)
@@ -475,11 +474,10 @@ def _reusable(previous: dict | None, key: dict, outdir: str) -> bool:
         return False
 
 
-def load_manifest(outdir: str) -> dict:
-    """The manifest in `outdir`. Raises InputFileError, naming the file, if it
+def _echonet_manifest(path: str) -> dict:
+    """The manifest at `path`. Raises InputFileError, naming the file, if it
     is not JSON or not an echonet manifest: an object with `tool` "echonet"
     and lists of `files` and `stages`."""
-    path = os.path.join(outdir, MANIFEST)
     manifest = _read_json(path)
     if not isinstance(manifest, dict) or manifest.get("tool") != "echonet" or not all(
             isinstance(manifest.get(key), list) for key in ("files", "stages")):
@@ -487,11 +485,44 @@ def load_manifest(outdir: str) -> dict:
     return manifest
 
 
+def load_manifest(outdir: str) -> dict:
+    """The manifest in `outdir`, with every field `render_report` prints: the
+    strings `version`, `config_hash` and `created_utc`, file names in
+    `files`, and in `stages` one object per stage with a string `name`, a
+    number `seconds` and, if present, a number `peak_rss_kb`. Raises
+    InputFileError, naming the file and the field, if one is missing or of
+    another type, or if the file is not an echonet manifest at all."""
+    path = os.path.join(outdir, MANIFEST)
+    manifest = _echonet_manifest(path)
+
+    def is_number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    def bad(problem: str) -> InputFileError:
+        return InputFileError(f"{path}: {problem}")
+
+    for key in ("version", "config_hash", "created_utc"):
+        if not isinstance(manifest.get(key), str):
+            raise bad(f"'{key}' is missing or not a string")
+    if not all(isinstance(name, str) for name in manifest["files"]):
+        raise bad("an entry of 'files' is not a file name")
+    for i, stage in enumerate(manifest["stages"]):
+        if not isinstance(stage, dict):
+            raise bad(f"stage {i} is not an object")
+        if not isinstance(stage.get("name"), str):
+            raise bad(f"'name' of stage {i} is missing or not a string")
+        if not is_number(stage.get("seconds")):
+            raise bad(f"'seconds' of stage {i} is missing or not a number")
+        if "peak_rss_kb" in stage and not is_number(stage["peak_rss_kb"]):
+            raise bad(f"'peak_rss_kb' of stage {i} is not a number")
+    return manifest
+
+
 def _previous_manifest(outdir: str) -> tuple[dict[str, dict], list[str]]:
     """The stages (by name) and the files of the echonet manifest already in
     `outdir`; none if the manifest is missing, unreadable or another tool's."""
     try:
-        manifest = load_manifest(outdir)
+        manifest = _echonet_manifest(os.path.join(outdir, MANIFEST))
         files = [name for name in manifest["files"] if isinstance(name, str)]
         return {s["name"]: s for s in manifest["stages"]}, files
     except (OSError, ValueError, KeyError, TypeError):

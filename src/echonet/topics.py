@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -119,6 +120,13 @@ class GibbsSampler:
     one topic at a time in Python floats: the same IEEE operations in the same
     order, so the chain is the numpy formula's bit for bit, without numpy's
     per-call cost on arrays of n_topics elements.
+
+    Every draw is one `random.Random(seed).random()`, taken in token order:
+    one per token for its initial topic, int(u * n_topics), and one per token
+    in each sweep. Python keeps the `random()` stream of an int seed the same
+    across versions (`randrange` and the other methods make no such promise),
+    and `random` is loaded with the interpreter, where `numpy.random` would
+    load its extension modules for these uniforms alone.
     """
 
     def __init__(
@@ -136,16 +144,19 @@ class GibbsSampler:
             raise ValueError("alpha and beta must be positive")
         if not corpus:
             raise ValueError("corpus must be nonempty")
+        if seed < 0:  # Random(-s) would be Random(s)'s chain
+            raise ValueError("seed must be >= 0")
         self.n_topics = n_topics
         self.alpha = alpha
         self.beta = beta
-        self.rng = np.random.default_rng(seed)
+        self.rng = random.Random(seed)
 
         self.doc_ids = [i for i, d in enumerate(corpus) for _ in d.tokens]
         self.words = [w for d in corpus for w in d.tokens]
         if any(not 0 <= w < vocab_size for w in self.words):
             raise ValueError("token index outside vocabulary")
-        self.z = self.rng.integers(0, n_topics, size=len(self.words)).tolist()
+        rand = self.rng.random
+        self.z = [int(rand() * n_topics) for _ in self.words]  # u < 1, so < n_topics
         self.ndk = [[0] * n_topics for _ in corpus]
         self.nwk = [[0] * n_topics for _ in range(vocab_size)]
         self.nk = [0] * n_topics
@@ -162,9 +173,8 @@ class GibbsSampler:
         alpha, beta, ndk, nwk, nk, z = self.alpha, self.beta, self.ndk, self.nwk, self.nk, self.z
         vbeta = beta * len(nwk)
         last = self.n_topics - 1
-        # rng.random(n) yields the values of n successive rng.random() calls
-        draws = self.rng.random(len(z)).tolist()
-        for i, (d, w, u) in enumerate(zip(self.doc_ids, self.words, draws)):
+        rand = self.rng.random
+        for i, (d, w) in enumerate(zip(self.doc_ids, self.words)):
             doc, word, t = ndk[d], nwk[w], z[i]
             doc[t] -= 1
             word[t] -= 1
@@ -174,8 +184,8 @@ class GibbsSampler:
             for a, b, c in zip(doc, word, nk):
                 total += (a + alpha) * (b + beta) / (c + vbeta)
                 cum.append(total)
-            t = bisect_right(cum, u * total)
-            if t > last:  # u * total can round up to total
+            t = bisect_right(cum, rand() * total)
+            if t > last:  # the draw times total can round up to total
                 t = last
             z[i] = t
             doc[t] += 1

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from echonet.graph import DegreeStats, DegreeSummary, RoleScore, UndirectedGraph
+from echonet.graph import DegreeStats, DegreeSummary, UndirectedGraph
 from echonet.profiles import TermFrequencyTable
 from echonet.records import RecordError, TweetRecord
 
@@ -197,8 +197,10 @@ def degree_histogram(g):
 
 
 def classify_roles(g, tau):
+    """The rows of roles.csv: (user, in_deg, out_deg, score, label), by
+    |score| descending, then user."""
     out_w, in_w = _degree_maps(g, True)
-    scores = []
+    rows = []
     for user in g.nodes:
         i, o = float(in_w[user]), float(out_w[user])
         score = 0.0 if i + o == 0 else (i - o) / (i + o)
@@ -208,9 +210,9 @@ def classify_roles(g, tau):
             label = "distributor"
         else:
             label = "mixed"
-        scores.append(RoleScore(user=user, in_deg=i, out_deg=o, score=score, label=label))
-    scores.sort(key=lambda r: (-abs(r.score), r.user))
-    return scores
+        rows.append((user, i, o, score, label))
+    rows.sort(key=lambda r: (-abs(r[3]), r[0]))
+    return rows
 
 
 def symmetrize(g, min_weight):
@@ -343,16 +345,19 @@ def record_to_dict(rec):
 
 class NumpyGibbsChain:
     """The collapsed Gibbs chain with numpy count arrays and one numpy formula
-    per token; `GibbsSampler` must follow it bit for bit."""
+    per token, drawing from `random.Random(seed).random()`: one draw per token
+    for its initial topic, then one per token per sweep, in token order.
+    `GibbsSampler` must follow it bit for bit."""
 
     def __init__(self, corpus, vocab_size, n_topics, alpha, beta, seed):
         self.n_topics, self.alpha, self.beta = n_topics, alpha, beta
-        self.rng = np.random.default_rng(seed)
+        self.rng = random.Random(seed)
         self.doc_ids = np.concatenate(
             [np.full(len(d.tokens), i, dtype=np.int64) for i, d in enumerate(corpus)]
         )
         self.words = np.concatenate([np.asarray(d.tokens, dtype=np.int64) for d in corpus])
-        self.z = self.rng.integers(0, n_topics, size=self.words.size)
+        self.z = np.array([int(self.rng.random() * n_topics) for _ in range(self.words.size)],
+                          dtype=np.int64)
         self.ndk = np.zeros((len(corpus), n_topics), dtype=np.int64)
         self.nkw = np.zeros((n_topics, vocab_size), dtype=np.int64)
         self.nk = np.zeros(n_topics, dtype=np.int64)

@@ -140,18 +140,36 @@ def test_report_subcommand(tmp_path, capsys):
     assert "corpus:" in text and "network:" in text and "communities_k4" in text
 
 
-@pytest.mark.parametrize("text", [
-    "{not json",
-    json.dumps({"tool": "another-tool", "outputs": []}),
-    json.dumps(["tool", "echonet"]),
-    json.dumps({"tool": "echonet", "files": "all", "stages": []}),
-], ids=["not-json", "foreign", "not-an-object", "files-not-a-list"])
-def test_report_on_a_manifest_it_cannot_read_is_an_input_error(tmp_path, capsys, text):
+_HEAD = {"tool": "echonet", "version": "0.1.0", "config_hash": "ab" * 32,
+         "created_utc": "2026-01-01T00:00:00+00:00"}
+
+
+@pytest.mark.parametrize("text, field", [
+    ("{not json", None),
+    (json.dumps({"tool": "another-tool", "outputs": []}), None),
+    (json.dumps(["tool", "echonet"]), None),
+    (json.dumps({"tool": "echonet", "files": "all", "stages": []}), None),
+    (json.dumps({**_HEAD, "files": [3], "stages": []}), "'files'"),
+    (json.dumps({"tool": "echonet", "files": [], "stages": []}), "'version'"),
+    (json.dumps({**_HEAD, "config_hash": None, "files": [], "stages": []}), "'config_hash'"),
+    (json.dumps({**_HEAD, "files": [], "stages": [{"name": "ingest"}]}), "'seconds' of stage 0"),
+    (json.dumps({**_HEAD, "files": [], "stages": [
+        {"name": "ingest", "seconds": 0.5}, {"name": "graph", "seconds": "1"}]}),
+     "'seconds' of stage 1"),
+    (json.dumps({**_HEAD, "files": [], "stages": [["ingest"]]}), "stage 0"),
+], ids=["not-json", "foreign", "not-an-object", "files-not-a-list", "file-not-a-name",
+        "no-version",
+        "config-hash-not-a-string", "stage-without-seconds", "seconds-not-a-number",
+        "stage-not-an-object"])
+def test_report_on_a_manifest_it_cannot_read_is_an_input_error(tmp_path, capsys, text, field):
     out = tmp_path / "bundle"
     out.mkdir()
     (out / "manifest.json").write_text(text)
     assert run_cli("report", "--outdir", str(out)) == 3
-    assert str(out / "manifest.json") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(out / "manifest.json") in err
+    if field is not None:
+        assert field in err
 
 
 def test_exit_code_config_error(capsys):
@@ -304,6 +322,8 @@ def _exit_code(argv):
     (["--alpha", "nan"], None, "alpha"),
     (["--beta", "inf"], None, "beta"),
     ([], {"keywords": "qanon"}, "keywords"),
+    (["--seed", "-1"], None, "seed"),
+    ([], {"seed": -3}, "seed"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, flags, config_file, field):
     argv = ["run", "--input", FIXTURE, "--outdir", str(tmp_path / "out"),
@@ -410,3 +430,21 @@ def test_import_defaults_openblas_to_one_thread(preset, expected):
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == expected
+
+
+def test_a_run_loads_no_numpy_random_module(tmp_path):
+    """The sampler draws from `random`: a whole run loads no `numpy.random`
+    module that `import numpy` alone does not (numpy 1.x loads them all there)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]))
+    report = "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    argv = ["run", "--input", FIXTURE, "--outdir", str(tmp_path / "out"), *RUN_ARGS]
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", f"import sys, numpy\n{code}\n{report}"],
+                              capture_output=True, text=True, env=env, check=True)
+        return proc.stdout.strip().splitlines()[-1]
+
+    assert loaded(f"from echonet.cli import main\nassert main({argv!r}) == 0") == loaded("")
+    assert (tmp_path / "out" / "topics_community0.json").exists()

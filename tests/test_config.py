@@ -60,6 +60,7 @@ def test_fuzzed_configs_match_stage_preconditions():
             top_n_terms=rng.choice([0, 1, 10]),
             max_cliques=rng.choice([0, 1, 1000]),
             threads=rng.choice([0, 1, 4]),
+            seed=rng.choice([-1, 0, 42]),
         )
         # independent recomputation of the downstream preconditions
         valid = (
@@ -76,6 +77,7 @@ def test_fuzzed_configs_match_stage_preconditions():
             and config.top_n_terms >= 1
             and config.max_cliques >= 1
             and config.threads >= 1
+            and config.seed >= 0
         )
         assert (validate_config(config) == []) == valid
 

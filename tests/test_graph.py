@@ -150,17 +150,22 @@ def test_degree_histogram_counts():
     assert weighted[3] == (0, 1)
 
 
+def role_rows(g, tau):
+    """The roles.csv rows of `g`: (user, in_deg, out_deg, score, label)."""
+    return list(classify_roles(node_degrees(g), tau))
+
+
 def test_classify_roles_extremes():
     g = graph_from_events([("x", "p")] * 10)  # p retweeted 10 times
-    roles = {r.user: r for r in classify_roles(node_degrees(g), 0.5)}
-    assert roles["p"].score == 1.0 and roles["p"].label == "producer"
-    assert roles["x"].score == -1.0 and roles["x"].label == "distributor"
+    roles = {user: (score, label) for user, _, _, score, label in role_rows(g, 0.5)}
+    assert roles["p"] == (1.0, "producer")
+    assert roles["x"] == (-1.0, "distributor")
 
 
 def test_classify_roles_balanced():
     g = graph_from_events([("a", "b")] * 4 + [("b", "a")] * 4)
-    for r in classify_roles(node_degrees(g), 0.9):
-        assert r.score == 0.0 and r.label == "mixed"
+    for _, _, _, score, label in role_rows(g, 0.9):
+        assert score == 0.0 and label == "mixed"
 
 
 def test_classify_roles_tau_domain():
@@ -172,24 +177,24 @@ def test_classify_roles_tau_domain():
 
 def test_classify_roles_ordering():
     g = graph_from_events([("a", "b"), ("a", "c"), ("c", "b")])
-    roles = classify_roles(node_degrees(g), 0.5)
-    scores = [abs(r.score) for r in roles]
+    roles = role_rows(g, 0.5)
+    scores = [abs(score) for _, _, _, score, _ in roles]
     assert scores == sorted(scores, reverse=True)
     for r1, r2 in zip(roles, roles[1:]):
-        if abs(r1.score) == abs(r2.score):
-            assert r1.user < r2.user
+        if abs(r1[3]) == abs(r2[3]):
+            assert r1[0] < r2[0]
 
 
 def test_classify_roles_transpose_negates():
     rng = random.Random(9)
     g, events = random_digraph(rng, 15, 80)
     transposed = graph_from_events([(v, u) for u, v in events])
-    fwd = {r.user: r for r in classify_roles(node_degrees(g), 0.5)}
-    rev = {r.user: r for r in classify_roles(node_degrees(transposed), 0.5)}
-    for user in fwd:
-        assert fwd[user].score == pytest.approx(-rev[user].score)
-        swap = {"producer": "distributor", "distributor": "producer", "mixed": "mixed"}
-        assert rev[user].label == swap[fwd[user].label]
+    fwd = {user: (score, label) for user, _, _, score, label in role_rows(g, 0.5)}
+    rev = {user: (score, label) for user, _, _, score, label in role_rows(transposed, 0.5)}
+    swap = {"producer": "distributor", "distributor": "producer", "mixed": "mixed"}
+    for user, (score, label) in fwd.items():
+        assert score == pytest.approx(-rev[user][0])
+        assert rev[user][1] == swap[label]
 
 
 def test_symmetrize_sums_both_directions():
@@ -272,11 +277,9 @@ def test_degree_reports_and_symmetrize_equal_the_dict_based_oracles():
         hist = degree_histogram(degrees)
         assert [tuple(map(repr, row)) for row in hist] == [
             tuple(map(repr, row)) for row in oracles.degree_histogram(by_name)], trial
-        roles = classify_roles(degrees, tau)
-        assert roles == oracles.classify_roles(by_name, tau), trial
-        assert [(repr(r.in_deg), repr(r.out_deg), repr(r.score)) for r in roles] == [
-            (repr(r.in_deg), repr(r.out_deg), repr(r.score))
-            for r in oracles.classify_roles(by_name, tau)]
+        roles = list(classify_roles(degrees, tau))
+        assert [tuple(map(repr, row)) for row in roles] == [
+            tuple(map(repr, row)) for row in oracles.classify_roles(by_name, tau)], trial
         for min_weight in (1, 2, 3):
             ug, want = symmetrize(g, min_weight), oracles.symmetrize(by_name, min_weight)
             assert named(ug) == want, (trial, min_weight)
@@ -286,4 +289,5 @@ def test_degree_reports_of_a_graph_without_nodes():
     empty = RetweetGraph()
     degrees = node_degrees(empty)
     assert degree_histogram(degrees) == oracles.degree_histogram(named(empty)) == []
-    assert classify_roles(degrees, 0.5) == oracles.classify_roles(named(empty), 0.5) == []
+    assert list(classify_roles(degrees, 0.5)) == []
+    assert oracles.classify_roles(named(empty), 0.5) == []

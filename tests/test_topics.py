@@ -126,6 +126,8 @@ def test_fit_precondition_errors():
         fit_lda(corpus, vocab, 2, 1.0, 0.1, 0, 0)
     with pytest.raises(ValueError):
         fit_lda([], vocab, 2, 1.0, 0.1, 10, 0)
+    with pytest.raises(ValueError):  # Random(-1) would run Random(1)'s chain
+        fit_lda(corpus, vocab, 2, 1.0, 0.1, 10, -1)
 
 
 def test_conservation_and_determinism():
