@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .communities import community_count_sweep, detect_communities, maximal_clique_list
-from .config import PipelineConfig
+from .config import PipelineConfig, new_digest
 from .graph import (
     RetweetGraph,
     UndirectedGraph,
@@ -435,12 +434,12 @@ def run_stage(
     return files.written
 
 
-HASH_BLOCK = 1 << 16  # bytes read at a time by _sha256
+HASH_BLOCK = 1 << 16  # bytes read at a time by _file_digest
 
 
-def _sha256(path: str) -> str:
-    """The file's SHA-256, read through one reused buffer."""
-    digest = hashlib.sha256()
+def _file_digest(path: str) -> str:
+    """The file's BLAKE2b-256 (`new_digest`), read through one reused buffer."""
+    digest = new_digest()
     buf = bytearray(HASH_BLOCK)
     view = memoryview(buf)
     with open(path, "rb", buffering=0) as fh:
@@ -455,7 +454,7 @@ def _stage_key(stage: Stage, config: PipelineConfig) -> dict:
     values = config.to_dict()
     key = {"config": {f: values[f] for f in stage.fields}}
     if "input" in stage.fields:
-        key["input_sha256"] = _sha256(config.input)
+        key["input_blake2b"] = _file_digest(config.input)
     return key
 
 
@@ -467,7 +466,7 @@ def _reusable(previous: dict | None, key: dict, outdir: str) -> bool:
         return False
     try:
         return all(
-            _sha256(os.path.join(outdir, name)) == digest
+            _file_digest(os.path.join(outdir, name)) == digest
             for name, digest in outputs.items()
         )
     except (OSError, ValueError):
@@ -593,7 +592,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
                     outputs = previous[stage.name]["outputs"]
                 else:
                     written = run_stage(stage.name, config, {}, parsed)
-                    outputs = {name: _sha256(path) for name, path in written.items()}
+                    outputs = {name: _file_digest(path) for name, path in written.items()}
             except Exception as exc:
                 raise StageError(stage.name, exc) from exc
             manifest["stages"].append({
@@ -618,12 +617,22 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return manifest
 
 
+def _load_stats(path: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object in the stats file `path`, with an integer in each of
+    `fields`. Raises InputFileError, naming the file and the field, if it is
+    not an object or a field is missing or not an integer."""
+    stats = _read_json(path)
+    if not isinstance(stats, dict):
+        raise InputFileError(f"{path}: not a JSON object")
+    for key in fields:
+        if type(stats.get(key)) is not int:
+            raise InputFileError(f"{path}: '{key}' is missing or not an integer")
+    return stats
+
+
 def render_report(outdir: str) -> str:
-    """Human-readable bundle summary; validates the manifest's file list."""
-
-    def load(name):
-        return _read_json(os.path.join(outdir, name))
-
+    """Human-readable bundle summary; validates the manifest's file list and
+    every field it prints from the stats and communities files."""
     manifest = load_manifest(outdir)
     missing = [f for f in manifest["files"] if not os.path.exists(os.path.join(outdir, f))]
     lines = [
@@ -636,20 +645,23 @@ def render_report(outdir: str) -> str:
         note = " (resumed)" if stage.get("resumed") else ""
         rss = f", peak RSS {stage['peak_rss_kb'] / 1024:.1f} MB" if "peak_rss_kb" in stage else ""
         lines.append(f"  {stage['name']}: {stage['seconds']:.2f}s{rss}{note}")
-    if os.path.exists(os.path.join(outdir, "ingest_stats.json")):
-        stats = load("ingest_stats.json")
+    path = os.path.join(outdir, "ingest_stats.json")
+    if os.path.exists(path):
+        stats = _load_stats(path, ("tweet_count", "unique_user_count", "retweet_count"))
         lines.append(
             f"corpus: {stats['tweet_count']} tweets, "
             f"{stats['unique_user_count']} users, {stats['retweet_count']} retweets"
         )
-    if os.path.exists(os.path.join(outdir, "network_stats.json")):
-        net = load("network_stats.json")
+    path = os.path.join(outdir, "network_stats.json")
+    if os.path.exists(path):
+        net = _load_stats(path, ("node_count", "unique_edge_count", "weighted_edge_sum"))
         lines.append(
             f"network: {net['node_count']} nodes, {net['unique_edge_count']} edges "
             f"(weighted sum {net['weighted_edge_sum']})"
         )
     for name in manifest["files"]:
         if name.startswith("communities_k") and name not in missing:
-            lines.append(f"{name}: {len(load(name))} communities")
+            communities = load_communities(os.path.join(outdir, name))
+            lines.append(f"{name}: {len(communities)} communities")
     lines.append(f"files: {len(manifest['files'])}")
     return "\n".join(lines)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,29 @@ def test_report_on_a_manifest_it_cannot_read_is_an_input_error(tmp_path, capsys,
     assert run_cli("report", "--outdir", str(out)) == 3
     err = capsys.readouterr().err
     assert str(out / "manifest.json") in err
+    if field is not None:
+        assert field in err
+
+
+@pytest.mark.parametrize("name, text, field", [
+    ("ingest_stats.json", "{}", "'tweet_count'"),
+    ("ingest_stats.json", "[1]", None),
+    ("ingest_stats.json", json.dumps({"tweet_count": "12", "unique_user_count": 3,
+                                      "retweet_count": 4}), "'tweet_count'"),
+    ("network_stats.json", json.dumps({"node_count": 3, "weighted_edge_sum": 4}),
+     "'unique_edge_count'"),
+    ("communities_k4_standard.json", "5", None),
+    ("communities_k4_standard.json", json.dumps({"a": 1}), None),
+], ids=["stats-empty", "stats-not-an-object", "count-not-an-int", "network-without-edges",
+        "communities-an-int", "communities-an-object"])
+def test_report_on_a_file_it_cannot_print_is_an_input_error(tmp_path, capsys, name, text, field):
+    out = tmp_path / "bundle"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps({**_HEAD, "files": [name], "stages": []}))
+    (out / name).write_text(text)
+    assert run_cli("report", "--outdir", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(out / name) in err
     if field is not None:
         assert field in err
 
@@ -363,12 +387,13 @@ def test_manifest_records_each_stage_slice_and_digests(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     stages = {s["name"]: s for s in manifest["stages"]}
     assert stages["graph"]["config"] == {"tau": 0.5, "min_weight": 1}
-    assert stages["ingest"]["input_sha256"] == hashlib.sha256(
-        Path(FIXTURE).read_bytes()).hexdigest()
+    assert stages["ingest"]["input_blake2b"] == hashlib.blake2b(
+        Path(FIXTURE).read_bytes(), digest_size=32).hexdigest()
+    assert re.fullmatch("[0-9a-f]{64}", manifest["config_hash"])
     recorded = {name: digest for s in stages.values() for name, digest in s["outputs"].items()}
     assert sorted(recorded) == manifest["files"]
     for name, digest in recorded.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert hashlib.blake2b((out / name).read_bytes(), digest_size=32).hexdigest() == digest
 
 
 def test_atomic_open_keeps_old_file_when_writer_dies(tmp_path):
@@ -432,13 +457,16 @@ def test_import_defaults_openblas_to_one_thread(preset, expected):
     assert proc.stdout.strip() == expected
 
 
-def test_a_run_loads_no_numpy_random_module(tmp_path):
-    """The sampler draws from `random`: a whole run loads no `numpy.random`
-    module that `import numpy` alone does not (numpy 1.x loads them all there)."""
+def test_a_run_loads_no_numpy_random_or_openssl_module(tmp_path):
+    """The sampler draws from `random` and the digests come from the builtin
+    BLAKE2: a whole run loads no `numpy.random` module and no `_hashlib`
+    (OpenSSL) that `import numpy` alone does not (numpy 1.x loads the
+    `numpy.random` modules there)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]))
-    report = "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    report = ("print(sorted(m for m in sys.modules"
+              " if m.startswith('numpy.random') or m == '_hashlib'))")
     argv = ["run", "--input", FIXTURE, "--outdir", str(tmp_path / "out"), *RUN_ARGS]
 
     def loaded(code):

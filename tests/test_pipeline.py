@@ -451,6 +451,27 @@ def test_resume_reruns_a_stage_whose_recorded_outputs_are_malformed(tmp_path, fr
     assert data_files(out) == data_files(fresh)
 
 
+def test_resume_reruns_every_stage_of_a_bundle_with_sha256_digests(tmp_path, fresh_run):
+    """A manifest written before the digests became BLAKE2b records
+    `input_sha256` and SHA-256 outputs; no stage matches it, so all rerun."""
+    fresh, _ = fresh_run
+    out = tmp_path / "bundle"
+    shutil.copytree(fresh, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for stage in manifest["stages"]:
+        if "input_blake2b" in stage:
+            del stage["input_blake2b"]
+            stage["input_sha256"] = hashlib.sha256(Path(FIXTURE).read_bytes()).hexdigest()
+        stage["outputs"] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in stage["outputs"]}
+    assert "input_sha256" in manifest["stages"][0]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), "--resume", *RUN_ARGS]) == 0
+    resumed = [s["resumed"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
+    assert resumed == [False] * len(pipeline.STAGES)
+    assert data_files(out) == data_files(fresh)
+
+
 def test_rerun_deletes_only_plain_files_in_the_outdir(tmp_path):
     out = tmp_path / "bundle"
     out.mkdir()
@@ -569,7 +590,7 @@ def test_sha256_of_a_file_is_the_digest_of_its_bytes(tmp_path, size):
     data = os.urandom(size)
     path = tmp_path / "blob"
     path.write_bytes(data)
-    assert pipeline._sha256(str(path)) == hashlib.sha256(data).hexdigest()
+    assert pipeline._file_digest(str(path)) == hashlib.blake2b(data, digest_size=32).hexdigest()
 
 
 def test_tracer_rebinds_every_name_it_patches_and_restores_it(tmp_path):
