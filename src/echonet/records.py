@@ -2,15 +2,17 @@
 
 A parsed line is a `TweetRecord`. The records a file holds, or those a
 filter kept, are read into one `RecordTable`: a column per field that a stage
-after `ingest` reads, so a record costs a few list slots, not an object of
-its own with a datetime and its text.
+after `ingest` reads, so a record costs a few array and list slots and the
+bytes of its id, not an object of its own with a datetime and its text.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
+import itertools
 import json
 import re
 from array import array
@@ -80,21 +82,51 @@ def created_us(created_at: datetime) -> int:
     return (created_at - EPOCH) // _MICROSECOND
 
 
+class TweetIds:
+    """A column of strings held as one UTF-8 buffer, `data`, and the int64
+    offset in it where each string ends, `ends`: a string costs its bytes and
+    8, not a str object and a list slot. Strings are encoded with
+    "surrogatepass", so each one, a lone surrogate included, reads back as it
+    was written. `RecordTable.append` writes both fields; `col[row]`, `len`
+    and iteration read the strings."""
+
+    __slots__ = ("data", "ends")
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+        self.ends = array("q")
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, row: int) -> str:
+        ends = self.ends
+        row = range(len(ends))[row]  # a negative row counts from the end
+        return self.data[ends[row - 1] if row else 0:ends[row]].decode("utf-8", "surrogatepass")
+
+    def __iter__(self) -> Iterator[str]:
+        data, start = self.data, 0
+        for end in self.ends:
+            yield data[start:end].decode("utf-8", "surrogatepass")
+            start = end
+
+
 class RecordTable:
     """Records in input order, one column per field that a stage after
-    `ingest` reads: `text` is not carried, and `created_us`, `user_id` and
-    `retweet_of_user_id` are int64 arrays of `created_us(created_at)` and of
-    user codes (-1: no target). `user_codes` names each author and target
-    once, mapped to its code, its rank in order of first appearance. Equal
-    descriptions, hashtags and hashtag tuples are one object, shared through
-    a dict that lives only while `from_records` fills the table."""
+    `ingest` reads: `text` is not carried, `tweet_id` is a `TweetIds`, and
+    `created_us`, `user_id` and `retweet_of_user_id` are int64 arrays of
+    `created_us(created_at)` and of user codes (-1: no target). `user_codes`
+    names each author and target once, mapped to its code, its rank in order
+    of first appearance. Equal descriptions, hashtags and hashtag tuples are
+    one object, shared through a dict that lives only while `from_records`
+    fills the table."""
 
     COLUMNS = ("tweet_id", "user_id", "created_us", "hashtags", "retweet_of_user_id",
                "user_description")
     __slots__ = COLUMNS + ("user_codes", "_shared")
 
     def __init__(self) -> None:
-        self.tweet_id: list[str] = []
+        self.tweet_id = TweetIds()
         self.user_id = array("q")
         self.created_us = array("q")
         self.hashtags: list[tuple[str, ...]] = []
@@ -115,7 +147,10 @@ class RecordTable:
         shared, codes = self._shared, self.user_codes
         share = shared.setdefault
         tweet_id, user_id, created_at, _, hashtags, retweet_of, description = rec
-        self.tweet_id.append(tweet_id)
+        ids = self.tweet_id
+        data = ids.data
+        data += tweet_id.encode("utf-8", "surrogatepass")
+        ids.ends.append(len(data))
         self.user_id.append(codes.setdefault(user_id, len(codes)))
         self.created_us.append(created_us(created_at))
         tags = shared.get(hashtags)
@@ -128,7 +163,7 @@ class RecordTable:
             description if description is None else share(description, description))
 
     def __len__(self) -> int:
-        return len(self.tweet_id)
+        return len(self.user_id)
 
     def rows_of(self, users: Iterable[str]) -> np.ndarray:
         """The positions of the records that `users` wrote, in input order."""
@@ -314,15 +349,16 @@ def read_records(
 ) -> RecordTable:
     """Read a JSONL (default) or .csv record file into a RecordTable. With
     `keep`, only the records it accepts are held; each record is dropped or
-    appended to the table as it is parsed, so no list of records is built. A
-    CSV file is read as UTF-8 after an optional byte order mark, each byte
-    that is not UTF-8 as a lone surrogate."""
+    appended to the table as it is parsed, so no list of records is built.
+    Either file may start with a UTF-8 byte order mark, which is skipped. A
+    CSV file is read as UTF-8, each byte that is not UTF-8 as a lone surrogate."""
     with open(path, "rb") as fh:
         if str(path).endswith(".csv"):
             text = io.TextIOWrapper(fh, encoding="utf-8-sig", errors="surrogateescape", newline="")
             records = parse_tweet_csv(text, stats)
         else:
-            records = parse_tweet_stream(fh, stats)
+            first = fh.readline().removeprefix(codecs.BOM_UTF8)
+            records = parse_tweet_stream(itertools.chain((first,), fh), stats)
         return RecordTable.from_records(records if keep is None else filter(keep, records))
 
 

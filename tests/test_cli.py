@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import columns
 from echonet.cli import main
 from echonet.pipeline import StageError, atomic_open, run_pipeline
 from echonet.config import PipelineConfig
+from echonet.records import read_records
 
 FIXTURE = str(Path(__file__).parent.parent / "fixtures" / "sample_tweets.jsonl")
 
@@ -56,6 +59,18 @@ def test_ingest_counts_a_line_json_loads_raises_on_as_malformed(tmp_path, bad):
                    "--stats", str(stats)) == 0
     stats_data = json.loads(stats.read_text())
     assert (stats_data["malformed_lines"], stats_data["tweet_count"]) == (1, 2)
+
+
+def test_ingest_skips_a_byte_order_mark_at_the_start_of_a_jsonl_file(tmp_path):
+    src = tmp_path / "bom.jsonl"
+    src.write_bytes(codecs.BOM_UTF8 + Path(FIXTURE).read_bytes())
+    assert columns(read_records(str(src))) == columns(read_records(FIXTURE))
+    for name, path in (("plain", FIXTURE), ("bom", str(src))):
+        assert run_cli("ingest", "--input", path, "--outdir", str(tmp_path / name)) == 0
+    for name in ("filtered.jsonl", "ingest_stats.json"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    stats = json.loads((tmp_path / "bom" / "ingest_stats.json").read_text())
+    assert (stats["input_records"], stats["malformed_lines"], stats["tweet_count"]) == (248, 3, 246)
 
 
 def test_stage_chain_matches_run(tmp_path):

@@ -1,4 +1,6 @@
+import csv
 import itertools
+import json
 import math
 import random
 
@@ -23,7 +25,7 @@ from echonet.topics import (
     topic_keywords,
     topic_word_distribution,
 )
-from echonet.records import RecordTable
+from echonet.records import RecordTable, read_records
 
 
 def vocab_of(tokens):
@@ -87,6 +89,31 @@ def test_corpus_matches_the_scan_oracle(tweets, members, per_user):
     vocab, docs = build_community_corpus(table, community, per_user=per_user)
     assert [vocab.token(i) for i in range(len(vocab))] == expected_vocab
     assert [(d.doc_id, d.tokens) for d in docs] == expected_docs
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_corpus_doc_ids_of_a_file_with_non_ascii_tweet_ids_match_the_scan_oracle(tmp_path,
+                                                                                 suffix):
+    ids = ["ü1", "推文", "\U0001f600", "t\u00a0x", "naïve", "ſ", "Ω"]
+    rows = [(tweet_id, "ab"[i % 2], f"#tag{i % 3} #x") for i, tweet_id in enumerate(ids)]
+    path = tmp_path / f"tweets{suffix}"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if suffix == ".csv":
+            writer = csv.writer(fh)
+            writer.writerow(["tweet_id", "user_id", "created_at", "text"])
+            writer.writerows([tweet_id, user, "2018-07-01T00:00:00Z", text]
+                             for tweet_id, user, text in rows)
+        else:
+            fh.writelines(json.dumps({"tweet_id": tweet_id, "user_id": user, "text": text,
+                                      "created_at": "2018-07-01T00:00:00Z"}) + "\n"
+                          for tweet_id, user, text in rows)
+    records = []
+    table = read_records(str(path), None, lambda rec: records.append(rec) or True)
+    assert [rec.tweet_id for rec in records] == ids
+    for community in ({"a"}, {"b"}, {"a", "b"}):
+        _, expected_docs = community_corpus(records, community, DEFAULT_STOPTAGS)
+        _, docs = build_community_corpus(table, community)
+        assert [d.doc_id for d in docs] == [doc_id for doc_id, _ in expected_docs]
 
 
 def test_corpus_per_user_aggregation():
