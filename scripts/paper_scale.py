@@ -9,11 +9,11 @@ to `--work`/input, and kept there; a later call with the same `--work` reuses
 it. Each pair runs `echonet run` with the `retweet-scale` flags once in each
 checkout, from its own `src/`; the side that goes first alternates from pair
 to pair. The script prints each run's stage seconds and the peak RSS its
-manifest records, then each side's medians. Every file of a pair's bundles
-but `manifest.json` is compared byte for byte; the script exits 1 if a run
-fails or a file differs or is on one side only. `--work` is a temporary
-directory by default; the corpus takes about 200 MB and each side's bundle
-about 150 MB.
+manifest records after `ingest`, after `graph` and at most, then each side's
+medians. Every file of a pair's bundles but `manifest.json` is compared byte
+for byte; the script exits 1 if a run fails or a file differs or is on one
+side only. `--work` is a temporary directory by default; the corpus takes
+about 200 MB and each side's bundle about 150 MB.
 """
 
 from __future__ import annotations
@@ -47,17 +47,20 @@ def write_corpus(workdir: Path) -> str:
     return str(path)
 
 
-def stage_times(outdir: Path) -> tuple[dict[str, float], float]:
-    """(seconds per stage, peak RSS in MB) from a bundle's manifest."""
+def stage_times(outdir: Path) -> tuple[dict[str, float], dict[str, float]]:
+    """(seconds per stage, peak RSS in MB: after `ingest`, after `graph` and
+    the run's maximum) from a bundle's manifest."""
     stages = json.loads((outdir / "manifest.json").read_text())["stages"]
+    peaks = {s["name"]: s["peak_rss_kb"] / 1024 for s in stages}
     return ({s["name"]: s["seconds"] for s in stages},
-            max(s["peak_rss_kb"] for s in stages) / 1024)
+            {"ingest": peaks["ingest"], "graph": peaks["graph"], "max": max(peaks.values())})
 
 
-def describe(seconds: dict[str, float], peak_mb: float) -> str:
+def describe(seconds: dict[str, float], peaks: dict[str, float]) -> str:
     parts = [f"{name} {value:.2f}" for name, value in seconds.items()]
-    return (f"{', '.join(parts)}; total {sum(seconds.values()):.2f} s, "
-            f"peak RSS {peak_mb:.1f} MB")
+    return (f"{', '.join(parts)}; total {sum(seconds.values()):.2f} s, peak RSS after "
+            f"ingest {peaks['ingest']:.1f} MB, after graph {peaks['graph']:.1f} MB, "
+            f"max {peaks['max']:.1f} MB")
 
 
 def main(argv=None) -> int:
@@ -72,7 +75,8 @@ def main(argv=None) -> int:
     with holder as work:
         workdir = Path(work)
         corpus = write_corpus(workdir)
-        results: dict[str, list[tuple[dict[str, float], float]]] = {"parent": [], "change": []}
+        results: dict[str, list[tuple[dict[str, float], dict[str, float]]]] = {
+            "parent": [], "change": []}
         problems = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -88,8 +92,9 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}: {n} files compared, {len(found)} differ", flush=True)
             problems += found
         for side, runs in results.items():
-            medians = {name: statistics.median(r[0][name] for r in runs) for name in runs[0][0]}
-            print(f"{side} median: {describe(medians, statistics.median(r[1] for r in runs))}")
+            seconds = {name: statistics.median(r[0][name] for r in runs) for name in runs[0][0]}
+            peaks = {name: statistics.median(r[1][name] for r in runs) for name in runs[0][1]}
+            print(f"{side} median: {describe(seconds, peaks)}")
     print("\n".join(problems))
     print(f"{len(problems)} files differ" if problems else "every data file identical")
     return 1 if problems else 0

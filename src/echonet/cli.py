@@ -90,10 +90,10 @@ def _redirect_flags(stage: Stage) -> dict[str, list[str]]:
     return flags
 
 
-def _add_parser(sub, name: str, summary: str, fields=(), redirects=None) -> None:
+def _add_parser(sub, name: str, summary: str, fields, redirects=None) -> None:
     p = sub.add_parser(name, help=summary)
     p.add_argument("--config", help="JSON config file; flags override it")
-    for field in dict.fromkeys(COMMON_FIELDS + tuple(fields)):
+    for field in dict.fromkeys(fields):
         option, kwargs = FIELD_FLAGS[field]
         p.add_argument(option, dest=field, **kwargs)
     for flag, templates in (redirects or {}).items():
@@ -107,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for stage in TABLE.values():
         _add_parser(sub, stage.name, stage.func.__doc__.split("\n")[0],
-                    stage.fields, _redirect_flags(stage))
-    _add_parser(sub, "run", "Run every stage and write the manifest.", RUN_FIELDS)
-    _add_parser(sub, "report", "Summarize an existing bundle.")
+                    COMMON_FIELDS + stage.fields, _redirect_flags(stage))
+    _add_parser(sub, "run", "Run every stage and write the manifest.", COMMON_FIELDS + RUN_FIELDS)
+    _add_parser(sub, "report", "Summarize an existing bundle.", ("outdir",))
     return parser
 
 

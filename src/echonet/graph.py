@@ -114,14 +114,15 @@ class DegreeSummary:
 
 
 def build_retweet_graph(table: RecordTable) -> RetweetGraph:
-    """Aggregate retweet events into edge weights; self-retweets dropped."""
+    """Aggregate retweet events into edge weights; self-retweets dropped. The
+    table's 32-bit user codes are renumbered to int64 node ids in name order."""
     codes = table.user_codes
     nodes = sorted(codes)
     n = len(nodes)
     ids = np.empty(n, dtype=np.int64)  # user code -> id
     ids[np.fromiter(map(codes.__getitem__, nodes), dtype=np.int64, count=n)] = np.arange(n)
-    users = np.frombuffer(table.user_id, dtype=np.int64)
-    targets = np.frombuffer(table.retweet_of_user_id, dtype=np.int64)
+    users = np.frombuffer(table.user_id, dtype=np.intc)
+    targets = np.frombuffer(table.retweet_of_user_id, dtype=np.intc)
     retweets = (targets >= 0) & (targets != users)
     keys, weights = np.unique(ids[users[retweets]] * n + ids[targets[retweets]],
                               return_counts=True)

@@ -41,25 +41,19 @@ def description_term_proportions(
 ) -> TermFrequencyTable:
     """Proportion of users whose latest profile description contains each term.
 
-    One description per user (latest created_at); each user counts at most
-    once per term; tokens shorter than 2 characters and stoplisted tokens are
+    One description per user: the latest that is not blank, which `table`
+    keeps by user code as it is filled. Each user counts at most once per
+    term; tokens shorter than 2 characters and stoplisted tokens are
     excluded. Ties broken lexicographically.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    latest: dict[int, tuple[int, str]] = {}  # user code -> (created_us, description)
-    for user, created, description in zip(table.user_id, table.created_us,
-                                          table.user_description):
-        if description is None or not description.strip():
-            continue
-        prev = latest.get(user)
-        if prev is None or created > prev[0]:
-            latest[user] = (created, description)
+    latest = [desc for desc in table.latest_description if desc is not None]
     if not latest:
         raise NoDescriptionsError("no users with nonempty descriptions")
     user_base = len(latest)
     term_users: dict[str, int] = {}
-    for _, description in latest.values():
+    for description in latest:
         tokens = set(TOKEN_RE.findall(description.lower()))
         for tok in tokens:
             if len(tok) < 2 or tok in stoplist:

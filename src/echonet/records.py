@@ -114,25 +114,31 @@ class TweetIds:
 class RecordTable:
     """Records in input order, one column per field that a stage after
     `ingest` reads: `text` is not carried, `tweet_id` is a `TweetIds`, and
-    `created_us`, `user_id` and `retweet_of_user_id` are int64 arrays of
-    `created_us(created_at)` and of user codes (-1: no target). `user_codes`
-    names each author and target once, mapped to its code, its rank in order
-    of first appearance. Equal descriptions, hashtags and hashtag tuples are
-    one object, shared through a dict that lives only while `from_records`
-    fills the table."""
+    `user_id` and `retweet_of_user_id` are 32-bit int arrays of user codes
+    (-1: no target). `user_codes` names each author and target once, mapped
+    to its code, its rank in order of first appearance. A user's profile is
+    kept once, by code, not once per record: `latest_description[code]` is
+    the description of the user's latest record whose description is not
+    blank (None if there is none), the first in input order of those at that
+    instant, and `latest_description_us[code]` its `created_us(created_at)`.
+    `records_with_description` counts the records with a nonempty
+    description, blank or not. Equal hashtags and hashtag tuples are one
+    object, shared through a dict that lives only while `from_records` fills
+    the table."""
 
-    COLUMNS = ("tweet_id", "user_id", "created_us", "hashtags", "retweet_of_user_id",
-               "user_description")
-    __slots__ = COLUMNS + ("user_codes", "_shared")
+    COLUMNS = ("tweet_id", "user_id", "hashtags", "retweet_of_user_id",
+               "latest_description", "latest_description_us")
+    __slots__ = COLUMNS + ("user_codes", "records_with_description", "_shared")
 
     def __init__(self) -> None:
         self.tweet_id = TweetIds()
-        self.user_id = array("q")
-        self.created_us = array("q")
+        self.user_id = array("i")
         self.hashtags: list[tuple[str, ...]] = []
-        self.retweet_of_user_id = array("q")
-        self.user_description: list[Optional[str]] = []
+        self.retweet_of_user_id = array("i")
+        self.latest_description: list[Optional[str]] = []  # by user code
+        self.latest_description_us = array("q")  # by user code
         self.user_codes: dict[str, int] = {}
+        self.records_with_description = 0
         self._shared: dict = {}
 
     @classmethod
@@ -143,24 +149,47 @@ class RecordTable:
         table._shared.clear()  # the columns hold what they share
         return table
 
+    def _new_code(self, user: str) -> int:
+        """Make the code of a user not yet named, with its slot in each per-user column."""
+        code = self.user_codes[user] = len(self.user_codes)
+        self.latest_description.append(None)
+        self.latest_description_us.append(0)
+        return code
+
     def append(self, rec: TweetRecord) -> None:
         shared, codes = self._shared, self.user_codes
-        share = shared.setdefault
         tweet_id, user_id, created_at, _, hashtags, retweet_of, description = rec
         ids = self.tweet_id
         data = ids.data
         data += tweet_id.encode("utf-8", "surrogatepass")
         ids.ends.append(len(data))
-        self.user_id.append(codes.setdefault(user_id, len(codes)))
-        self.created_us.append(created_us(created_at))
+        user = codes.get(user_id)
+        if user is None:
+            user = self._new_code(user_id)
+        self.user_id.append(user)
         tags = shared.get(hashtags)
         if tags is None:
+            share = shared.setdefault
             tags = shared[hashtags] = tuple([share(tag, tag) for tag in hashtags])
         self.hashtags.append(tags)
-        self.retweet_of_user_id.append(
-            -1 if retweet_of is None else codes.setdefault(retweet_of, len(codes)))
-        self.user_description.append(
-            description if description is None else share(description, description))
+        target = -1 if retweet_of is None else codes.get(retweet_of)
+        if target is None:
+            target = self._new_code(retweet_of)
+        self.retweet_of_user_id.append(target)
+        if description:
+            self.records_with_description += 1
+            if not description.isspace():
+                latest, stamps = self.latest_description, self.latest_description_us
+                stamp = created_us(created_at)
+                kept = latest[user]
+                # strict: of two descriptions at one instant, the first in input order stays
+                if kept is None or stamp > stamps[user]:
+                    # an equal text keeps the string already held: swapping a bio
+                    # repeated on every record for each fresh copy scatters the
+                    # survivors over the heap and raises the peak RSS
+                    if description != kept:
+                        latest[user] = description
+                    stamps[user] = stamp
 
     def __len__(self) -> int:
         return len(self.user_id)
@@ -168,7 +197,7 @@ class RecordTable:
     def rows_of(self, users: Iterable[str]) -> np.ndarray:
         """The positions of the records that `users` wrote, in input order."""
         codes = [self.user_codes[user] for user in users if user in self.user_codes]
-        return np.flatnonzero(np.isin(np.frombuffer(self.user_id, dtype=np.int64), codes))
+        return np.flatnonzero(np.isin(np.frombuffer(self.user_id, dtype=np.intc), codes))
 
 
 def extract_hashtags(text: str) -> tuple[str, ...]:
@@ -390,5 +419,5 @@ def corpus_summary(table: RecordTable) -> CorpusStats:
         tweet_count=len(table),
         unique_user_count=len(set(table.user_id)),
         retweet_count=len(table) - table.retweet_of_user_id.count(-1),
-        records_with_description=sum(map(bool, table.user_description)),
+        records_with_description=table.records_with_description,
     )

@@ -156,6 +156,12 @@ def test_report_subcommand(tmp_path, capsys):
     assert "corpus:" in text and "network:" in text and "communities_k4" in text
 
 
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--threads", "2"], ["--resume"]])
+def test_report_rejects_a_flag_it_would_ignore(tmp_path, capsys, flag):
+    assert _exit_code(["report", "--outdir", str(tmp_path / "out"), *flag]) == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 _HEAD = {"tool": "echonet", "version": "0.1.0", "config_hash": "ab" * 32,
          "created_utc": "2026-01-01T00:00:00+00:00"}
 

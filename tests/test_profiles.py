@@ -1,14 +1,23 @@
+import csv
+import json
+import os
 import random
+import tempfile
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import make_record
 from oracles import description_terms
 from echonet.profiles import (
     DEFAULT_STOPLIST,
+    NoDescriptionsError,
     description_term_proportions,
 )
-from echonet.records import RecordTable
+from echonet.records import CSV_COLUMNS, RecordTable, read_records
 
 
 def proportions(records, stoplist, top_n):
@@ -139,3 +148,60 @@ def test_of_two_descriptions_at_one_instant_the_first_in_input_order_wins(first,
         table = proportions(records, frozenset(), 5)
         assert table == description_terms(records, frozenset(), 5)
         assert table.terms == [(one, 1.0)]
+
+
+_INSTANTS = [datetime(2020, 6, 1, 12, minute, tzinfo=timezone.utc) for minute in range(3)]
+_ZONES = [timezone.utc, timezone(timedelta(hours=-5)), timezone(timedelta(hours=2, minutes=30))]
+# words, stopwords, one-letter tokens, and whitespace that only str.isspace calls blank
+_BIOS = st.lists(st.sampled_from(["maga", "proud", "mom", "the", "of", "a", "x1", " ", "\t",
+                                  "\n", "　"]), max_size=5).map("".join)
+
+
+@st.composite
+def _description_objects(draw):
+    """Input objects from two authors and two users seen only as retweet
+    targets, at three instants, each written in one of three offsets: ties at
+    one instant, blank, absent and repeated descriptions, and later records
+    without one."""
+    objs = []
+    for i in range(draw(st.integers(0, 14))):
+        obj = {"tweet_id": f"t{i}", "user_id": draw(st.sampled_from(["a", "b"])), "text": "rt",
+               "created_at": draw(st.sampled_from(_INSTANTS))
+                             .astimezone(draw(st.sampled_from(_ZONES))).isoformat()}
+        target = draw(st.sampled_from([None, "a", "b", "r0", "r1"]))
+        if target is not None:
+            obj["retweet_of_user_id"] = target
+        # a few fixed bios, so that one user often repeats a text out of time order
+        description = draw(st.none() | st.sampled_from(["maga mom", "proud x1", " "]) | _BIOS)
+        if description is not None:
+            obj["user_description"] = description
+        objs.append(obj)
+    return objs
+
+
+@given(_description_objects(), st.sampled_from(["jsonl", "csv"]))
+@example([{"tweet_id": f"t{i}", "user_id": "a", "text": "rt", "user_description": bio,
+           "created_at": f"2020-06-01T12:0{minute}:00+00:00"}
+          for i, (bio, minute) in enumerate([("maga mom", 0), ("maga mom", 2), ("proud x1", 1)])],
+         "jsonl")
+@settings(max_examples=150, deadline=None)
+def test_the_per_user_fold_gives_the_oracle_terms_and_counts(objs, form):
+    records = [oracles.record_from_mapping(obj) for obj in objs]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"tweets.{form}")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if form == "csv":
+                writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+                writer.writeheader()
+                writer.writerows(objs)
+            else:
+                fh.writelines(json.dumps(obj) + "\n" for obj in objs)
+        table = read_records(path)
+    assert len(table) == len(records)
+    assert table.records_with_description == sum(1 for r in records if r.user_description)
+    expected = description_terms(records, DEFAULT_STOPLIST, 50)
+    if expected is None:
+        with pytest.raises(NoDescriptionsError):
+            description_term_proportions(table, DEFAULT_STOPLIST, 50)
+    else:
+        assert description_term_proportions(table, DEFAULT_STOPLIST, 50) == expected
