@@ -124,28 +124,29 @@ def maximal_cliques(
 
 
 def triangle_edges(ug: UndirectedGraph) -> np.ndarray:
-    """A boolean mask over `ug.edges`: the edges that lie in a triangle. Each
+    """A boolean mask over `ug.keys`: the edges that lie in a triangle. Each
     edge points from the end of lower degree (then lower id) to the other, so
     a node has at most sqrt(2m) out-neighbours. Every pair of out-neighbours
     of a node, a wedge, is looked up among the sorted edge keys, WEDGE_CHUNK
     wedges at a time; a hit closes a triangle, found once, at its lowest node,
     and marks its three edges (Chiba & Nishizeki 1985, "Arboricity and
     Subgraph Listing Algorithms")."""
-    n, m = len(ug.nodes), len(ug.edges)
-    u, v = ug.edges[:, 0], ug.edges[:, 1]
+    n, m, keys = len(ug.nodes), len(ug.keys), ug.keys  # the keys are sorted
+    u, v = np.divmod(keys, n)
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(np.bincount(ug.edges.ravel(), minlength=n), kind="stable")] = np.arange(n)
+    degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    rank[np.argsort(degree, kind="stable")] = np.arange(n)
     up = rank[u] < rank[v]
     src = np.where(up, u, v)
+    out = np.where(up, v, u)
+    del up, u, v
     order = np.argsort(src, kind="stable")  # edge ids grouped by their source
-    out = np.where(up, v, u)[order]  # the out-neighbour at each position
-    del up
-    group_end = np.cumsum(np.bincount(src, minlength=n))[src[order]]
+    per_source = np.bincount(src, minlength=n)
     del src
-    later = group_end - np.arange(1, m + 1)  # wedges that start at each position
-    del group_end
+    out = out[order]  # the out-neighbour at each position
+    later = np.repeat(np.cumsum(per_source), per_source)  # where each position's group ends
+    later -= np.arange(1, m + 1)  # wedges that start at each position
     total = np.cumsum(later)
-    keys = u * n + v  # sorted, as the edges are
     triangle = np.zeros(m, dtype=bool)
     start = 0
     while start < m:

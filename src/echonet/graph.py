@@ -1,9 +1,13 @@
 """Weighted retweet digraph, degree statistics, role scores, symmetrization.
 
 Both graph types name each user once, in sorted order, so that a node's int
-id (its index in `nodes`) orders it as its name does, and keep their edges,
-weights and degrees in numpy int arrays. Names come back only where a file
-is written.
+id (its index in `nodes`) orders it as its name does. A graph holds each edge
+(u, v) as one int64 key, u * n + v for n nodes, in a sorted array of unique
+keys, and its weights in an int64 array beside it: 16 bytes an edge. Both
+are built by sorting keys and reading where each run of equal keys starts,
+and every pass that needs the ends splits the keys with `divmod`, a chunk or
+one array at a time. Degrees are numpy int arrays too; names come back only
+where a file is written.
 """
 
 from __future__ import annotations
@@ -20,12 +24,21 @@ CHUNK = 1 << 12  # array items turned into Python values at a time
 
 @dataclass
 class _Graph:
-    """`nodes` are the names in sorted order. Row j of `edges` is a pair of
-    node ids, the rows unique and in sorted order, and `weights[j]` is its weight."""
+    """`nodes` are the names in sorted order. `keys[j]` is the edge from node
+    id u to node id v as u * len(nodes) + v, the keys unique and sorted, so the
+    edges run in (u, v) order; `weights[j]` is its weight (int64). Keys fit in
+    int64 for up to 3 * 10**9 nodes; the table's user codes are 32-bit."""
 
     nodes: list[str] = field(default_factory=list)
-    edges: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     weights: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The (u, v) rows of `keys`, made anew on each read. The package
+        reads `keys`; this is for outside readers such as `perfbench/tracer.py`,
+        which counts the edges as `len(g.edges)`."""
+        return np.stack(np.divmod(self.keys, len(self.nodes)), axis=1)
 
 
 class RetweetGraph(_Graph):
@@ -37,33 +50,39 @@ class UndirectedGraph(_Graph):
 
     def adjacency(self, keep: np.ndarray | None = None) -> dict[int, set[int]]:
         """Each node's neighbour set, by id. With `keep`, a boolean mask over
-        `edges`, only the kept edges count and only the nodes they touch appear."""
-        edges = self.edges if keep is None else self.edges[keep]
+        `keys`, only the kept edges count and only the nodes they touch appear."""
+        n = len(self.nodes)
+        keys = self.keys if keep is None else self.keys[keep]
         if keep is None:
-            ids = range(len(self.nodes))
+            ids = range(n)
         else:
-            ids = np.flatnonzero(np.bincount(edges.ravel(), minlength=len(self.nodes))).tolist()
+            touched = np.zeros(n, dtype=bool)
+            for ends in np.divmod(keys, n):
+                touched[ends] = True
+            ids = np.flatnonzero(touched).tolist()
         adj: dict[int, set[int]] = {i: set() for i in ids}
-        for s in range(0, len(edges), CHUNK):
-            rows = edges[s:s + CHUNK]
-            for u, v in zip(rows[:, 0].tolist(), rows[:, 1].tolist()):
+        for s in range(0, len(keys), CHUNK):
+            us, vs = np.divmod(keys[s:s + CHUNK], n)
+            for u, v in zip(us.tolist(), vs.tolist()):
                 adj[u].add(v)
                 adj[v].add(u)
         return adj
 
     def named_edges(self) -> Iterator[tuple[str, str, int]]:
-        """Each edge as (u, v, weight) by name, in the order of `edges`."""
-        names = self.nodes
-        for s in range(0, len(self.edges), CHUNK):
-            rows = self.edges[s:s + CHUNK]
-            for u, v, w in zip(rows[:, 0].tolist(), rows[:, 1].tolist(),
-                               self.weights[s:s + CHUNK].tolist()):
+        """Each edge as (u, v, weight) by name, in the order of `keys`."""
+        names, n = self.nodes, len(self.nodes)
+        for s in range(0, len(self.keys), CHUNK):
+            us, vs = np.divmod(self.keys[s:s + CHUNK], n)
+            for u, v, w in zip(us.tolist(), vs.tolist(), self.weights[s:s + CHUNK].tolist()):
                 yield names[u], names[v], w
 
 
-def _key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
-    """The (u, v) rows of the keys u * n + v."""
-    return np.stack(np.divmod(keys, n), axis=1)
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted array `keys` starts."""
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 @dataclass
@@ -115,7 +134,9 @@ class DegreeSummary:
 
 def build_retweet_graph(table: RecordTable) -> RetweetGraph:
     """Aggregate retweet events into edge weights; self-retweets dropped. The
-    table's 32-bit user codes are renumbered to int64 node ids in name order."""
+    table's 32-bit user codes are renumbered to int64 node ids in name order.
+    The events' keys are formed in one array and sorted in place; each run of
+    equal keys is one edge, and its length is the edge's weight."""
     codes = table.user_codes
     nodes = sorted(codes)
     n = len(nodes)
@@ -124,9 +145,13 @@ def build_retweet_graph(table: RecordTable) -> RetweetGraph:
     users = np.frombuffer(table.user_id, dtype=np.intc)
     targets = np.frombuffer(table.retweet_of_user_id, dtype=np.intc)
     retweets = (targets >= 0) & (targets != users)
-    keys, weights = np.unique(ids[users[retweets]] * n + ids[targets[retweets]],
-                              return_counts=True)
-    return RetweetGraph(nodes, _key_pairs(keys, n), weights)
+    keys = ids[users[retweets]]
+    keys *= n
+    keys += ids[targets[retweets]]
+    keys.sort()
+    starts = _run_starts(keys)
+    weights = np.diff(starts, append=len(keys))
+    return RetweetGraph(nodes, keys[starts], weights)
 
 
 @dataclass(frozen=True)
@@ -142,14 +167,20 @@ class NodeDegrees:
 
 
 def node_degrees(g: RetweetGraph) -> NodeDegrees:
-    """Count the degrees of `g` with `np.bincount`: the input of the degree reports."""
+    """Count the degrees of `g` with `np.bincount`: the input of the degree
+    reports. The sources and then the targets are split from the keys, one
+    array at a time."""
     n = len(g.nodes)
-    src, dst = g.edges[:, 0], g.edges[:, 1]
+    src = g.keys // n
+    out_weighted = np.bincount(src, weights=g.weights, minlength=n).astype(np.int64)
+    out_unweighted = np.bincount(src, minlength=n)
+    del src
+    dst = g.keys % n
     return NodeDegrees(
         g.nodes,
-        np.bincount(src, weights=g.weights, minlength=n).astype(np.int64),
+        out_weighted,
         np.bincount(dst, weights=g.weights, minlength=n).astype(np.int64),
-        np.bincount(src, minlength=n),
+        out_unweighted,
         np.bincount(dst, minlength=n),
     )
 
@@ -214,12 +245,23 @@ def _role_rows(names, order, in_w, out_w, score, label):
 
 
 def symmetrize(g: RetweetGraph, min_weight: int = 1) -> UndirectedGraph:
-    """Combined weight e_uv + e_vu; edges below min_weight dropped, nodes kept."""
+    """Combined weight e_uv + e_vu; edges below min_weight dropped, nodes kept.
+    Each directed key becomes min * n + max; one stable sort brings the two
+    directions of a pair together, and `np.add.reduceat` sums each run."""
     if min_weight < 1:
         raise ValueError("min_weight must be >= 1")
     n = len(g.nodes)
-    src, dst = g.edges[:, 0], g.edges[:, 1]
-    keys, pair = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst), return_inverse=True)
-    weights = np.bincount(pair, weights=g.weights, minlength=len(keys)).astype(np.int64)
+    src, dst = np.divmod(g.keys, n)
+    keys = np.minimum(src, dst)
+    np.maximum(src, dst, out=dst)
+    del src
+    keys *= n
+    keys += dst
+    del dst
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = _run_starts(keys)
+    weights = np.add.reduceat(g.weights[order], starts)
+    del order
     kept = weights >= min_weight
-    return UndirectedGraph(g.nodes, _key_pairs(keys[kept], n), weights[kept])
+    return UndirectedGraph(g.nodes, keys[starts[kept]], weights[kept])

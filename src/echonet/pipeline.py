@@ -222,7 +222,8 @@ def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
     with open(nodes_path, encoding="utf-8") as fh:
         nodes = sorted({line.rstrip("\n") for line in fh if line.strip()})
     index = {v: i for i, v in enumerate(nodes)}
-    ends, weights, lines = array("q"), array("q"), array("q")
+    n = len(nodes)
+    keys, weights, lines = array("q"), array("q"), array("q")
     with open(edges_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
 
@@ -242,21 +243,18 @@ def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
                 raise bad(f"node {u!r} does not sort before node {v!r}")
             if not (weight.isascii() and weight.isdigit() and int(weight) > 0):
                 raise bad(f"the weight {weight!r} of {u!r}, {v!r} is not a positive integer")
-            ends.append(index[u])
-            ends.append(index[v])
+            keys.append(index[u] * n + index[v])
             weights.append(int(weight))
             lines.append(reader.line_num)
-    n = len(nodes)
-    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
-    keys = pairs[:, 0] * n + pairs[:, 1]
+    keys = np.frombuffer(keys, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
     if len(repeats):
         row = int(repeats.min())
-        u, v = (nodes[i] for i in pairs[row].tolist())
+        u, v = (nodes[i] for i in divmod(int(keys[row]), n))
         raise InputFileError(
             f"{edges_path}: line {lines[row]}: the pair {u!r}, {v!r} is listed twice")
-    return UndirectedGraph(nodes, pairs[order], np.frombuffer(weights, dtype=np.int64)[order])
+    return UndirectedGraph(nodes, keys[order], np.frombuffer(weights, dtype=np.int64)[order])
 
 
 def write_community_outputs(config: PipelineConfig, ug: UndirectedGraph, files: StageFiles) -> None:

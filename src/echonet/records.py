@@ -121,8 +121,8 @@ class RecordTable:
     the description of the user's latest record whose description is not
     blank (None if there is none), the first in input order of those at that
     instant, and `latest_description_us[code]` its `created_us(created_at)`.
-    `records_with_description` counts the records with a nonempty
-    description, blank or not. Equal hashtags and hashtag tuples are one
+    `records_with_description` counts the records whose description is not
+    blank, the ones `profiles` reads. Equal hashtags and hashtag tuples are one
     object, shared through a dict that lives only while `from_records` fills
     the table."""
 
@@ -176,20 +176,19 @@ class RecordTable:
         if target is None:
             target = self._new_code(retweet_of)
         self.retweet_of_user_id.append(target)
-        if description:
+        if description and not description.isspace():
             self.records_with_description += 1
-            if not description.isspace():
-                latest, stamps = self.latest_description, self.latest_description_us
-                stamp = created_us(created_at)
-                kept = latest[user]
-                # strict: of two descriptions at one instant, the first in input order stays
-                if kept is None or stamp > stamps[user]:
-                    # an equal text keeps the string already held: swapping a bio
-                    # repeated on every record for each fresh copy scatters the
-                    # survivors over the heap and raises the peak RSS
-                    if description != kept:
-                        latest[user] = description
-                    stamps[user] = stamp
+            latest, stamps = self.latest_description, self.latest_description_us
+            stamp = created_us(created_at)
+            kept = latest[user]
+            # strict: of two descriptions at one instant, the first in input order stays
+            if kept is None or stamp > stamps[user]:
+                # an equal text keeps the string already held: swapping a bio
+                # repeated on every record for each fresh copy scatters the
+                # survivors over the heap and raises the peak RSS
+                if description != kept:
+                    latest[user] = description
+                stamps[user] = stamp
 
     def __len__(self) -> int:
         return len(self.user_id)
@@ -415,9 +414,10 @@ def keyword_filter(record: TweetRecord, keywords: Sequence[str]) -> bool:
 
 
 def corpus_summary(table: RecordTable) -> CorpusStats:
+    records_by_author = np.bincount(np.frombuffer(table.user_id, dtype=np.intc))
     return CorpusStats(
         tweet_count=len(table),
-        unique_user_count=len(set(table.user_id)),
+        unique_user_count=int(np.count_nonzero(records_by_author)),
         retweet_count=len(table) - table.retweet_of_user_id.count(-1),
         records_with_description=table.records_with_description,
     )

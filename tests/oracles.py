@@ -35,7 +35,9 @@ class Named:
 
 def named(g):
     """A package graph by name."""
-    edges = {(g.nodes[u], g.nodes[v]): w for (u, v), w in zip(g.edges.tolist(), g.weights.tolist())}
+    n = len(g.nodes)
+    edges = {(g.nodes[key // n], g.nodes[key % n]): w
+             for key, w in zip(g.keys.tolist(), g.weights.tolist())}
     return Named(set(g.nodes), edges)
 
 
@@ -45,12 +47,13 @@ def package_graph(cls, nodes, edges):
     weights; an undirected pair is given once, either way round."""
     names = sorted(set(nodes).union(*edges))
     index = {v: i for i, v in enumerate(names)}
-    rows = np.array([(index[u], index[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+    pairs = [(index[u], index[v]) for u, v in edges]
     if cls is UndirectedGraph:
-        rows.sort(axis=1)
-    order = np.lexsort((rows[:, 1], rows[:, 0]))
-    weights = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
-    return cls(names, rows[order], weights[order])
+        pairs = [(min(pair), max(pair)) for pair in pairs]
+    rows = sorted((u * len(names) + v, w) for (u, v), w in zip(pairs, edges.values()))
+    keys = np.array([key for key, _ in rows], dtype=np.int64)
+    weights = np.array([w for _, w in rows], dtype=np.int64)
+    return cls(names, keys, weights)
 
 
 def brute_force_k_cliques(nodes, edge_pairs, k):

@@ -129,7 +129,7 @@ def test_criterion_2_handshake():
         g = random_retweet_graph(rng)
         d = node_degrees(g)
         assert d.out_weighted.sum() == d.in_weighted.sum() == g.weights.sum()
-        assert d.out_unweighted.sum() == d.in_unweighted.sum() == len(g.edges)
+        assert d.out_unweighted.sum() == d.in_unweighted.sum() == len(g.keys)
         s = degree_summary(d)
         assert s.out_weighted.mean == s.in_weighted.mean
         assert s.out_unweighted.mean == s.in_unweighted.mean

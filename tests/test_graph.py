@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -291,3 +293,34 @@ def test_degree_reports_of_a_graph_without_nodes():
     assert degree_histogram(degrees) == oracles.degree_histogram(named(empty)) == []
     assert list(classify_roles(degrees, 0.5)) == []
     assert oracles.classify_roles(named(empty), 0.5) == []
+
+
+def test_graph_stage_holds_under_40_bytes_per_retweet_event():
+    """A memory guard, like the table's in `tests/test_records.py`. 20,000
+    seeded retweets among 2,000 users, their targets drawn with weights
+    1/rank, so that some pairs repeat and some return. What
+    `build_retweet_graph`, `symmetrize` and `node_degrees` keep must stay under
+    40 bytes per retweet event as tracemalloc counts it, and their peak under
+    72. One key array per graph keeps about 33 and peaks at about 53; an
+    (m, 2) pair array per graph and `np.unique`'s inverse in `symmetrize`
+    kept about 48 and peaked at about 82."""
+    rng = random.Random(22)
+    users = [str(rng.randrange(10**9, 10**10)) for _ in range(2000)]
+    targets = rng.choices(users, weights=[1 / rank for rank in range(1, 2001)], k=22_000)
+    events = [(u, v) for u, v in zip(rng.choices(users, k=len(targets)), targets) if u != v]
+    table = RecordTable.from_records(
+        retweet(i, u, v) for i, (u, v) in enumerate(events[:20_000]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_retweet_graph(table)
+        ug = symmetrize(g, 1)
+        degrees = node_degrees(g)
+        held, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert int(g.weights.sum()) == len(table) == 20_000
+    assert len(ug.keys) < len(g.keys) and len(degrees.nodes) == 2000
+    assert held / len(table) < 40, held / len(table)
+    assert peak / len(table) < 72, peak / len(table)

@@ -210,7 +210,9 @@ def test_loading_edge_rows_in_any_order_gives_the_sorted_graph(tmp_path):
     ug = pipeline.load_undirected_graph(*graph_files(tmp_path, ["b,c,3", "a,c,2", "a,b,1"],
                                                      nodes="cbad"))
     assert ug.nodes == ["a", "b", "c", "d"]
-    assert ug.edges.tolist() == [[0, 1], [0, 2], [1, 2]] and ug.weights.tolist() == [1, 2, 3]
+    # the keys u * 4 + v of the pairs (0, 1), (0, 2) and (1, 2)
+    assert ug.keys.tolist() == [1, 2, 6] and ug.weights.tolist() == [1, 2, 3]
+    assert ug.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_communities_subcommand_names_the_edge_file_line_and_unknown_node(tmp_path, capsys):

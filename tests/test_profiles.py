@@ -198,7 +198,8 @@ def test_the_per_user_fold_gives_the_oracle_terms_and_counts(objs, form):
                 fh.writelines(json.dumps(obj) + "\n" for obj in objs)
         table = read_records(path)
     assert len(table) == len(records)
-    assert table.records_with_description == sum(1 for r in records if r.user_description)
+    assert table.records_with_description == sum(
+        1 for r in records if r.user_description and r.user_description.strip())
     expected = description_terms(records, DEFAULT_STOPLIST, 50)
     if expected is None:
         with pytest.raises(NoDescriptionsError):

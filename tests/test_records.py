@@ -144,7 +144,8 @@ def test_corpus_summary_recount_oracle():
             f"t{i}",
             f"u{rng.randrange(500)}",
             retweet_of=f"u{rng.randrange(500)}" if rng.random() < 0.4 else None,
-            description="a bio" if rng.random() < 0.3 else None,
+            # blank bios count for nothing, as in `profiles`
+            description=rng.choice(["a bio", " \t", "\u3000"]) if rng.random() < 0.3 else None,
         )
         for i in range(10_000)
     ]
@@ -154,7 +155,7 @@ def test_corpus_summary_recount_oracle():
     assert stats.unique_user_count == len({r.user_id for r in records})
     assert stats.retweet_count == sum(1 for r in records if r.retweet_of_user_id)
     assert stats.records_with_description == sum(
-        1 for r in records if r.user_description
+        1 for r in records if r.user_description and r.user_description.strip()
     )
 
 
