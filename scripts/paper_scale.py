@@ -1,6 +1,6 @@
 """Alternating `echonet run` pairs of two checkouts on the paper-scale corpus.
 
-    python3 scripts/paper_scale.py PARENT_DIR CHANGE_DIR [--pairs N] [--work DIR]
+    python3 scripts/paper_scale.py PARENT_DIR CHANGE_DIR [--pairs N] [--work DIR] [RUN_FLAGS...]
 
 The corpus has the shape of the paper's, about 800,000 tweets from 100,000
 users: the `retweet-scale` generator of `perfbench/workloads.py` at 100,000
@@ -8,12 +8,15 @@ users, `edges_per_user` 6 and `topic_share` 0.03, seed 5. It is written once,
 to `--work`/input, and kept there; a later call with the same `--work` reuses
 it. Each pair runs `echonet run` with the `retweet-scale` flags once in each
 checkout, from its own `src/`; the side that goes first alternates from pair
-to pair. The script prints each run's stage seconds and the peak RSS its
-manifest records after `ingest`, after `graph` and at most, then each side's
-medians. Every file of a pair's bundles but `manifest.json` is compared byte
-for byte; the script exits 1 if a run fails or a file differs or is on one
-side only. `--work` is a temporary directory by default; the corpus takes
-about 200 MB and each side's bundle about 150 MB.
+to pair. Any other argument after the two checkouts is a flag of `echonet
+run`, added after those: `--k 3` overrides their `--k 4` and gives 178
+communities, not 1, so `topics` builds many corpora. The script prints each
+run's stage seconds and the peak RSS its manifest records after `ingest`,
+after `graph` and at most, then each side's medians. Every file of a pair's
+bundles but `manifest.json` is compared byte for byte; the script exits 1 if
+a run fails or a file differs or is on one side only. `--work` is a
+temporary directory by default; the corpus takes about 200 MB and each
+side's bundle about 150 MB.
 """
 
 from __future__ import annotations
@@ -64,12 +67,14 @@ def describe(seconds: dict[str, float], peaks: dict[str, float]) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], allow_abbrev=False)
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=2)
     parser.add_argument("--work", type=Path, help="directory for the corpus and bundles")
-    args = parser.parse_args(argv)
+    args, run_flags = parser.parse_known_args(argv)
+    flags = FLAGS[WORKLOAD] + run_flags
+    print(f"echonet run flags: {' '.join(flags)}", flush=True)
     holder = (contextlib.nullcontext(str(args.work)) if args.work
               else tempfile.TemporaryDirectory(prefix="paper_scale_"))
     with holder as work:
@@ -83,7 +88,7 @@ def main(argv=None) -> int:
             outdirs = {side: workdir / side for side in order}
             for side in order:
                 shutil.rmtree(outdirs[side], ignore_errors=True)
-                if run(getattr(args, side).resolve(), corpus, FLAGS[WORKLOAD], outdirs[side]):
+                if run(getattr(args, side).resolve(), corpus, flags, outdirs[side]):
                     print(f"run failed: pair {i + 1} {side}")
                     return 1
                 results[side].append(stage_times(outdirs[side]))

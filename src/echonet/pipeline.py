@@ -218,7 +218,7 @@ def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
     edge rows may come in any order. Raises InputFileError, naming the file,
     the line and the node, for a row whose endpoint is not in `nodes_path`,
     whose u does not sort before its v, that repeats an earlier pair, or whose
-    weight is not a positive integer."""
+    weight is not a positive integer below 2**63, the int64 it is held in."""
     with open(nodes_path, encoding="utf-8") as fh:
         nodes = sorted({line.rstrip("\n") for line in fh if line.strip()})
     index = {v: i for i, v in enumerate(nodes)}
@@ -241,10 +241,14 @@ def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
                     raise bad(f"node {node!r} is not in {nodes_path}")
             if u >= v:
                 raise bad(f"node {u!r} does not sort before node {v!r}")
-            if not (weight.isascii() and weight.isdigit() and int(weight) > 0):
+            digits = weight.lstrip("0")
+            if not (weight.isascii() and weight.isdigit() and digits):
                 raise bad(f"the weight {weight!r} of {u!r}, {v!r} is not a positive integer")
+            # checked by length first: int() refuses a string of over 4,300 digits
+            if len(digits) > 19 or int(digits) >= 2**63:
+                raise bad(f"the weight {weight!r} of {u!r}, {v!r} is 2**63 or more")
             keys.append(index[u] * n + index[v])
-            weights.append(int(weight))
+            weights.append(int(digits))
             lines.append(reader.line_num)
     keys = np.frombuffer(keys, dtype=np.int64)
     order = np.argsort(keys, kind="stable")

@@ -2,8 +2,9 @@
 
 A parsed line is a `TweetRecord`. The records a file holds, or those a
 filter kept, are read into one `RecordTable`: a column per field that a stage
-after `ingest` reads, so a record costs a few array and list slots and the
-bytes of its id, not an object of its own with a datetime and its text.
+after `ingest` reads, so a record costs two array slots, and one that carries
+a topic tag also a list slot, two more array slots and the bytes of its id,
+not an object of its own with a datetime and its text.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 DEFAULT_KEYWORDS = ("qanon", "#q", "#qanon")
+
+# collection-query hashtags appear in (nearly) every tweet by construction, so
+# they say nothing of a topic: `RecordTable` keeps every other tag, the topic tags
+TOPIC_STOPTAGS = frozenset({"q", "qanon"})
 
 CSV_COLUMNS = (
     "tweet_id",
@@ -113,28 +118,34 @@ class TweetIds:
 
 class RecordTable:
     """Records in input order, one column per field that a stage after
-    `ingest` reads: `text` is not carried, `tweet_id` is a `TweetIds`, and
-    `user_id` and `retweet_of_user_id` are 32-bit int arrays of user codes
-    (-1: no target). `user_codes` names each author and target once, mapped
-    to its code, its rank in order of first appearance. A user's profile is
-    kept once, by code, not once per record: `latest_description[code]` is
-    the description of the user's latest record whose description is not
-    blank (None if there is none), the first in input order of those at that
-    instant, and `latest_description_us[code]` its `created_us(created_at)`.
+    `ingest` reads; `text` is not carried. Every record is a row of
+    `user_id` and `retweet_of_user_id`, 32-bit int arrays of user codes (-1:
+    no target). A record's hashtags minus `TOPIC_STOPTAGS` are its topic
+    tags, the ones `topics` reads; a record that carries one is also a row of
+    three parallel columns, the tagged rows: `tweet_id`, a `TweetIds`,
+    `hashtags`, its topic tags, and `tagged_user_id`, its author's code. A
+    record without one keeps neither its id nor its tags. `user_codes` names
+    each author and target once, mapped to its code, its rank in order of
+    first appearance. A user's profile is kept once, by code, not once per
+    record: `latest_description[code]` is the description of the user's
+    latest record whose description is not blank (None if there is none),
+    the first in input order of those at that instant, and
+    `latest_description_us[code]` its `created_us(created_at)`.
     `records_with_description` counts the records whose description is not
-    blank, the ones `profiles` reads. Equal hashtags and hashtag tuples are one
-    object, shared through a dict that lives only while `from_records` fills
-    the table."""
+    blank, the ones `profiles` reads. Equal hashtags and topic tag tuples are
+    one object, shared through a dict that lives only while `from_records`
+    fills the table."""
 
-    COLUMNS = ("tweet_id", "user_id", "hashtags", "retweet_of_user_id",
+    COLUMNS = ("user_id", "retweet_of_user_id", "tweet_id", "hashtags", "tagged_user_id",
                "latest_description", "latest_description_us")
     __slots__ = COLUMNS + ("user_codes", "records_with_description", "_shared")
 
     def __init__(self) -> None:
-        self.tweet_id = TweetIds()
         self.user_id = array("i")
-        self.hashtags: list[tuple[str, ...]] = []
         self.retweet_of_user_id = array("i")
+        self.tweet_id = TweetIds()  # by tagged row, as are the next two
+        self.hashtags: list[tuple[str, ...]] = []
+        self.tagged_user_id = array("i")
         self.latest_description: list[Optional[str]] = []  # by user code
         self.latest_description_us = array("q")  # by user code
         self.user_codes: dict[str, int] = {}
@@ -159,19 +170,23 @@ class RecordTable:
     def append(self, rec: TweetRecord) -> None:
         shared, codes = self._shared, self.user_codes
         tweet_id, user_id, created_at, _, hashtags, retweet_of, description = rec
-        ids = self.tweet_id
-        data = ids.data
-        data += tweet_id.encode("utf-8", "surrogatepass")
-        ids.ends.append(len(data))
         user = codes.get(user_id)
         if user is None:
             user = self._new_code(user_id)
         self.user_id.append(user)
-        tags = shared.get(hashtags)
-        if tags is None:
-            share = shared.setdefault
-            tags = shared[hashtags] = tuple([share(tag, tag) for tag in hashtags])
-        self.hashtags.append(tags)
+        if hashtags:
+            tags = shared.get(hashtags)  # its topic tags
+            if tags is None:
+                share = shared.setdefault
+                tags = shared[hashtags] = tuple([share(tag, tag) for tag in hashtags
+                                                 if tag not in TOPIC_STOPTAGS])
+            if tags:
+                ids = self.tweet_id
+                data = ids.data
+                data += tweet_id.encode("utf-8", "surrogatepass")
+                ids.ends.append(len(data))
+                self.hashtags.append(tags)
+                self.tagged_user_id.append(user)
         target = -1 if retweet_of is None else codes.get(retweet_of)
         if target is None:
             target = self._new_code(retweet_of)
@@ -194,9 +209,9 @@ class RecordTable:
         return len(self.user_id)
 
     def rows_of(self, users: Iterable[str]) -> np.ndarray:
-        """The positions of the records that `users` wrote, in input order."""
+        """The tagged rows of the records that `users` wrote, in input order."""
         codes = [self.user_codes[user] for user in users if user in self.user_codes]
-        return np.flatnonzero(np.isin(np.frombuffer(self.user_id, dtype=np.intc), codes))
+        return np.flatnonzero(np.isin(np.frombuffer(self.tagged_user_id, dtype=np.intc), codes))
 
 
 def extract_hashtags(text: str) -> tuple[str, ...]:

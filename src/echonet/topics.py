@@ -11,9 +11,6 @@ import numpy as np
 
 from .records import RecordTable
 
-# collection-query hashtags appear in (nearly) every tweet by construction
-DEFAULT_STOPTAGS = frozenset({"q", "qanon"})
-
 # soft-assignment rounds that estimate theta in held_out_perplexity
 FOLD_IN_PASSES = 50
 
@@ -72,12 +69,12 @@ class TopicModel:
 def build_community_corpus(
     table: RecordTable,
     community: Iterable[str],
-    stoptags: frozenset[str] = DEFAULT_STOPTAGS,
     per_user: bool = False,
     community_id: Optional[int] = None,
 ) -> tuple[Vocabulary, list[Document]]:
-    """One document per member tweet (or per member, with per_user) holding its
-    hashtags minus the stoplist."""
+    """One document per member tweet that carries a topic tag (or per member
+    with such a tweet, with per_user) holding its topic tags: its hashtags
+    minus `records.TOPIC_STOPTAGS`, which the table's tagged rows hold."""
     members = set(community)
     if not members:
         raise ValueError("community must be nonempty")
@@ -85,11 +82,9 @@ def build_community_corpus(
     docs: list[Document] = []
     per_user_tags: dict[int, list[str]] = {}  # user code -> tags
     for row in table.rows_of(members).tolist():
-        tags = [t for t in table.hashtags[row] if t not in stoptags]
-        if not tags:
-            continue
+        tags = table.hashtags[row]
         if per_user:
-            per_user_tags.setdefault(table.user_id[row], []).extend(tags)
+            per_user_tags.setdefault(table.tagged_user_id[row], []).extend(tags)
         else:
             docs.append(Document(doc_id=table.tweet_id[row], tokens=tuple(map(vocab.add, tags))))
     if per_user:

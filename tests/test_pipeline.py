@@ -206,6 +206,18 @@ def test_loading_a_weight_that_is_not_a_positive_integer_fails(tmp_path, weight)
         f"line 3: the weight {weight!r} of 'a', 'c' is not a positive integer")
 
 
+@pytest.mark.parametrize("weight", [str(2**63), "99999999999999999999", "1" * 5000],
+                         ids=["2**63", "20-digits", "5000-digits"])
+def test_loading_a_weight_of_2_to_the_63_or_more_fails(tmp_path, weight):
+    assert load_error(tmp_path, ["a,b,1", f"a,c,{weight}"]) == (
+        f"line 3: the weight {weight!r} of 'a', 'c' is 2**63 or more")
+
+
+def test_loading_the_largest_int64_weight_keeps_it(tmp_path):
+    ug = pipeline.load_undirected_graph(*graph_files(tmp_path, [f"a,b,0{2**63 - 1}"]))
+    assert ug.weights.tolist() == [2**63 - 1]
+
+
 def test_loading_edge_rows_in_any_order_gives_the_sorted_graph(tmp_path):
     ug = pipeline.load_undirected_graph(*graph_files(tmp_path, ["b,c,3", "a,c,2", "a,b,1"],
                                                      nodes="cbad"))
@@ -229,8 +241,10 @@ def test_communities_subcommand_names_the_edge_file_line_and_unknown_node(tmp_pa
         f"{out / 'nodes.txt'}\n")
 
 
-@pytest.mark.parametrize("rows", [["a,zz,1"], ["a,b,0"], ["b,a,1"], ["a,b,1", "a,b,1"]],
-                         ids=["unknown-node", "bad-weight", "u-after-v", "repeated-pair"])
+@pytest.mark.parametrize("rows", [["a,zz,1"], ["a,b,0"], ["a,b,99999999999999999999"], ["b,a,1"],
+                                  ["a,b,1", "a,b,1"]],
+                         ids=["unknown-node", "bad-weight", "weight-over-int64", "u-after-v",
+                              "repeated-pair"])
 def test_communities_subcommand_on_an_edge_file_it_cannot_read_is_an_input_error(tmp_path, rows):
     graph_files(tmp_path, rows)
     assert main(["communities", "--graph", str(tmp_path), "--outdir", str(tmp_path / "sub"),

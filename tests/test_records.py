@@ -304,7 +304,7 @@ def test_lone_surrogate_in_any_string_field_is_malformed(tmp_path):
     stats = ParseStats()
     table, records = read_with_records(path, stats)
     assert (stats.malformed, stats.records) == (len(lone) + 1, len(kept))
-    assert list(table.tweet_id) == [r.tweet_id for r in records] == list(kept)
+    assert len(table) == len(records) and [r.tweet_id for r in records] == list(kept)
     assert records[0].text == "qanon \U0001f600" and records[1].text == "qanon \\ud800"
     for rec in records:
         record_to_json(rec).encode("utf-8")
@@ -326,8 +326,8 @@ def test_csv_row_with_a_field_over_the_size_limit_is_malformed(tmp_path):
         "t3,u3,2018-07-01T00:02:00Z,qanon again\n"
     )
     stats = ParseStats()
-    records = read_records(str(path), stats)
-    assert list(records.tweet_id) == ["t1", "t3"]
+    table, records = read_with_records(path, stats)
+    assert len(table) == len(records) and [r.tweet_id for r in records] == ["t1", "t3"]
     assert (stats.records, stats.malformed) == (2, 1)
 
 
@@ -343,7 +343,7 @@ def test_csv_row_with_a_byte_that_is_not_utf8_is_malformed(tmp_path, bad_row):
                      + b"t3,u3,2018-07-01T00:02:00Z,qanon again\n")
     stats = ParseStats()
     table, records = read_with_records(path, stats)
-    assert list(table.tweet_id) == [r.tweet_id for r in records] == ["t1", "t3"]
+    assert len(table) == len(records) and [r.tweet_id for r in records] == ["t1", "t3"]
     assert records[0].text == "#QAnon \u00dcn\u00ef"
     assert (stats.records, stats.malformed) == (2, 1)
 
@@ -354,10 +354,10 @@ def test_csv_starting_with_a_byte_order_mark_keeps_every_row(tmp_path):
                      b"t1,u1,2018-07-01T00:00:00Z,qanon\n"
                      b"t2,u2,2018-07-01T00:01:00Z,qanon again\n")
     stats = ParseStats()
-    records = read_records(str(path), stats)
-    names = list(records.user_codes)
-    assert [(t, names[u]) for t, u in zip(records.tweet_id, records.user_id)] == [("t1", "u1"),
-                                                                                  ("t2", "u2")]
+    table, records = read_with_records(path, stats)
+    names = list(table.user_codes)
+    assert [(r.tweet_id, names[u]) for r, u in zip(records, table.user_id)] == [("t1", "u1"),
+                                                                                ("t2", "u2")]
     assert (stats.records, stats.malformed) == (2, 0)
 
 
@@ -486,7 +486,8 @@ _IDS = st.lists(st.text(st.characters() | st.characters(categories=["Cs"])))
 @given(_IDS)
 @example(["Ünï", "\U0001f600", "a\x00b", "a\nb", "\ud800", "\udfff\ud800x", "", "t1"])
 def test_tweet_id_column_gives_back_every_id_in_order(ids):
-    table = RecordTable.from_records(make_record(tweet_id, "u") for tweet_id in ids)
+    table = RecordTable.from_records(make_record(tweet_id, "u", hashtags=["topic"])
+                                     for tweet_id in ids)
     col = table.tweet_id
     assert len(col) == len(table) == len(ids)
     assert list(col) == ids
@@ -541,3 +542,51 @@ def test_read_records_holds_under_85_bytes_per_kept_record(tmp_path):
         tracemalloc.stop()
     assert 19_000 <= len(table) <= 21_000
     assert retained / len(table) < 85, retained / len(table)
+
+
+def test_read_records_holds_under_40_bytes_per_kept_record_when_few_carry_a_topic_tag(tmp_path):
+    """A memory guard on a corpus shaped like the paper's, where nearly every
+    kept record carries a query tag and about 3% also another one. About
+    20,000 of 24,000 seeded records pass the default keyword filter: 19-digit
+    tweet ids, 2,000 users who each carry a profile description and 70%
+    retweets. The table that `read_records` returns keeps no tweet id or tag
+    of a record without a topic tag, so it must retain under 40 bytes per
+    kept record, as tracemalloc counts them; one that keeps every record's
+    id and tags holds about 67."""
+    rng = random.Random(23)
+    users = [str(rng.randrange(10**9, 10**10)) for _ in range(2000)]
+    bios = {user: " ".join(rng.sample(_BIO_WORDS, rng.randint(3, 7))) for user in users}
+    start = datetime(2020, 6, 1, tzinfo=timezone.utc)
+    path = tmp_path / "tweets.jsonl"
+    tagged = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(24_000):
+            user = rng.choice(users)
+            words = rng.choices(_BIO_WORDS, k=rng.randint(4, 12))
+            if rng.random() < 0.85:
+                words.append(rng.choice(("#q", "#qanon", "#QAnon", "qanon")))
+                if rng.random() < 0.03:
+                    words.append("#" + rng.choice(_TAGS))
+                    tagged += 1
+            obj = {"tweet_id": str(10**18 + rng.randrange(10**18)), "user_id": user,
+                   "created_at": (start + timedelta(seconds=7 * i)).isoformat(),
+                   "text": " ".join(words), "user_description": bios[user]}
+            if rng.random() < 0.7:
+                obj["retweet_of_user_id"] = rng.choice(users)
+            fh.write(json.dumps(obj) + "\n")
+
+    def keep(rec):
+        return keyword_filter(rec, DEFAULT_KEYWORDS)
+
+    keep(make_record("t", "u", "warm the keyword cache"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = read_records(str(path), None, keep)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 19_000 <= len(table) <= 21_000
+    assert retained / len(table) < 40, retained / len(table)
+    assert len(table.tweet_id) == len(table.hashtags) == tagged

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import make_record
 from oracles import NumpyGibbsChain, community_corpus, per_document_perplexity
 from echonet.topics import (
-    DEFAULT_STOPTAGS,
     Document,
     EmptyCorpusError,
     GibbsSampler,
@@ -25,7 +24,7 @@ from echonet.topics import (
     topic_keywords,
     topic_word_distribution,
 )
-from echonet.records import RecordTable, read_records
+from echonet.records import TOPIC_STOPTAGS, RecordTable, read_records
 
 
 def vocab_of(tokens):
@@ -79,7 +78,7 @@ def test_corpus_matches_the_scan_oracle(tweets, members, per_user):
                 for i, (user, target, tags) in enumerate(tweets)]
     records.append(make_record("tz", "d", retweet_of="target", hashtags=["gamma"]))
     community = members | {"stop", "target", "absent"}
-    expected_vocab, expected_docs = community_corpus(records, community, DEFAULT_STOPTAGS,
+    expected_vocab, expected_docs = community_corpus(records, community, TOPIC_STOPTAGS,
                                                      per_user)
     table = RecordTable.from_records(records)
     if not expected_docs:
@@ -111,7 +110,7 @@ def test_corpus_doc_ids_of_a_file_with_non_ascii_tweet_ids_match_the_scan_oracle
     table = read_records(str(path), None, lambda rec: records.append(rec) or True)
     assert [rec.tweet_id for rec in records] == ids
     for community in ({"a"}, {"b"}, {"a", "b"}):
-        _, expected_docs = community_corpus(records, community, DEFAULT_STOPTAGS)
+        _, expected_docs = community_corpus(records, community, TOPIC_STOPTAGS)
         _, docs = build_community_corpus(table, community)
         assert [d.doc_id for d in docs] == [doc_id for doc_id, _ in expected_docs]
 
