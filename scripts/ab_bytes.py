@@ -7,7 +7,9 @@ Each checkout runs `echonet run` from its own `src/` on the same inputs:
 - the `retweet-scale`, `clique-sweep` and `topic-fit` workloads of
   `perfbench/workloads.py` at seed 5, with their benchmark flags;
 - `fixtures/sample_tweets.jsonl` with `--k 4 --n-topics 2 --iters 50`, as
-  JSONL and converted to CSV.
+  JSONL, converted to CSV, and with each `created_at` rewritten in turn in
+  one of six other forms that name the same instant (`fixture-times`): the
+  fixture and the workloads write only the form `isoformat()` gives back.
 
 Each input runs with its flags alone, then with `--rule standard --k 3`,
 `--k 2`, `--k-min 2` or `--per-user` added. Every file of each pair of
@@ -28,6 +30,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +71,32 @@ def jsonl_to_csv(src: Path, dst: Path) -> None:
             writer.writerow(["" if obj.get(c) is None else obj[c] for c in CSV_COLUMNS])
 
 
+def time_forms(when: datetime) -> list[str]:
+    """Texts of an aware instant with whole seconds, each read as that
+    instant: "Z", no offset, ".000000", "-00:00", another offset, a week date."""
+    utc = when.astimezone(timezone.utc).replace(tzinfo=None).isoformat()
+    text = when.isoformat()
+    year, week, day = when.isocalendar()
+    return [utc + "Z", utc, text[:19] + ".000000" + text[19:], utc + "-00:00",
+            when.astimezone(timezone(timedelta(hours=-4, minutes=-30))).isoformat(),
+            f"{year:04d}-W{week:02d}-{day}{text[10:]}"]
+
+
+def rewrite_times(src: Path, dst: Path) -> None:
+    """Write `src` with the `created_at` of its i-th JSON object line as the
+    (i mod 6)-th of `time_forms`; any other line is copied as it is."""
+    with open(src, "rb") as fin, open(dst, "wb") as fout:
+        for i, line in enumerate(fin):
+            try:
+                obj = json.loads(line)
+                when = datetime.fromisoformat(obj["created_at"])
+            except (ValueError, TypeError, KeyError):
+                fout.write(line)
+                continue
+            obj["created_at"] = time_forms(when)[i % 6]
+            fout.write(json.dumps(obj).encode() + b"\n")
+
+
 def make_inputs(workdir: Path) -> dict[str, tuple[str, list[str]]]:
     """Input name -> (path, base flags)."""
     inputs = {}
@@ -78,6 +107,9 @@ def make_inputs(workdir: Path) -> dict[str, tuple[str, list[str]]]:
     jsonl_to_csv(FIXTURE, csv_path)
     inputs["fixture-jsonl"] = (str(FIXTURE), FIXTURE_FLAGS)
     inputs["fixture-csv"] = (str(csv_path), FIXTURE_FLAGS)
+    times_path = workdir / "inputs" / "fixture-times.jsonl"
+    rewrite_times(FIXTURE, times_path)
+    inputs["fixture-times"] = (str(times_path), FIXTURE_FLAGS)
     return inputs
 
 

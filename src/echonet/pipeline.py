@@ -10,9 +10,9 @@ that parsing `filtered.jsonl` back would give (`StageFiles.records`), so each
 record file is parsed at most once per run, and the symmetrized graph passes
 from `graph` to `communities` the same way, so `communities` reads
 `nodes.txt` and `undirected_edges.csv` only when `graph` did not run before it.
-`ingest` is one streaming pass over the input: each record is parsed,
-filtered, written to `filtered.jsonl` and appended to the table, and no list
-of whole records is built.
+`ingest` is one loop over the input lines (`read_records`): each record is
+parsed, filtered, written to `filtered.jsonl` and filled into the table, and
+no record object is built.
 """
 
 from __future__ import annotations
@@ -44,15 +44,11 @@ from .graph import (
     symmetrize,
 )
 from .profiles import DEFAULT_STOPLIST, NoDescriptionsError, description_term_proportions
-from .records import (
-    ParseStats,
-    RecordTable,
-    TweetRecord,
-    corpus_summary,
-    keyword_filter,
-    read_records,
-    record_to_json,
-)
+from .records import ParseStats, RecordTable, corpus_summary, read_records
+
+# `read_records` applies the keyword rule and writes each kept line itself;
+# perfbench/tracer.py rebinds these two names in this module, so they stay
+from .records import keyword_filter, record_to_json  # noqa: F401
 from .topics import (
     EmptyCorpusError,
     build_community_corpus,
@@ -170,18 +166,8 @@ def _write_csv(files: StageFiles, template: str, header: list[str], rows, **extr
 def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
     """Parse, keyword-filter and summarize the input records."""
     parse_stats = ParseStats()
-    keywords = config.keywords
     with files.create(FILTERED) as fh:
-        write = fh.write
-
-        def keep(rec: TweetRecord) -> bool:
-            # a kept record's line is written as it is parsed: one pass
-            if keyword_filter(rec, keywords):
-                write(record_to_json(rec) + "\n")
-                return True
-            return False
-
-        kept = read_records(config.input, parse_stats, keep)
+        kept = read_records(config.input, parse_stats, config.keywords, fh.write)
     files.parsed[files.path(FILTERED)] = kept  # what parsing the file back yields
     stats = asdict(corpus_summary(kept))
     stats["malformed_lines"] = parse_stats.malformed

@@ -288,7 +288,7 @@ def record_from_mapping(obj):
         raise RecordError("hashtags must be an array")
     retweet_of = _clean_optional(obj.get("retweet_of_user_id"))
     _require_node_id(retweet_of, "retweet_of_user_id")
-    return TweetRecord(
+    rec = TweetRecord(
         tweet_id=tweet_id,
         user_id=user_id,
         created_at=_parse_created_at(created_at),
@@ -297,6 +297,11 @@ def record_from_mapping(obj):
         retweet_of_user_id=retweet_of,
         user_description=_clean_optional(obj.get("user_description")),
     )
+    for value in (rec.tweet_id, rec.user_id, rec.text, rec.retweet_of_user_id,
+                  rec.user_description, *rec.hashtags):
+        if value is not None and any("\ud800" <= c <= "\udfff" for c in value):
+            raise RecordError("a field holds a lone surrogate")
+    return rec
 
 
 def parse_tweet_stream(lines, stats):
@@ -317,16 +322,22 @@ def parse_tweet_stream(lines, stats):
             continue
         try:
             rec = record_from_mapping(json.loads(line))
-            if "\\ud" in line or "\\uD" in line:  # only an escape decodes to a surrogate
-                for value in (rec.tweet_id, rec.user_id, rec.text, rec.retweet_of_user_id,
-                              rec.user_description, *rec.hashtags):
-                    if value is not None:
-                        value.encode("utf-8")
-        except (ValueError, RecursionError):  # UnicodeEncodeError is a ValueError
+        except (ValueError, RecursionError):
             stats.malformed += 1
             continue
         stats.records += 1
         yield rec
+
+
+def keyword_match(rec, keywords):
+    """The keyword rule, one term at a time: a '#term' matches a hashtag equal
+    to it after the '#', case aside, and a bare term any case-insensitive
+    substring of the text."""
+    for term in keywords:
+        term = term.lower()
+        if term[1:] in rec.hashtags if term.startswith("#") else term in rec.text.lower():
+            return True
+    return False
 
 
 def record_to_dict(rec):

@@ -1,5 +1,6 @@
 import codecs
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -497,3 +498,41 @@ def test_a_run_loads_no_numpy_random_or_openssl_module(tmp_path):
 
     assert loaded(f"from echonet.cli import main\nassert main({argv!r}) == 0") == loaded("")
     assert (tmp_path / "out" / "topics_community0.json").exists()
+
+
+def test_a_run_whose_topic_rows_np_isin_would_sort_loads_no_numpy_ma(tmp_path):
+    """A community's rows are looked up in a table by user code: with few
+    tagged rows, many members and member codes far apart, `np.isin` would
+    sort, and its `np.unique` imports `numpy.ma` (about 1.3 MB) into the run."""
+    lines = []
+
+    def tweet(user, text, retweet_of=None):
+        obj = {"tweet_id": f"t{len(lines)}", "user_id": user, "text": text,
+               "created_at": "2020-06-01T00:00:00+00:00"}
+        if retweet_of:
+            obj["retweet_of_user_id"] = retweet_of
+        lines.append(json.dumps(obj) + "\n")
+
+    # a planted 15-clique whose first member gets code 0 and the others codes
+    # past 200; each member writes one of the 15 tagged rows
+    users = ["m0", *(f"f{i}" for i in range(200)), *(f"m{i}" for i in range(1, 15))]
+    for user in users:
+        tweet(user, f"#qanon #tag{user[1:]}" if user.startswith("m") else "#qanon")
+    for user, target in itertools.permutations(users[:1] + users[-14:], 2):
+        tweet(user, "#qanon", target)
+    # np.isin picks a table only for codes that span at most 6 * (15 + 15),
+    # and a loop over the codes only for fewer than 10 * 15 ** 0.145 of them
+    src = tmp_path / "tweets.jsonl"
+    src.write_text("".join(lines))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]))
+    argv = ["run", "--input", str(src), "--outdir", str(tmp_path / "out"), "--k", "4",
+            "--n-topics", "2", "--iters", "5"]
+    code = (f"import sys\nfrom echonet.cli import main\nassert main({argv!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+    docs = (tmp_path / "out" / "doc_topics_community0.csv").read_text().splitlines()
+    assert len(docs) == 1 + 15

@@ -1,8 +1,12 @@
+import codecs
+import csv
 import gc
 import io
 import itertools
 import json
+import os
 import random
+import tempfile
 import tracemalloc
 from dataclasses import asdict
 from datetime import datetime, timedelta, timezone
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import columns, make_record
 from echonet.records import (
+    CSV_COLUMNS,
     DEFAULT_KEYWORDS,
     ParseStats,
     RecordError,
@@ -231,7 +236,7 @@ def test_csv_parsing(tmp_path):
 
 
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
-def test_read_records_with_keep_holds_only_accepted_records(tmp_path, suffix):
+def test_read_records_with_keywords_holds_only_accepted_records(tmp_path, suffix):
     path = tmp_path / f"tweets{suffix}"
     if suffix == ".csv":
         path.write_text(
@@ -243,7 +248,7 @@ def test_read_records_with_keep_holds_only_accepted_records(tmp_path, suffix):
     else:
         path.write_text("\n".join([GOOD_LINE, "{broken", GOOD_LINE.replace("#QAnon", "")]))
     stats = ParseStats()
-    kept = read_records(str(path), stats, lambda r: keyword_filter(r, ["#qanon"]))
+    kept = read_records(str(path), stats, ["#qanon"])
     assert (stats.records, stats.malformed) == (2, 1)
     with open(path, "rb") as fh:
         if suffix == ".csv":
@@ -256,15 +261,12 @@ def test_read_records_with_keep_holds_only_accepted_records(tmp_path, suffix):
 
 
 def read_with_records(path, stats):
-    """The table `read_records` reads from `path`, and the records it appended
-    to it, which hold the text that the table does not carry."""
-    records = []
-
-    def keep(rec):
-        records.append(rec)
-        return True
-
-    return read_records(str(path), stats, keep), records
+    """The table `read_records` reads from `path`, and the records it put in
+    it, which hold the text that the table does not carry: the lines it wrote
+    for them, read back by the `json.loads` oracle."""
+    lines = []
+    table = read_records(str(path), stats, None, lines.append)
+    return table, list(oracles.parse_tweet_stream(lines, ParseStats()))
 
 
 def test_provided_hashtags_normalized():
@@ -364,15 +366,26 @@ def test_csv_starting_with_a_byte_order_mark_keeps_every_row(tmp_path):
 # values of one input field that the record checks tell apart
 _FAULTS = [None, "", " ", "a\nb", "a\rb", "x", "not a date", "2018-13-01T00:00:00Z",
            "2018-07-01T12:00:00", "2018-07-01 12:00+02:00", 7, 1.5, [], ["#Tag"], ["a b"],
-           ["#"], [3], {}]
+           ["#"], [3], {}, "a\udfff"]
 _FIELD = st.one_of(st.sampled_from(_FAULTS), st.text(max_size=8), st.integers(),
                    st.lists(st.one_of(st.text(max_size=5), st.integers()), max_size=3))
 _FIELDS = ("tweet_id", "user_id", "created_at", "text", "hashtags",
            "retweet_of_user_id", "user_description")
 _ANY_MAPPING = st.dictionaries(st.sampled_from(_FIELDS), _FIELD)
+# created_at forms that fromisoformat reads on Python 3.11; the first four are
+# written back as they are, the others through isoformat()
+_CREATED_AT = st.sampled_from([
+    "2020-06-01T00:00:07+00:00", "2020-06-01T23:59:07-04:30", "0001-01-01T00:00:00+23:59",
+    "9999-12-31T23:59:59-23:59",
+    "2018-07-01T12:00:00Z", "2018-07-01T12:00:00.5+05:30", "2020-06-01T00:00:07",
+    "2020-06-01T00:00:07-00:00", "2020-06-01T00:00:07.000000+00:00",
+    "2020-06-01T00:00:07+05:30:15", "2020-W23-1T00:00:00+00:00", "2020-06-01 00:00:07+00:00",
+    "20200601T000007+00:00", "20200601T000007+0000", "2020-06-01T00:00:07+05:60",
+    "2020-06-01T24:00:00+00:00",
+])
 _GOOD_MAPPING = st.fixed_dictionaries(
     {"tweet_id": st.text(min_size=1, max_size=6), "user_id": st.sampled_from(["u1", "u2", "Ü"]),
-     "created_at": st.sampled_from(["2018-07-01T12:00:00Z", "2018-07-01T12:00:00.5+05:30"]),
+     "created_at": _CREATED_AT,
      "text": st.text(max_size=20)},
     optional={"retweet_of_user_id": st.sampled_from(["u1", "u3", ""]),
               "user_description": st.text(max_size=10),
@@ -422,9 +435,13 @@ def _line_variants(obj):
         "[" * 3000 + "]" * 3000, '{"a": ' * 3000 + "1" + "}" * 3000,
         "NaN", "   ", "\t\u3000", "",
     ]).flatmap(lambda text: st.sampled_from([
-        text, text.encode("utf-8"), b"\xff" + text.encode("utf-8"),
-        text.encode("utf-8")[:-1] + b"\xe2",
+        text, _utf8(text), b"\xff" + _utf8(text), _utf8(text)[:-1] + b"\xe2",
     ]))
+
+
+def _utf8(text):
+    """`text` as UTF-8, a lone surrogate as bytes that no strict decoder reads."""
+    return text.encode("utf-8", "surrogatepass")
 
 
 @settings(max_examples=300, deadline=None)
@@ -438,6 +455,122 @@ def test_parser_gives_the_json_loads_oracles_records_and_counts(lines):
     assert [record_to_json(r) for r in got] == [record_to_json(r) for r in want]
     assert got == want
     assert got_stats == want_stats
+
+
+# texts for the parity corpora: hits and misses of '#' and bare keyword terms
+_PARITY_TEXT = st.sampled_from(["", "QAnon rising", "the #Q drop", "save #MAGA now", "quantum",
+                                "#qanonx", "#Save_ours"]) | st.text(max_size=8)
+_PARITY_MAPPING = st.fixed_dictionaries(
+    {"tweet_id": st.text(min_size=1, max_size=4), "user_id": st.sampled_from(["u1", "u2", "Ü"]),
+     "created_at": _CREATED_AT, "text": _PARITY_TEXT},
+    optional={"retweet_of_user_id": st.sampled_from(["u1", "u4", ""]),
+              "user_description": st.sampled_from(["", " ", "a bio", "Ünï \"x\""]),
+              "hashtags": st.lists(st.sampled_from(["#QAnon", "maga", "q", "Save"]), max_size=2)},
+)
+_PARITY_KEYWORDS = st.none() | st.lists(
+    st.sampled_from(["qanon", "#q", "#qanon", "#maga", "save", "Q", "#save"]), min_size=1,
+    max_size=3)
+# string values a CSV field can hold that some record check rejects
+_CSV_FAULTS = st.dictionaries(st.sampled_from(_FIELDS), st.sampled_from(
+    ["", " ", "a\nb", "x", "not a date", "2018-13-01T00:00:00Z", "a\udcff", "#a b", "#"]),
+    max_size=2)
+
+
+def _reference(lines, stats, keywords):
+    """The lines and table that parsing `lines` with the `json.loads` oracle,
+    keeping what the oracle's keyword rule keeps and writing each kept record
+    with `json.dumps` gives."""
+    kept = [rec for rec in oracles.parse_tweet_stream(lines, stats)
+            if keywords is None or oracles.keyword_match(rec, keywords)]
+    return ([json.dumps(oracles.record_to_dict(rec), ensure_ascii=False, sort_keys=True) + "\n"
+             for rec in kept], RecordTable.from_records(kept))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.one_of(_PARITY_MAPPING, _FAULTY_MAPPING).flatmap(_line_variants)
+                      | st.sampled_from(["", "  ", b"\t"]), max_size=12),
+       bom=st.booleans(), keywords=_PARITY_KEYWORDS)
+def test_read_records_gives_the_oracles_lines_columns_and_counts(lines, bom, keywords):
+    data = b"\n".join(line if isinstance(line, bytes) else _utf8(line) for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tweets.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(codecs.BOM_UTF8 * bom + data)
+        got_stats, written = ParseStats(), []
+        table = read_records(path, got_stats, keywords, written.append)
+        with open(path, "rb") as fh:
+            raw = fh.readlines()
+    if raw:  # a byte order mark is skipped at the start of the file only
+        raw[0] = raw[0].removeprefix(codecs.BOM_UTF8)
+    want_stats = ParseStats()
+    want_lines, want_table = _reference(raw, want_stats, keywords)
+    assert written == want_lines
+    assert columns(table) == columns(want_table)
+    assert got_stats == want_stats
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.builds(lambda good, faults: {**good, **faults}, _PARITY_MAPPING,
+                               _CSV_FAULTS), max_size=10),
+       bom=st.booleans(), keywords=_PARITY_KEYWORDS)
+def test_read_records_of_a_csv_gives_the_oracles_lines_columns_and_counts(rows, bom, keywords):
+    rows = [{k: "|".join(v) if isinstance(v, list) else v for k, v in row.items()}
+            for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tweets.csv")
+        # a lone surrogate is written as the byte that is not UTF-8 it reads back as
+        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            fh.write("\ufeff" * bom)
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows([row.get(column, "") for column in CSV_COLUMNS] for row in rows)
+        got_stats, written = ParseStats(), []
+        table = read_records(path, got_stats, keywords, written.append)
+    # each row as the JSON object of its nonempty fields, the hashtags split at '|'
+    objs = [{k: v.split("|") if k == "hashtags" else v for k, v in row.items() if v}
+            for row in rows]
+    want_stats = ParseStats()
+    want_lines, want_table = _reference([json.dumps(obj) for obj in objs], want_stats, keywords)
+    assert written == want_lines
+    assert columns(table) == columns(want_table)
+    assert got_stats == want_stats
+
+
+_SHAPED_TIME = st.builds(
+    "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}{}{:02d}:{:02d}".format,
+    st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32), st.integers(0, 24),
+    st.integers(0, 60), st.integers(0, 60), st.sampled_from("+-"), st.integers(0, 24),
+    st.integers(0, 60))
+_ISO_TIME = st.builds(lambda local, minutes: local.replace(
+    tzinfo=timezone(timedelta(minutes=minutes))).isoformat(),
+    st.datetimes(), st.integers(-(24 * 60 - 1), 24 * 60 - 1))
+_MUTATED_TIME = st.builds(lambda text, at, char: text[:at] + char + text[at + 1:], _ISO_TIME,
+                          st.integers(0, 32), st.sampled_from("0123456789+-:.TWZ "))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_CREATED_AT, _SHAPED_TIME, _ISO_TIME, _MUTATED_TIME), min_size=1,
+                max_size=30))
+@example(["2020-06-01T24:00:00+00:00", "2020-06-01T00:00:00+05:60", "2020-06-01T00:00:00-00:00",
+          "2020-W23-1T00:00:00+00:00", "2020-06-01T00:00:00+00:00"])
+def test_written_created_at_is_the_isoformat_of_the_instant_read(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tweets.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps({"tweet_id": str(i), "user_id": "u", "created_at": text,
+                                      "text": ""}) + "\n" for i, text in enumerate(texts))
+        written = []
+        read_records(path, None, None, written.append)
+    created = {obj["tweet_id"]: obj["created_at"] for obj in map(json.loads, written)}
+    for i, text in enumerate(texts):
+        try:
+            instant = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError:
+            assert str(i) not in created
+            continue
+        if instant.tzinfo is None:
+            instant = instant.replace(tzinfo=timezone.utc)
+        assert created[str(i)] == instant.isoformat(), text
 
 
 _MINUTES = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(lambda m: timedelta(minutes=m))
@@ -477,6 +610,14 @@ def test_created_us_orders_and_ties_as_the_aware_datetimes_do(texts):
     micros = [created_us(stamp) for stamp in stamps]
     for (a, x), (b, y) in itertools.product(zip(stamps, micros), repeat=2):
         assert (a < b, a == b, a > b) == (x < y, x == y, x > y)
+
+
+@pytest.mark.parametrize("users", [[], ["nobody"]])
+def test_rows_of_no_known_member_is_empty(users):
+    table = RecordTable.from_records([make_record("t1", "u1", "#maga")])
+    rows = table.rows_of(users)
+    assert rows.size == 0 and rows.dtype.kind == "i"
+    assert table.rows_of(["u1", *users]).tolist() == [0]
 
 
 # any character, and lone surrogates often: a TweetRecord built in code may hold one
@@ -528,15 +669,11 @@ def test_read_records_holds_under_85_bytes_per_kept_record(tmp_path):
                 obj["retweet_of_user_id"] = rng.choice(users)
             fh.write(json.dumps(obj) + "\n")
 
-    def keep(rec):
-        return keyword_filter(rec, DEFAULT_KEYWORDS)
-
-    keep(make_record("t", "u", "warm the keyword cache"))
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = read_records(str(path), None, keep)
+        table = read_records(str(path), None, DEFAULT_KEYWORDS)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -575,15 +712,11 @@ def test_read_records_holds_under_40_bytes_per_kept_record_when_few_carry_a_topi
                 obj["retweet_of_user_id"] = rng.choice(users)
             fh.write(json.dumps(obj) + "\n")
 
-    def keep(rec):
-        return keyword_filter(rec, DEFAULT_KEYWORDS)
-
-    keep(make_record("t", "u", "warm the keyword cache"))
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = read_records(str(path), None, keep)
+        table = read_records(str(path), None, DEFAULT_KEYWORDS)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
+import oracles
 from oracles import NumpyGibbsChain, community_corpus, per_document_perplexity
 from echonet.topics import (
     Document,
@@ -24,7 +25,7 @@ from echonet.topics import (
     topic_keywords,
     topic_word_distribution,
 )
-from echonet.records import TOPIC_STOPTAGS, RecordTable, read_records
+from echonet.records import TOPIC_STOPTAGS, ParseStats, RecordTable, read_records
 
 
 def vocab_of(tokens):
@@ -106,8 +107,9 @@ def test_corpus_doc_ids_of_a_file_with_non_ascii_tweet_ids_match_the_scan_oracle
             fh.writelines(json.dumps({"tweet_id": tweet_id, "user_id": user, "text": text,
                                       "created_at": "2018-07-01T00:00:00Z"}) + "\n"
                           for tweet_id, user, text in rows)
-    records = []
-    table = read_records(str(path), None, lambda rec: records.append(rec) or True)
+    lines = []
+    table = read_records(str(path), None, None, lines.append)
+    records = list(oracles.parse_tweet_stream(lines, ParseStats()))
     assert [rec.tweet_id for rec in records] == ids
     for community in ({"a"}, {"b"}, {"a", "b"}):
         _, expected_docs = community_corpus(records, community, TOPIC_STOPTAGS)
