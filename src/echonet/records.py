@@ -490,7 +490,8 @@ def parse_tweet_csv(
 ) -> Iterator[TweetRecord]:
     """CSV variant of the stream parser; hashtags column is '|'-separated. A
     row the csv module rejects is malformed (see `_csv_mappings`), and so is
-    a row whose record holds a lone surrogate (see `read_records`)."""
+    a row whose record fails `record_from_mapping`, whose last check is for a
+    lone surrogate: what `read_records` reads a byte that is not UTF-8 as."""
     if stats is None:
         stats = ParseStats()
     records: list[TweetRecord] = []

@@ -372,8 +372,10 @@ _FIELD = st.one_of(st.sampled_from(_FAULTS), st.text(max_size=8), st.integers(),
 _FIELDS = ("tweet_id", "user_id", "created_at", "text", "hashtags",
            "retweet_of_user_id", "user_description")
 _ANY_MAPPING = st.dictionaries(st.sampled_from(_FIELDS), _FIELD)
-# created_at forms that fromisoformat reads on Python 3.11; the first four are
-# written back as they are, the others through isoformat()
+# created_at texts: the first four are in the form isoformat() gives back and
+# are written as they are; the others are written through isoformat(), or make
+# the record malformed where fromisoformat rejects them (hour 24 on Python 3.11,
+# the week date and the basic forms before 3.11)
 _CREATED_AT = st.sampled_from([
     "2020-06-01T00:00:07+00:00", "2020-06-01T23:59:07-04:30", "0001-01-01T00:00:00+23:59",
     "9999-12-31T23:59:59-23:59",
