@@ -121,6 +121,8 @@ def validate_config(config: PipelineConfig) -> list[str]:
         return errors  # the range checks below assume finite, well-typed values
     if not config.keywords:
         errors.append("keywords: must be nonempty")
+    elif {"", "#"} & set(config.keywords):
+        errors.append("keywords: a term may not be empty or a bare '#'")
     if not 0 < config.tau <= 1:
         errors.append("tau: must be in (0, 1]")
     if config.min_weight < 1:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import fnmatch
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ from . import __version__
 from .communities import community_count_sweep, detect_communities, maximal_clique_list
 from .config import PipelineConfig, new_digest
 from .graph import (
+    ROLE_LABELS,
     RetweetGraph,
     UndirectedGraph,
     build_retweet_graph,
@@ -106,6 +108,39 @@ def _read_json(path: str):
             return json.load(fh)
         except ValueError as exc:
             raise InputFileError(f"{path}: not JSON: {exc}") from exc
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(path: str, obj, key: str, kind: type = float, of: str = ""):
+    """`obj[key]` if `obj` is an object and the value a `kind`, where a float
+    may be any number and a bool is none of them; InputFileError, naming the
+    file `path` and the key (and `of`, where the object is), if not."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise InputFileError(f"{path}: '{key}'{of} is missing or not {_KINDS[kind]}")
+    return value
+
+
+def _load_csv(path: str, columns: dict[str, Callable]) -> list[tuple]:
+    """The `columns` of the CSV file `path`, one tuple a row, each field
+    converted by its column's function. Raises InputFileError, naming the
+    file and the line, if the header lacks a column, or a row has another
+    number of fields than the header or a field its function refuses."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            at = [header.index(name) for name in columns]
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, not {len(header)}")
+                rows.append(tuple(cast(row[i]) for i, cast in zip(at, columns.values())))
+            return rows
+        except (ValueError, csv.Error) as exc:
+            raise InputFileError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 @dataclass
@@ -274,15 +309,15 @@ def stage_communities(config: PipelineConfig, files: StageFiles) -> None:
 def load_communities(path: str) -> list[dict]:
     """The entries of a communities file, by community id. Raises
     InputFileError, naming the file, if it is not a JSON list of objects that
-    each have an integer `community_id` and a list of `members`."""
+    each have an integer `community_id` and a list of string `members`."""
     entries = _read_json(path)
     if not isinstance(entries, list):
         raise InputFileError(f"{path}: not a list of communities")
     for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and type(entry.get("community_id")) is int
-                and isinstance(entry.get("members"), list)):
-            raise InputFileError(f"{path}: entry {i} is not an object with an integer "
-                                 f"'community_id' and a list of 'members'")
+        _field(path, entry, "community_id", int, f" of entry {i}")
+        members = _field(path, entry, "members", list, f" of entry {i}")
+        if not all(isinstance(member, str) for member in members):
+            raise InputFileError(f"{path}: a member of entry {i} is not a string")
     return sorted(entries, key=lambda entry: entry["community_id"])
 
 
@@ -461,59 +496,38 @@ def _reusable(previous: dict | None, key: dict, outdir: str) -> bool:
         return False
 
 
-def _echonet_manifest(path: str) -> dict:
-    """The manifest at `path`. Raises InputFileError, naming the file, if it
-    is not JSON or not an echonet manifest: an object with `tool` "echonet"
-    and lists of `files` and `stages`."""
+def load_manifest(outdir: str) -> dict:
+    """The manifest in `outdir`: an object with `tool` "echonet", the strings
+    `version`, `config_hash` and `created_utc`, file names in `files`, and in
+    `stages` one object per stage with a string `name`, a number `seconds`
+    and, if present, a number `peak_rss_kb`. Raises InputFileError, naming
+    the file and the field, if one is missing or of another type, or if the
+    file is not an echonet manifest at all."""
+    path = os.path.join(outdir, MANIFEST)
     manifest = _read_json(path)
     if not isinstance(manifest, dict) or manifest.get("tool") != "echonet" or not all(
             isinstance(manifest.get(key), list) for key in ("files", "stages")):
         raise InputFileError(f"{path}: not an echonet manifest")
-    return manifest
-
-
-def load_manifest(outdir: str) -> dict:
-    """The manifest in `outdir`, with every field `render_report` prints: the
-    strings `version`, `config_hash` and `created_utc`, file names in
-    `files`, and in `stages` one object per stage with a string `name`, a
-    number `seconds` and, if present, a number `peak_rss_kb`. Raises
-    InputFileError, naming the file and the field, if one is missing or of
-    another type, or if the file is not an echonet manifest at all."""
-    path = os.path.join(outdir, MANIFEST)
-    manifest = _echonet_manifest(path)
-
-    def is_number(value) -> bool:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-    def bad(problem: str) -> InputFileError:
-        return InputFileError(f"{path}: {problem}")
-
     for key in ("version", "config_hash", "created_utc"):
-        if not isinstance(manifest.get(key), str):
-            raise bad(f"'{key}' is missing or not a string")
+        _field(path, manifest, key, str)
     if not all(isinstance(name, str) for name in manifest["files"]):
-        raise bad("an entry of 'files' is not a file name")
+        raise InputFileError(f"{path}: an entry of 'files' is not a file name")
     for i, stage in enumerate(manifest["stages"]):
-        if not isinstance(stage, dict):
-            raise bad(f"stage {i} is not an object")
-        if not isinstance(stage.get("name"), str):
-            raise bad(f"'name' of stage {i} is missing or not a string")
-        if not is_number(stage.get("seconds")):
-            raise bad(f"'seconds' of stage {i} is missing or not a number")
-        if "peak_rss_kb" in stage and not is_number(stage["peak_rss_kb"]):
-            raise bad(f"'peak_rss_kb' of stage {i} is not a number")
+        _field(path, stage, "name", str, f" of stage {i}")
+        _field(path, stage, "seconds", float, f" of stage {i}")
+        if "peak_rss_kb" in stage:
+            _field(path, stage, "peak_rss_kb", float, f" of stage {i}")
     return manifest
 
 
 def _previous_manifest(outdir: str) -> tuple[dict[str, dict], list[str]]:
     """The stages (by name) and the files of the echonet manifest already in
-    `outdir`; none if the manifest is missing, unreadable or another tool's."""
+    `outdir`; none if the manifest is missing or `load_manifest` refuses it."""
     try:
-        manifest = _echonet_manifest(os.path.join(outdir, MANIFEST))
-        files = [name for name in manifest["files"] if isinstance(name, str)]
-        return {s["name"]: s for s in manifest["stages"]}, files
-    except (OSError, ValueError, KeyError, TypeError):
+        manifest = load_manifest(outdir)
+    except (OSError, InputFileError):
         return {}, []
+    return {s["name"]: s for s in manifest["stages"]}, manifest["files"]
 
 
 def _remove_stale(outdir: str, listed: list[str], written: list[str]) -> None:
@@ -605,22 +619,82 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return manifest
 
 
-def _load_stats(path: str, fields: tuple[str, ...]) -> dict:
-    """The JSON object in the stats file `path`, with an integer in each of
-    `fields`. Raises InputFileError, naming the file and the field, if it is
-    not an object or a field is missing or not an integer."""
+def _corpus_lines(path: str) -> list[str]:
     stats = _read_json(path)
-    if not isinstance(stats, dict):
-        raise InputFileError(f"{path}: not a JSON object")
-    for key in fields:
-        if type(stats.get(key)) is not int:
-            raise InputFileError(f"{path}: '{key}' is missing or not an integer")
-    return stats
+    tweets, users, retweets = (_field(path, stats, key, int) for key in
+                               ("tweet_count", "unique_user_count", "retweet_count"))
+    return [f"corpus: {tweets} tweets, {users} users, {retweets} retweets"]
+
+
+def _network_lines(path: str) -> list[str]:
+    net = _read_json(path)
+    nodes, edges, weight = (_field(path, net, key, int) for key in
+                            ("node_count", "unique_edge_count", "weighted_edge_sum"))
+    lines = [f"network: {nodes} nodes, {edges} edges (weighted sum {weight})"]
+    for weighting in ("unweighted", "weighted"):
+        for direction in ("out", "in"):
+            s = _field(path, _field(path, net, weighting, dict), direction, dict)
+            low, high, mean, var, skew = (_field(path, s, key) for key in
+                                          ("min", "max", "mean", "variance", "skew"))
+            lines.append(f"  {weighting:10s} {direction:3s}  min {low:.0f}  max {high:.0f}  "
+                         f"mean {mean:.2f}  var {var:.1f}  skew {skew:.2f}")
+    return lines
+
+
+def _role_lines(path: str) -> list[str]:
+    labels = [label for label, in _load_csv(path, {"label": str})]
+    if not set(labels) <= set(ROLE_LABELS):
+        raise InputFileError(f"{path}: a label is not one of {', '.join(ROLE_LABELS)}")
+    shares = (f"{labels.count(label)} {label} ({labels.count(label) / max(len(labels), 1):.1%})"
+              for label in ROLE_LABELS)
+    return [f"roles of {len(labels)} users: {', '.join(shares)}"]
+
+
+def _sweep_lines(path: str) -> list[str]:
+    rule = os.path.basename(path)[len("sweep_"):-len(".csv")]
+    rows = _load_csv(path, {"k": int, "community_count": int, "clique_count": int})
+    return [f"community-count sweep ({rule} rule):"] + [
+        f"  k={k:>2}  communities={count:>4}  cliques={cliques}" for k, count, cliques in rows]
+
+
+def _community_lines(path: str) -> list[str]:
+    communities = load_communities(path)
+    return [f"{os.path.basename(path)}: {len(communities)} communities"] + [
+        f"  community {c['community_id']}: {len(c['members'])} members" for c in communities]
+
+
+def _topic_lines(path: str) -> list[str]:
+    fit = _read_json(path)
+    lines = [f"community {_field(path, fit, 'community_id', int)} "
+             f"(training-set perplexity {_field(path, fit, 'perplexity'):.2f}):"]
+    for topic in _field(path, fit, "topics", list):
+        tokens = (_field(path, kw, "token", str) for kw in _field(path, topic, "keywords", list))
+        lines.append(f"  topic {_field(path, topic, 'topic_id', int)}: {', '.join(tokens)}")
+    return lines
+
+
+def _term_lines(path: str) -> list[str]:
+    rows = _load_csv(path, {"term": str, "proportion": float, "user_count": int})
+    return ["most frequent profile terms:"] + [
+        f"  {term:<15} {share:.2f}  ({users} users)" for term, share, users in rows]
+
+
+# the bundle files the report prints, in the order of the paper's two studies
+# (network, then topics and profile terms), each with the function that renders one
+REPORT = (
+    ("ingest_stats.json", _corpus_lines), ("network_stats.json", _network_lines),
+    ("roles.csv", _role_lines), ("sweep_*.csv", _sweep_lines),
+    ("communities_k*.json", _community_lines), ("topics_community*.json", _topic_lines),
+    ("term_frequencies.csv", _term_lines),
+)
 
 
 def render_report(outdir: str) -> str:
-    """Human-readable bundle summary; validates the manifest's file list and
-    every field it prints from the stats and communities files."""
+    """Human-readable bundle summary: the stage times, then a section for
+    each file in `REPORT` that the manifest lists and the outdir holds. A
+    file on disk that the manifest does not list is not read. Every field
+    printed is checked first: a file that lacks one raises InputFileError,
+    naming the file."""
     manifest = load_manifest(outdir)
     missing = [f for f in manifest["files"] if not os.path.exists(os.path.join(outdir, f))]
     lines = [
@@ -633,23 +707,10 @@ def render_report(outdir: str) -> str:
         note = " (resumed)" if stage.get("resumed") else ""
         rss = f", peak RSS {stage['peak_rss_kb'] / 1024:.1f} MB" if "peak_rss_kb" in stage else ""
         lines.append(f"  {stage['name']}: {stage['seconds']:.2f}s{rss}{note}")
-    path = os.path.join(outdir, "ingest_stats.json")
-    if os.path.exists(path):
-        stats = _load_stats(path, ("tweet_count", "unique_user_count", "retweet_count"))
-        lines.append(
-            f"corpus: {stats['tweet_count']} tweets, "
-            f"{stats['unique_user_count']} users, {stats['retweet_count']} retweets"
-        )
-    path = os.path.join(outdir, "network_stats.json")
-    if os.path.exists(path):
-        net = _load_stats(path, ("node_count", "unique_edge_count", "weighted_edge_sum"))
-        lines.append(
-            f"network: {net['node_count']} nodes, {net['unique_edge_count']} edges "
-            f"(weighted sum {net['weighted_edge_sum']})"
-        )
-    for name in manifest["files"]:
-        if name.startswith("communities_k") and name not in missing:
-            communities = load_communities(os.path.join(outdir, name))
-            lines.append(f"{name}: {len(communities)} communities")
+    # shorter names first, so that topics_community2 comes before topics_community10
+    present = sorted(set(manifest["files"]) - set(missing), key=lambda f: (len(f), f))
+    for pattern, render in REPORT:
+        for name in fnmatch.filter(present, pattern):
+            lines += render(os.path.join(outdir, name))
     lines.append(f"files: {len(manifest['files'])}")
     return "\n".join(lines)

@@ -1,4 +1,5 @@
 import codecs
+import csv
 import hashlib
 import itertools
 import json
@@ -202,10 +203,25 @@ def test_report_on_a_manifest_it_cannot_read_is_an_input_error(tmp_path, capsys,
                                       "retweet_count": 4}), "'tweet_count'"),
     ("network_stats.json", json.dumps({"node_count": 3, "weighted_edge_sum": 4}),
      "'unique_edge_count'"),
+    ("network_stats.json", json.dumps({"node_count": 3, "unique_edge_count": 2,
+                                       "weighted_edge_sum": 4}), "'unweighted'"),
     ("communities_k4_standard.json", "5", None),
     ("communities_k4_standard.json", json.dumps({"a": 1}), None),
+    ("communities_k4_standard.json",
+     json.dumps([{"community_id": 0, "size": 1, "members": [["a"]]}]), "entry 0"),
+    ("roles.csv", "user_id,in_deg,out_deg,score\nu1,1.0,0.0,1.0\n", "'label'"),
+    ("roles.csv", "user_id,in_deg,out_deg,score,label\nu1,1.0,0.0,1.0,leader\n", "label"),
+    ("sweep_standard.csv", "k,community_count,clique_count\n3,two,240\n", "line 2"),
+    ("topics_community0.json", json.dumps({"community_id": 0, "perplexity": "4.8",
+                                           "topics": []}), "'perplexity'"),
+    ("topics_community0.json", json.dumps({"community_id": 0, "perplexity": 4.8, "topics": [
+        {"topic_id": 0, "keywords": [{"prob": 0.5}]}]}), "'token'"),
+    ("term_frequencies.csv", "rank,term,proportion,user_count\n1,patriot,0.475\n", "line 2"),
 ], ids=["stats-empty", "stats-not-an-object", "count-not-an-int", "network-without-edges",
-        "communities-an-int", "communities-an-object"])
+        "network-without-moments", "communities-an-int", "communities-an-object",
+        "communities-member-not-a-string", "roles-without-label", "roles-unknown-label",
+        "sweep-count-not-an-int", "topics-perplexity-not-a-number", "topics-keyword-without-token",
+        "terms-short-row"])
 def test_report_on_a_file_it_cannot_print_is_an_input_error(tmp_path, capsys, name, text, field):
     out = tmp_path / "bundle"
     out.mkdir()
@@ -216,6 +232,68 @@ def test_report_on_a_file_it_cannot_print_is_an_input_error(tmp_path, capsys, na
     assert str(out / name) in err
     if field is not None:
         assert field in err
+
+
+def test_report_prints_no_file_the_manifest_does_not_list(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    out.mkdir()
+    (out / "manifest.json").write_text(
+        json.dumps({**_HEAD, "files": ["ingest_stats.json"], "stages": []}))
+    (out / "ingest_stats.json").write_text(
+        json.dumps({"tweet_count": 5, "unique_user_count": 2, "retweet_count": 1}))
+    (out / "roles.csv").write_text("user_id,in_deg,out_deg,score,label\nu1,1.0,0.0,1.0,producer\n")
+    (out / "term_frequencies.csv").write_text("not a table\n")  # would exit 3 if it were read
+    assert run_cli("report", "--outdir", str(out)) == 0
+    text = capsys.readouterr().out
+    assert "corpus: 5 tweets, 2 users, 1 retweets" in text.splitlines()
+    assert "roles" not in text and "profile terms" not in text
+
+
+def test_report_prints_both_studies_of_a_fixture_bundle(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--outdir", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # study 1: the network, its role split, the sweep table and the communities at k
+    i = lines.index("network: 50 nodes, 196 edges (weighted sum 196)")
+    assert lines[i + 1:i + 5] == [
+        "  unweighted out  min 0  max 9  mean 3.92  var 17.4  skew 0.38",
+        "  unweighted in   min 0  max 9  mean 3.92  var 17.6  skew 0.35",
+        "  weighted   out  min 0  max 9  mean 3.92  var 17.4  skew 0.38",
+        "  weighted   in   min 0  max 9  mean 3.92  var 17.6  skew 0.35",
+    ]
+    assert "roles of 50 users: 9 distributor (18.0%), 37 mixed (74.0%), 4 producer (8.0%)" in lines
+    assert "  k= 4  communities=   2  cliques=420" in lines
+    i = lines.index("communities_k4_standard.json: 2 communities")
+    assert lines[i + 1:i + 3] == ["  community 0: 10 members", "  community 1: 10 members"]
+    # study 2: each community's topics, then the profile terms
+    for cid in (0, 1):
+        fit = json.loads((out / f"topics_community{cid}.json").read_text())
+        i = lines.index(f"community {cid} (training-set perplexity {fit['perplexity']:.2f}):")
+        assert lines[i + 1:i + 3] == [
+            f"  topic {t['topic_id']}: " + ", ".join(kw["token"] for kw in t["keywords"])
+            for t in fit["topics"]]
+    i = lines.index("most frequent profile terms:")
+    with open(out / "term_frequencies.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10 and lines[i + 1:i + 11] == [
+        f"  {row['term']:<15} {float(row['proportion']):.2f}  ({row['user_count']} users)"
+        for row in rows]
+    assert lines[i + 1] == "  patriot         0.47  (19 users)"
+
+
+@pytest.mark.parametrize("name", ["network_stats.json", "roles.csv", "sweep_standard.csv",
+                                  "topics_community1.json", "term_frequencies.csv"])
+def test_report_names_a_missing_file_and_prints_the_rest(tmp_path, capsys, name):
+    out = tmp_path / "bundle"
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS) == 0
+    os.remove(out / name)
+    capsys.readouterr()
+    assert run_cli("report", "--outdir", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"MISSING FILES: {name}" in lines
+    assert "corpus: 246 tweets, 50 users, 196 retweets" in lines
 
 
 def test_exit_code_config_error(capsys):

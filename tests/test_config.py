@@ -1,9 +1,14 @@
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from echonet.cli import main
 from echonet.config import PipelineConfig, validate_config
+
+FIXTURE = str(Path(__file__).parent.parent / "fixtures" / "sample_tweets.jsonl")
 
 
 def test_default_config_valid():
@@ -86,3 +91,17 @@ def test_auto_alpha_resolution():
     config = PipelineConfig(n_topics=10, alpha="auto")
     assert config.resolved_alpha() == 5.0
     assert PipelineConfig(alpha=0.25).resolved_alpha() == 0.25
+
+
+@pytest.mark.parametrize("term", ["", "#"])
+def test_a_keyword_that_is_empty_or_a_bare_hash_is_a_config_error(tmp_path, capsys, term):
+    """"" is a substring of every text, so it would keep every record; a bare
+    "#" is the empty hashtag, which no record carries."""
+    assert validate_config(PipelineConfig(keywords=("qanon", term))) == [
+        "keywords: a term may not be empty or a bare '#'"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"keywords": [term]}))
+    assert main(["ingest", "--config", str(path), "--input", FIXTURE,
+                 "--outdir", str(tmp_path / "out")]) == 2
+    assert "keywords:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

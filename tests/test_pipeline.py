@@ -32,6 +32,9 @@ from oracles import brute_force_detect, brute_force_k_cliques, named
 ROOT = Path(__file__).parent.parent
 FIXTURE = str(ROOT / "fixtures" / "sample_tweets.jsonl")
 RUN_ARGS = ["--iters", "50", "--n-topics", "2", "--k", "4"]
+# the fields `load_manifest` requires besides the files and the stages
+MANIFEST_HEAD = {"tool": "echonet", "version": "0.1.0", "config_hash": "ab" * 32,
+                 "created_utc": "2026-01-01T00:00:00+00:00"}
 
 
 def data_files(outdir):
@@ -440,8 +443,9 @@ def test_report_names_a_missing_communities_file(tmp_path, fresh_run, capsys):
 
 
 @pytest.mark.parametrize("text", ["not json\n", '{"0": {"community_id": 0, "members": []}}',
-                                  '[{"community_id": 0}]'],
-                         ids=["not-json", "not-a-list", "no-members"])
+                                  '[{"community_id": 0}]',
+                                  '[{"community_id": 0, "size": 1, "members": [["a"]]}]'],
+                         ids=["not-json", "not-a-list", "no-members", "member-not-a-string"])
 def test_topics_subcommand_on_a_communities_file_it_cannot_read_is_an_input_error(
     tmp_path, fresh_run, capsys, text
 ):
@@ -494,12 +498,25 @@ def test_rerun_deletes_only_plain_files_in_the_outdir(tmp_path):
     (tmp_path / "outside.txt").write_text("x")
     (out / "sub").mkdir()
     (out / "stale.csv").write_text("x")
-    listed = ["../outside.txt", "sub", "stale.csv", "manifest.json", 7]
-    manifest = {"tool": "echonet", "stages": [], "files": listed}
+    listed = ["../outside.txt", "sub", "stale.csv", "manifest.json"]
+    manifest = {**MANIFEST_HEAD, "stages": [], "files": listed}
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
     assert (tmp_path / "outside.txt").exists() and (out / "sub").is_dir()
     assert not (out / "stale.csv").exists()
+
+
+@pytest.mark.parametrize("manifest", [
+    {**MANIFEST_HEAD, "stages": [], "files": ["stale.csv", 7]},
+    {"tool": "echonet", "stages": [], "files": ["stale.csv"]},
+], ids=["file-not-a-name", "no-version"])
+def test_rerun_keeps_the_files_of_a_manifest_that_load_manifest_refuses(tmp_path, manifest):
+    out = tmp_path / "bundle"
+    out.mkdir()
+    (out / "stale.csv").write_text("x")
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
+    assert (out / "stale.csv").read_text() == "x"
 
 
 def test_rerun_keeps_the_files_another_tools_manifest_lists(tmp_path):
@@ -602,7 +619,7 @@ def test_ingest_hands_on_what_parsing_filtered_jsonl_yields(mappings, fmt):
 
 @pytest.mark.parametrize("size", [0, pipeline.HASH_BLOCK - 1, pipeline.HASH_BLOCK,
                                   pipeline.HASH_BLOCK + 1])
-def test_sha256_of_a_file_is_the_digest_of_its_bytes(tmp_path, size):
+def test_blake2b_of_a_file_is_the_digest_of_its_bytes(tmp_path, size):
     data = os.urandom(size)
     path = tmp_path / "blob"
     path.write_bytes(data)
@@ -648,21 +665,22 @@ def test_stage_table_and_config_hash_name_the_same_fields():
     assert staged == hashed
 
 
-def test_readme_demo_prints_the_sweep_table(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = tmp_path / "demo"
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_experiment.py"),
-                           FIXTURE, str(out)], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+def test_readme_demo_prints_the_sweep_table(tmp_path, capsys):
+    """The README demo: `echonet run` on the fixture, then `echonet report`."""
+    out = tmp_path / "out"
+    assert main(["run", "--input", FIXTURE, "--outdir", str(out), "--k", "4",
+                 "--n-topics", "2"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--outdir", str(out)]) == 0
     with open(out / "sweep_standard.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["k"] for row in rows] == [str(k) for k in range(3, 13)]
-    lines = proc.stdout.splitlines()
+    lines = capsys.readouterr().out.splitlines()
     start = lines.index("community-count sweep (standard rule):") + 1
     assert lines[start:start + len(rows)] == [
         f"  k={row['k']:>2}  communities={row['community_count']:>4}  "
         f"cliques={row['clique_count']}" for row in rows]
     # the fixture's two planted 10-user groups: 2 communities, 2 * C(10, 4) 4-cliques
     assert "  k= 4  communities=   2  cliques=420" in lines
+    # its role split at the default tau 0.5
+    assert "roles of 50 users: 9 distributor (18.0%), 37 mixed (74.0%), 4 producer (8.0%)" in lines
