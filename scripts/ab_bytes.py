@@ -5,7 +5,9 @@
 Each checkout runs `echonet run` from its own `src/` on the same inputs:
 
 - the `retweet-scale`, `clique-sweep` and `topic-fit` workloads of
-  `perfbench/workloads.py` at seed 5, with their benchmark flags;
+  `perfbench/workloads.py` at seed 5, with their benchmark flags, and the
+  `retweet-scale` corpus converted to CSV (`retweet-scale-csv`), so that the
+  CSV reader runs at scale;
 - `fixtures/sample_tweets.jsonl` with `--k 4 --n-topics 2 --iters 50`, as
   JSONL, converted to CSV, and with each `created_at` rewritten in turn in
   one of six other forms that name the same instant (`fixture-times`): the
@@ -103,6 +105,9 @@ def make_inputs(workdir: Path) -> dict[str, tuple[str, list[str]]]:
     for workload, flags in FLAGS.items():
         path, _ = write_workload(workload, SEED, str(workdir / "inputs" / workload))
         inputs[workload] = (path, flags)
+    scale_csv = workdir / "inputs" / "retweet-scale.csv"
+    jsonl_to_csv(Path(inputs["retweet-scale"][0]), scale_csv)
+    inputs["retweet-scale-csv"] = (str(scale_csv), FLAGS["retweet-scale"])
     csv_path = workdir / "inputs" / "fixture.csv"
     jsonl_to_csv(FIXTURE, csv_path)
     inputs["fixture-jsonl"] = (str(FIXTURE), FIXTURE_FLAGS)

@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .records import (  # noqa: F401
     CorpusStats,
-    TweetRecord,
     corpus_summary,
     keyword_filter,
-    parse_tweet_stream,
 )
 from .graph import (  # noqa: F401
     RetweetGraph,

@@ -108,6 +108,16 @@ def _has_field_type(name: str, value) -> bool:
     return isinstance(value, type(default)) and not isinstance(value, bool)
 
 
+def _misleading_keyword(term: str) -> bool:
+    """A blank term is a substring of nearly every text, so it keeps nearly
+    every record; a '#' term whose tag is empty or holds whitespace or a '#'
+    equals no hashtag a record carries, so it keeps none."""
+    if term.startswith("#"):
+        tag = term[1:]
+        return not tag or "#" in tag or any(c.isspace() for c in tag)
+    return not term.strip()
+
+
 def validate_config(config: PipelineConfig) -> list[str]:
     """Collect every precondition violation; empty list means valid."""
     errors = []
@@ -121,8 +131,9 @@ def validate_config(config: PipelineConfig) -> list[str]:
         return errors  # the range checks below assume finite, well-typed values
     if not config.keywords:
         errors.append("keywords: must be nonempty")
-    elif {"", "#"} & set(config.keywords):
-        errors.append("keywords: a term may not be empty or a bare '#'")
+    elif any(map(_misleading_keyword, config.keywords)):
+        errors.append("keywords: a term may not be blank, nor a '#' not followed by one "
+                      "hashtag token")
     if not 0 < config.tau <= 1:
         errors.append("tau: must be in (0, 1]")
     if config.min_weight < 1:

@@ -97,6 +97,25 @@ def atomic_open(path: str, newline: str | None = None):
         raise
 
 
+@contextlib.contextmanager
+def _open_utf8(path: str, newline: str | None = None):
+    """`path` opened to read as UTF-8 text. A byte that is not UTF-8 raises
+    InputFileError, naming the file and the first line that holds one: the
+    decoder reads ahead, so the line a reader had reached says nothing."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InputFileError(f"{path}: line {number}: byte {line[exc.start]:#04x} "
+                                         "is not UTF-8") from None
+        raise InputFileError(f"{path}: not UTF-8") from None
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -239,13 +258,14 @@ def load_undirected_graph(nodes_path: str, edges_path: str) -> UndirectedGraph:
     edge rows may come in any order. Raises InputFileError, naming the file,
     the line and the node, for a row whose endpoint is not in `nodes_path`,
     whose u does not sort before its v, that repeats an earlier pair, or whose
-    weight is not a positive integer below 2**63, the int64 it is held in."""
-    with open(nodes_path, encoding="utf-8") as fh:
+    weight is not a positive integer below 2**63, the int64 it is held in, and,
+    naming the file and the line, for a byte of either file that is not UTF-8."""
+    with _open_utf8(nodes_path) as fh:
         nodes = sorted({line.rstrip("\n") for line in fh if line.strip()})
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     keys, weights, lines = array("q"), array("q"), array("q")
-    with open(edges_path, newline="", encoding="utf-8") as fh:
+    with _open_utf8(edges_path, newline="") as fh:
         reader = csv.reader(fh)
 
         def bad(problem: str) -> InputFileError:
@@ -386,7 +406,7 @@ def stage_profiles(config: PipelineConfig, files: StageFiles) -> None:
     records = files.records(FILTERED)
     stoplist = DEFAULT_STOPLIST
     if STOPLIST in files.redirects:
-        with open(files.path(STOPLIST), encoding="utf-8") as fh:
+        with _open_utf8(files.path(STOPLIST)) as fh:
             stoplist = frozenset(w.strip().lower() for w in fh if w.strip())
     try:
         table = description_term_proportions(records, stoplist, config.top_n_terms)

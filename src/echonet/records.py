@@ -1,14 +1,13 @@
 """Tweet record ingestion: JSONL/CSV parsing, keyword filtering, corpus stats.
 
-`read_records` reads a record file in one loop, `_ingest`: each line is
-decoded, scanned and checked once, kept or dropped by the keyword rule,
-written as its line of `filtered.jsonl` and added to one `RecordTable`, a
-column per field that a stage after `ingest` reads, so a record costs two
+`read_records` reads a record file in one loop, `_ingest`: each line or CSV
+row is decoded, scanned and checked once, kept or dropped by the keyword
+rule, written as its line of `filtered.jsonl` and added to one `RecordTable`,
+a column per field that a stage after `ingest` reads, so a record costs two
 array slots, and one that carries a topic tag also a list slot, two more
 array slots and the bytes of its id, not an object of its own with a datetime
-and its text. A parsed line is a `TweetRecord` only where a caller asks for
-one: the single-record functions (`record_from_mapping`, `keyword_filter`,
-`record_to_json`) and the record streams run the same loop, so each rule is
+and its text. No record object is built on the way. `keyword_filter` and
+`record_to_json` run the same loop on one input mapping, so each rule is
 written once.
 """
 
@@ -23,7 +22,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -67,16 +66,6 @@ class RecordError(ValueError):
     """A single input record violates the expected schema."""
 
 
-class TweetRecord(NamedTuple):
-    tweet_id: str
-    user_id: str
-    created_at: datetime
-    text: str
-    hashtags: tuple[str, ...]
-    retweet_of_user_id: Optional[str] = None
-    user_description: Optional[str] = None
-
-
 @dataclass
 class CorpusStats:
     tweet_count: int = 0
@@ -87,10 +76,8 @@ class CorpusStats:
 
 @dataclass
 class ParseStats:
-    """Mutable counters handed to the streaming parser."""
-
-    malformed: int = 0
-    records: int = 0  # well-formed records yielded
+    malformed: int = 0  # lines and CSV rows that failed a check
+    records: int = 0  # well-formed records read
 
 
 def created_us(created_at: datetime) -> int:
@@ -102,10 +89,10 @@ def created_us(created_at: datetime) -> int:
 class TweetIds:
     """A column of strings held as one UTF-8 buffer, `data`, and the int64
     offset in it where each string ends, `ends`: a string costs its bytes and
-    8, not a str object and a list slot. Strings are encoded with
-    "surrogatepass", so each one, a lone surrogate included, reads back as it
-    was written. The loop that fills a `RecordTable` writes both fields;
-    `col[row]`, `len` and iteration read the strings."""
+    8, not a str object and a list slot. The loop that fills a `RecordTable`
+    writes both fields, and only from checked records, which hold no lone
+    surrogate; `col[row]`, `len` and iteration (through `col[row]`) read the
+    strings."""
 
     __slots__ = ("data", "ends")
 
@@ -119,13 +106,7 @@ class TweetIds:
     def __getitem__(self, row: int) -> str:
         ends = self.ends
         row = range(len(ends))[row]  # a negative row counts from the end
-        return self.data[ends[row - 1] if row else 0:ends[row]].decode("utf-8", "surrogatepass")
-
-    def __iter__(self) -> Iterator[str]:
-        data, start = self.data, 0
-        for end in self.ends:
-            yield data[start:end].decode("utf-8", "surrogatepass")
-            start = end
+        return self.data[ends[row - 1] if row else 0:ends[row]].decode("utf-8")
 
 
 class RecordTable:
@@ -146,7 +127,7 @@ class RecordTable:
     `records_with_description` counts the records whose description is not
     blank, the ones `profiles` reads. Equal hashtags and topic tag tuples are
     one object, shared through a dict that lives only while one call of
-    `read_records` or `from_records` fills the table."""
+    `_ingest` fills the table."""
 
     COLUMNS = ("user_id", "retweet_of_user_id", "tweet_id", "hashtags", "tagged_user_id",
                "latest_description", "latest_description_us")
@@ -162,13 +143,6 @@ class RecordTable:
         self.latest_description_us = array("q")  # by user code
         self.user_codes: dict[str, int] = {}
         self.records_with_description = 0
-
-    @classmethod
-    def from_records(cls, records: Iterable[TweetRecord]) -> RecordTable:
-        """The table of `records`, in order, taken as they are: no check runs."""
-        table = cls()
-        _ingest(records, "records", table)
-        return table
 
     def __len__(self) -> int:
         return len(self.user_id)
@@ -206,19 +180,6 @@ def _normalize_hashtags(raw) -> tuple[str, ...]:
     return tuple(tags)
 
 
-def _require_utf8(hashtags: Sequence[str], *fields: Optional[str]) -> None:
-    """Raise RecordError if a string field holds a lone surrogate (JSON can
-    escape one, as in "\\ud800", and a CSV byte that is not UTF-8 decodes to
-    one): UTF-8 cannot encode it, so no bundle file could hold the record."""
-    for value in (*fields, *hashtags):
-        if value is None:
-            continue
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise RecordError("a field holds a lone surrogate") from None
-
-
 def _keyword_terms(keywords: Sequence[str]) -> tuple[frozenset[str], tuple[str, ...]]:
     """The '#term' keywords as a set of hashtags, and the bare ones, lowercased."""
     if not keywords:
@@ -231,119 +192,111 @@ def _keyword_terms(keywords: Sequence[str]) -> tuple[frozenset[str], tuple[str, 
 def _ingest(
     items: Iterable,
     source: str,
-    into: RecordTable | list[TweetRecord],
+    table: RecordTable,
     stats: Optional[ParseStats] = None,
     keywords: Optional[Sequence[str]] = None,
     write: Optional[Callable[[str], object]] = None,
 ) -> None:
-    """The one loop that reads records; every reader and single-record
-    function runs it.
+    """The one loop that reads records; `read_records`, `keyword_filter` and
+    `record_to_json` run it.
 
-    `source` names what `items` holds: "lines", JSON text lines, str or
-    bytes; "mappings", input mappings, such as the rows `_csv_mappings`
-    makes; or "records", TweetRecords, which are taken as they are.
+    `source` names what `items` holds: "lines", JSON text lines as bytes, or
+    "mappings", input mappings, such as the rows `_csv_mappings` makes.
 
     - A line is decoded strictly, stripped and skipped if blank; the rest
       must be one JSON value, as `json.loads` reads it. A mapping must then
-      pass the checks `record_from_mapping` documents, in their order. A
-      line or mapping that fails is counted in `stats.malformed`, or, if
-      `stats` is None, raises its error. `stats.records` counts the others.
+      pass the checks `record_to_json` documents, in their order. A line or
+      mapping that fails is counted in `stats.malformed`, or, if `stats` is
+      None, raises its error. `stats.records` counts the others.
     - With `keywords`, a record is kept only if the keyword rule that
       `keyword_filter` documents accepts it; the terms are resolved once.
     - Each kept record is written to `write`, if given, as its line of
       `filtered.jsonl`, newline included (see `record_to_json`).
-    - It is then added to `into`: appended as a TweetRecord to a list, or
-      filled into the columns of a RecordTable, as the table documents."""
-    lines, checked = source == "lines", source != "records"
+    - It is then filled into the columns of `table`, as the table documents."""
+    lines = source == "lines"
     if keywords is not None:
         tag_terms, text_terms = _keyword_terms(keywords)
-    to_list = into.__class__ is list
-    if to_list:
-        keep = into.append
-    else:
-        codes = into.user_codes
-        code_of = codes.get
-        authors, targets = into.user_id.append, into.retweet_of_user_id.append
-        id_bytes, id_ends = into.tweet_id.data, into.tweet_id.ends.append
-        topic_tags, tagged_authors = into.hashtags.append, into.tagged_user_id.append
-        latest, stamps = into.latest_description, into.latest_description_us
-        new_latest, new_stamp = latest.append, stamps.append
-        shared: dict = {}  # one object per distinct tag and tag tuple
-        share = shared.setdefault
-        described = 0
-    parsed = malformed = 0
+    codes = table.user_codes
+    code_of = codes.get
+    authors, targets = table.user_id.append, table.retweet_of_user_id.append
+    id_bytes, id_ends = table.tweet_id.data, table.tweet_id.ends.append
+    topic_tags, tagged_authors = table.hashtags.append, table.tagged_user_id.append
+    latest, stamps = table.latest_description, table.latest_description_us
+    new_latest, new_stamp = latest.append, stamps.append
+    shared: dict = {}  # one object per distinct tag and tag tuple
+    share = shared.setdefault
+    described = parsed = malformed = 0
     for item in items:
-        if not checked:
-            tweet_id, user_id, created, text, hashtags, retweet_of, description = item
-            created_at = ""  # no input text: `created.isoformat()` is written
-        else:
+        try:
+            if lines:
+                line = item.decode("utf-8").strip()
+                if not line:
+                    continue
+                # decoded strictly: only an escape gives a lone surrogate
+                suspect = "\\ud" in line or "\\uD" in line
+                # json.loads(line) on a stripped line: one value that ends the line
+                obj, end = _scan_json(line, 0)
+                if end != len(line):
+                    raise RecordError("extra data after the JSON value")
+            else:
+                obj, suspect = item, True
+            if not isinstance(obj, dict):
+                raise RecordError("record is not an object")
+            get = obj.get
+            tweet_id, user_id, created_at, text = (
+                get("tweet_id"), get("user_id"), get("created_at"), get("text"))
+            if not isinstance(tweet_id, str) or not tweet_id:
+                raise RecordError("missing or invalid field: tweet_id")
+            if not isinstance(user_id, str) or not user_id:
+                raise RecordError("missing or invalid field: user_id")
+            if "\n" in user_id or "\r" in user_id or user_id.isspace():
+                raise _not_one_line("user_id")
+            if not isinstance(created_at, str) or not created_at:
+                raise RecordError("missing or invalid field: created_at")
+            if not isinstance(text, str):  # empty text is legal
+                raise RecordError("missing or invalid field: text")
+            hashtags = get("hashtags")
+            if hashtags is None:
+                hashtags = extract_hashtags(text)
+            elif isinstance(hashtags, (list, tuple)):
+                hashtags = _normalize_hashtags(hashtags)
+            else:
+                raise RecordError("hashtags must be an array")
+            retweet_of = get("retweet_of_user_id")
+            if retweet_of is not None:
+                if not isinstance(retweet_of, str):
+                    raise RecordError("optional field must be a string")
+                if not retweet_of:
+                    retweet_of = None
+                elif "\n" in retweet_of or "\r" in retweet_of or retweet_of.isspace():
+                    raise _not_one_line("retweet_of_user_id")
             try:
-                if lines:
-                    if item.__class__ is bytes:
-                        line = item.decode("utf-8").strip()
-                        # decoded strictly: only an escape gives a lone surrogate
-                        suspect = "\\ud" in line or "\\uD" in line
-                    else:
-                        line, suspect = item.strip(), True
-                    if not line:
-                        continue
-                    # json.loads(line) on a stripped line: one value that ends the line
-                    obj, end = _scan_json(line, 0)
-                    if end != len(line):
-                        raise RecordError("extra data after the JSON value")
-                else:
-                    obj, suspect = item, True
-                if not isinstance(obj, dict):
-                    raise RecordError("record is not an object")
-                get = obj.get
-                tweet_id, user_id, created_at, text = (
-                    get("tweet_id"), get("user_id"), get("created_at"), get("text"))
-                if not isinstance(tweet_id, str) or not tweet_id:
-                    raise RecordError("missing or invalid field: tweet_id")
-                if not isinstance(user_id, str) or not user_id:
-                    raise RecordError("missing or invalid field: user_id")
-                if "\n" in user_id or "\r" in user_id or user_id.isspace():
-                    raise _not_one_line("user_id")
-                if not isinstance(created_at, str) or not created_at:
-                    raise RecordError("missing or invalid field: created_at")
-                if not isinstance(text, str):  # empty text is legal
-                    raise RecordError("missing or invalid field: text")
-                hashtags = get("hashtags")
-                if hashtags is None:
-                    hashtags = extract_hashtags(text)
-                elif isinstance(hashtags, (list, tuple)):
-                    hashtags = _normalize_hashtags(hashtags)
-                else:
-                    raise RecordError("hashtags must be an array")
-                retweet_of = get("retweet_of_user_id")
-                if retweet_of is not None:
-                    if not isinstance(retweet_of, str):
-                        raise RecordError("optional field must be a string")
-                    if not retweet_of:
-                        retweet_of = None
-                    elif "\n" in retweet_of or "\r" in retweet_of or retweet_of.isspace():
-                        raise _not_one_line("retweet_of_user_id")
+                created = _fromisoformat(created_at.replace("Z", "+00:00"))
+            except ValueError as exc:
+                raise RecordError(f"bad created_at: {created_at!r}") from exc
+            if created.tzinfo is None:
+                created = created.replace(tzinfo=timezone.utc)
+            description = get("user_description")
+            if description is not None:
+                if not isinstance(description, str):
+                    raise RecordError("optional field must be a string")
+                description = description or None
+            # a lone surrogate (a JSON escape such as "\\ud800", or a CSV byte
+            # that is not UTF-8) has no UTF-8 form, so no bundle file could hold it
+            if suspect:
                 try:
-                    created = _fromisoformat(created_at.replace("Z", "+00:00"))
-                except ValueError as exc:
-                    raise RecordError(f"bad created_at: {created_at!r}") from exc
-                if created.tzinfo is None:
-                    created = created.replace(tzinfo=timezone.utc)
-                description = get("user_description")
-                if description is not None:
-                    if not isinstance(description, str):
-                        raise RecordError("optional field must be a string")
-                    description = description or None
-                if suspect:
-                    _require_utf8(hashtags, tweet_id, user_id, text, retweet_of, description)
-            except (StopIteration, ValueError, RecursionError):
-                # ValueError covers JSONDecodeError, UnicodeDecodeError,
-                # RecordError and the digit limit
-                if stats is None:
-                    raise
-                malformed += 1
-                continue
-            parsed += 1
+                    "".join((tweet_id, user_id, text, retweet_of or "", description or "",
+                             *hashtags)).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise RecordError("a field holds a lone surrogate") from None
+        except (StopIteration, ValueError, RecursionError):
+            # ValueError covers JSONDecodeError, UnicodeDecodeError,
+            # RecordError and the digit limit
+            if stats is None:
+                raise
+            malformed += 1
+            continue
+        parsed += 1
         if keywords is not None and tag_terms.isdisjoint(hashtags):
             lowered = text.lower()
             for term in text_terms:
@@ -364,11 +317,6 @@ def _ingest(
                 "" if description is None else ', "user_description": ' + _encode(description),
                 ', "user_id": ', _encode(user_id), "}\n",
             )))
-        if to_list:
-            # the fields in declaration order, without the keyword handling of TweetRecord()
-            keep(tuple.__new__(TweetRecord, (tweet_id, user_id, created, text, hashtags,
-                                             retweet_of, description)))
-            continue
         author = code_of(user_id)
         if author is None:  # a user not yet named: its code and per-user slots
             author = codes[user_id] = len(codes)
@@ -381,7 +329,7 @@ def _ingest(
                 tags = shared[hashtags] = tuple([share(tag, tag) for tag in hashtags
                                                  if tag not in TOPIC_STOPTAGS])
             if tags:
-                id_bytes += tweet_id.encode("utf-8", "surrogatepass")
+                id_bytes += tweet_id.encode("utf-8")
                 id_ends(len(id_bytes))
                 topic_tags(tags)
                 tagged_authors(author)
@@ -406,99 +354,71 @@ def _ingest(
                 if description != kept:
                     latest[author] = description
                 stamps[author] = stamp
-    if not to_list:
-        into.records_with_description += described
+    table.records_with_description += described
     if stats is not None:
         stats.records += parsed
         stats.malformed += malformed
 
 
-def record_from_mapping(obj: dict) -> TweetRecord:
-    """Build a validated TweetRecord from a parsed input mapping, or raise the
-    RecordError of the first check it fails, in this order: it is a dict;
-    `tweet_id` and `user_id` are nonempty strings, and `user_id` is one line
-    and not only whitespace; `created_at` is a nonempty string and `text` a
-    string; `hashtags`, if present, is an array of strings, each a token
-    after its leading '#'s are dropped (absent: the hashtags of the text);
+def record_to_json(obj: dict) -> str:
+    """The line of `filtered.jsonl` that the input mapping `obj` is written
+    as, without its newline: `json.dumps(record_to_dict(rec),
+    ensure_ascii=False, sort_keys=True)` of its record, with the reference
+    `record_to_dict` of tests/oracles.py. Raises the RecordError of the
+    first check `obj` fails, in this order: it is a dict; `tweet_id` and
+    `user_id` are nonempty strings, and `user_id` is one line and not only
+    whitespace; `created_at` is a nonempty string and `text` a string;
+    `hashtags`, if present, is an array of strings, each a token after its
+    leading '#'s are dropped (absent: the hashtags of the text);
     `retweet_of_user_id` is a string, one line if not empty (empty: none);
     `created_at` is read by `datetime.fromisoformat`, "Z" as UTC and no
     offset as UTC; `user_description` is a string (empty: none); and no
     string field holds a lone surrogate."""
-    records: list[TweetRecord] = []
-    _ingest((obj,), "mappings", records)
-    return records[0]
-
-
-def record_to_json(rec: TweetRecord) -> str:
-    """The line `json.dumps(record_to_dict(rec), ensure_ascii=False,
-    sort_keys=True)` gives, with the reference `record_to_dict` of
-    tests/oracles.py, without its newline."""
     out: list[str] = []
-    _ingest((rec,), "records", [], write=out.append)
+    _ingest((obj,), "mappings", RecordTable(), write=out.append)
     return out[0][:-1]
 
 
-def keyword_filter(record: TweetRecord, keywords: Sequence[str]) -> bool:
-    """True iff any term matches: '#term' as exact hashtag token, bare term as
-    case-insensitive substring of the text."""
-    kept: list[TweetRecord] = []
-    _ingest((record,), "records", kept, keywords=keywords)
-    return bool(kept)
-
-
-def parse_tweet_stream(
-    lines: Iterable[str | bytes], stats: Optional[ParseStats] = None
-) -> Iterator[TweetRecord]:
-    """Yield one TweetRecord per well-formed JSON line, skipping malformed ones.
-    A line is malformed when `json.loads` rejects it, also for nesting deeper
-    than the recursion limit or an integer longer than
-    `sys.get_int_max_str_digits()`, or when its record fails validation
-    (`record_from_mapping`), a lone surrogate in a string field included;
-    bytes lines are decoded strictly, so there only a JSON escape can
-    produce one."""
-    if stats is None:
-        stats = ParseStats()
-    records: list[TweetRecord] = []
-    for line in lines:
-        _ingest((line,), "lines", records, stats)
-        yield from records
-        records.clear()
+def keyword_filter(obj: dict, keywords: Sequence[str]) -> bool:
+    """True iff any term matches the record of the input mapping `obj`:
+    '#term' as exact hashtag token, bare term as case-insensitive substring
+    of the text. Raises as `record_to_json` does for a mapping that fails
+    its checks."""
+    table = RecordTable()
+    _ingest((obj,), "mappings", table, keywords=keywords)
+    return len(table) == 1
 
 
 def _csv_mappings(fileobj: io.TextIOBase, stats: ParseStats) -> Iterator[dict]:
     """The input mapping of each CSV row: its nonempty fields of
-    `CSV_COLUMNS`, the hashtags column split at '|'. A row the csv module
-    rejects, such as one with a field longer than `csv.field_size_limit()`,
-    is counted in `stats.malformed`, and reading goes on at the next line."""
-    reader = csv.DictReader(fileobj)
+    `CSV_COLUMNS`, the hashtags column split at '|'. The header is the first
+    row read, even a blank one; a column it names twice is read from the
+    later one. Blank rows after it are skipped, a short row lacks the
+    columns it does not reach, and fields past the header are dropped. A row
+    the csv module rejects, such as one with a field longer than
+    `csv.field_size_limit()`, is counted in `stats.malformed`, and reading
+    goes on at the next line: after a header row that is rejected, the next
+    row is the header."""
+    reader = csv.reader(fileobj)
+    at = None  # (column name, field position) of each column read
     while True:
         try:
-            row = next(reader)
+            if at is None:
+                at = tuple({name: i for i, name in enumerate(next(reader))
+                            if name in CSV_COLUMNS}.items())
+            for row in reader:
+                if row:
+                    n = len(row)
+                    obj = {name: row[i] for name, i in at if i < n and row[i]}
+                    tags = obj.get("hashtags")
+                    if tags is not None:
+                        obj["hashtags"] = tags.split("|")
+                    yield obj
+            return
         except StopIteration:
             return
-        except csv.Error:
+        except csv.Error:  # the reader's: an error in the caller's loop is not thrown in here
             stats.malformed += 1
-            continue
-        obj = {k: v for k, v in row.items() if k in CSV_COLUMNS and v not in (None, "")}
-        if "hashtags" in obj:
-            obj["hashtags"] = obj["hashtags"].split("|")
-        yield obj
-
-
-def parse_tweet_csv(
-    fileobj: io.TextIOBase, stats: Optional[ParseStats] = None
-) -> Iterator[TweetRecord]:
-    """CSV variant of the stream parser; hashtags column is '|'-separated. A
-    row the csv module rejects is malformed (see `_csv_mappings`), and so is
-    a row whose record fails `record_from_mapping`, whose last check is for a
-    lone surrogate: what `read_records` reads a byte that is not UTF-8 as."""
-    if stats is None:
-        stats = ParseStats()
-    records: list[TweetRecord] = []
-    for obj in _csv_mappings(fileobj, stats):
-        _ingest((obj,), "mappings", records, stats)
-        yield from records
-        records.clear()
 
 
 def read_records(

@@ -3,9 +3,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import json
+import os
+import tempfile
 from datetime import datetime, timezone
 
-from echonet.records import RecordTable, TweetRecord, extract_hashtags
+import oracles
+from echonet.records import ParseStats, RecordTable, extract_hashtags, read_records
 
 
 def make_record(
@@ -21,7 +25,7 @@ def make_record(
         created = datetime.fromisoformat(created)
     if created.tzinfo is None:
         created = created.replace(tzinfo=timezone.utc)
-    return TweetRecord(
+    return oracles.TweetRecord(
         tweet_id=tweet_id,
         user_id=user_id,
         created_at=created,
@@ -32,8 +36,23 @@ def make_record(
     )
 
 
+def table_of(records) -> RecordTable:
+    """The table `read_records` reads from `records` (`oracles.TweetRecord`s)
+    written as JSONL lines; each record must pass the checks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(json.dumps(oracles.record_to_dict(rec), ensure_ascii=False) + "\n")
+        stats = ParseStats()
+        table = read_records(path, stats)
+    assert stats.malformed == 0, "a record failed the checks"
+    return table
+
+
 def columns(table: RecordTable) -> dict[str, list]:
-    """Every column a RecordTable carries, by name, as a list, and the user
-    names its codes stand for, in code order."""
+    """Every column a RecordTable carries, by name, as a list, the user names
+    its codes stand for, in code order, and its `records_with_description`."""
     return {"user_codes": list(table.user_codes),
-            **{name: list(getattr(table, name)) for name in RecordTable.COLUMNS}}
+            **{name: list(getattr(table, name)) for name in RecordTable.COLUMNS},
+            "records_with_description": table.records_with_description}

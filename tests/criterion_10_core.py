@@ -19,11 +19,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import make_record
+from conftest import make_record, table_of
 from echonet.communities import community_count_sweep, maximal_clique_list
 from echonet.graph import build_retweet_graph, degree_summary, node_degrees, symmetrize
 from echonet.pipeline import _peak_rss_kb
-from echonet.records import RecordTable
 
 
 def scale_free_events(n_nodes, n_edges, m, seed):
@@ -52,7 +51,7 @@ def scale_free_events(n_nodes, n_edges, m, seed):
 def main():
     start = time.monotonic()
     events = scale_free_events(100_000, 430_000, m=4, seed=10)
-    records = RecordTable.from_records(
+    records = table_of(
         make_record(f"t{i}", f"u{u}", retweet_of=f"u{v}")
         for i, (u, v) in enumerate(events)
     )

@@ -4,9 +4,11 @@ Deliberately naive: subset enumeration, pairwise adjacency checks, BFS over
 clique overlap, the numpy formulas the topics layer computes in a faster
 order, dict-based degree reports, a record parser built on `json.loads`
 with one helper per check, the dict a record's JSON line encodes, and scans
-over a list of records for the topic corpora and the description terms.
-Nothing here shares code with the package under test; it builds the
-package's result types so results compare with `==`. The graph oracles take
+over a list of records for the table columns, the topic corpora and the
+description terms. A record is a `TweetRecord`, a type of this module: the
+package builds no record objects. Nothing here shares code with the package
+under test; it builds the package's result types so results compare with
+`==`. The graph oracles take
 and give graphs by name (`Named`); `named` and `package_graph` convert.
 """
 
@@ -17,12 +19,27 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from echonet.graph import DegreeStats, DegreeSummary, UndirectedGraph
 from echonet.profiles import TermFrequencyTable
-from echonet.records import RecordError, TweetRecord
+from echonet.records import TOPIC_STOPTAGS, RecordError
+
+
+class TweetRecord(NamedTuple):
+    """One checked input record: its created_at read as an aware datetime,
+    its hashtags lowercased and without their '#', and empty optional
+    fields as None."""
+
+    tweet_id: str
+    user_id: str
+    created_at: datetime
+    text: str
+    hashtags: tuple
+    retweet_of_user_id: Optional[str] = None
+    user_description: Optional[str] = None
 
 
 @dataclass
@@ -355,6 +372,47 @@ def record_to_dict(rec):
     if rec.user_description is not None:
         out["user_description"] = rec.user_description
     return out
+
+
+def _microseconds_since_epoch(when):
+    delta = when - datetime(1970, 1, 1, tzinfo=timezone.utc)
+    return (delta.days * 86_400 + delta.seconds) * 1_000_000 + delta.microseconds
+
+
+def table_columns(records):
+    """The columns a `RecordTable` of `records` holds, as `conftest.columns`
+    lists them, built by scans of the records: user codes by first
+    appearance, a record's author before its target; a row of topic tags
+    (the hashtags minus `TOPIC_STOPTAGS`) per record that keeps one; and per
+    user the description of its latest record whose description is not
+    blank, the first in input order of those at that instant."""
+    names = {}
+    for rec in records:
+        for user in (rec.user_id, rec.retweet_of_user_id):
+            if user is not None and user not in names:
+                names[user] = len(names)
+    tagged = [(rec, tags) for rec in records
+              if (tags := tuple(t for t in rec.hashtags if t not in TOPIC_STOPTAGS))]
+    described = [rec for rec in records
+                 if rec.user_description is not None and rec.user_description.strip()]
+    latest = []
+    for user in names:
+        own = [rec for rec in described if rec.user_id == user]
+        latest.append(max(own, key=lambda rec: rec.created_at) if own else None)
+    return {
+        "user_codes": list(names),
+        "user_id": [names[rec.user_id] for rec in records],
+        "retweet_of_user_id": [-1 if rec.retweet_of_user_id is None
+                               else names[rec.retweet_of_user_id] for rec in records],
+        "tweet_id": [rec.tweet_id for rec, _ in tagged],
+        "hashtags": [tags for _, tags in tagged],
+        "tagged_user_id": [names[rec.user_id] for rec, _ in tagged],
+        "latest_description": [None if rec is None else rec.user_description
+                               for rec in latest],
+        "latest_description_us": [0 if rec is None else _microseconds_since_epoch(rec.created_at)
+                                  for rec in latest],
+        "records_with_description": len(described),
+    }
 
 
 class NumpyGibbsChain:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import make_record
+from conftest import make_record, table_of
 from echonet.communities import (
     community_count_sweep,
     detect_communities,
@@ -25,7 +25,6 @@ from echonet.config import PipelineConfig
 from echonet.graph import RetweetGraph, UndirectedGraph, degree_summary, node_degrees
 from echonet.pipeline import run_pipeline
 from echonet.profiles import description_term_proportions
-from echonet.records import RecordTable
 from echonet.topics import Document, GibbsSampler, fit_lda
 from oracles import brute_force_detect, complete_graph, description_terms, package_graph
 from test_topics import collapsed_posterior, gibbs_state_distribution, vocab_of
@@ -300,10 +299,10 @@ def test_criterion_11_profile_recount():
             )
         if all(r.user_description is None for r in records):
             continue
-        table = description_term_proportions(RecordTable.from_records(records), frozenset(), 50)
+        table = description_term_proportions(table_of(records), frozenset(), 50)
         assert table == description_terms(records, frozenset(), 50)
         # duplication of a user's tweets never changes proportions
-        twice = RecordTable.from_records(records * 2)
+        twice = table_of(records * 2)
         assert description_term_proportions(twice, frozenset(), 50) == table
 
 

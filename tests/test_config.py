@@ -93,12 +93,13 @@ def test_auto_alpha_resolution():
     assert PipelineConfig(alpha=0.25).resolved_alpha() == 0.25
 
 
-@pytest.mark.parametrize("term", ["", "#"])
+@pytest.mark.parametrize("term", ["", "#", " ", "#q anon", "##q"])
 def test_a_keyword_that_is_empty_or_a_bare_hash_is_a_config_error(tmp_path, capsys, term):
-    """"" is a substring of every text, so it would keep every record; a bare
-    "#" is the empty hashtag, which no record carries."""
+    """"" is a substring of every text, so it would keep every record, and " "
+    of nearly every text; a bare "#" is the empty hashtag, and a hashtag holds
+    no whitespace or '#', so no record carries what those '#' terms name."""
     assert validate_config(PipelineConfig(keywords=("qanon", term))) == [
-        "keywords: a term may not be empty or a bare '#'"]
+        "keywords: a term may not be blank, nor a '#' not followed by one hashtag token"]
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"keywords": [term]}))
     assert main(["ingest", "--config", str(path), "--input", FIXTURE,

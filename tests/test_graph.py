@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import make_record, table_of
 from echonet.graph import (
     RetweetGraph,
     build_retweet_graph,
@@ -19,7 +19,6 @@ from echonet.graph import (
     node_degrees,
     symmetrize,
 )
-from echonet.records import RecordTable
 import oracles
 from oracles import moments, named
 
@@ -30,7 +29,7 @@ def retweet(i, src, dst):
 
 def graph_from_events(events):
     return build_retweet_graph(
-        RecordTable.from_records(retweet(i, u, v) for i, (u, v) in enumerate(events))
+        table_of(retweet(i, u, v) for i, (u, v) in enumerate(events))
     )
 
 
@@ -51,7 +50,7 @@ def test_build_basic():
 
 
 def test_build_isolated_nodes():
-    g = build_retweet_graph(RecordTable.from_records(make_record(str(i), f"u{i}")
+    g = build_retweet_graph(table_of(make_record(str(i), f"u{i}")
                                                      for i in range(5)))
     assert len(g.nodes) == 5
     assert named(g).edges == {}
@@ -269,7 +268,7 @@ def test_degree_reports_and_symmetrize_equal_the_dict_based_oracles():
             records.append(make_record(f"t{i}", u, retweet_of=v if rng.random() < 0.8 else None))
         # a user whose only record is a self-retweet is a node of degree 0
         records.append(make_record("self", f"solo{trial % 3}", retweet_of=f"solo{trial % 3}"))
-        g = build_retweet_graph(RecordTable.from_records(records))
+        g = build_retweet_graph(table_of(records))
         by_name = named(g)
         tau = rng.choice([0.1, 0.5, 1.0, 1])
         degrees = node_degrees(g)
@@ -308,7 +307,7 @@ def test_graph_stage_holds_under_40_bytes_per_retweet_event():
     users = [str(rng.randrange(10**9, 10**10)) for _ in range(2000)]
     targets = rng.choices(users, weights=[1 / rank for rank in range(1, 2001)], k=22_000)
     events = [(u, v) for u, v in zip(rng.choices(users, k=len(targets)), targets) if u != v]
-    table = RecordTable.from_records(
+    table = table_of(
         retweet(i, u, v) for i, (u, v) in enumerate(events[:20_000]))
     gc.collect()
     tracemalloc.start()

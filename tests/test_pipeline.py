@@ -26,8 +26,9 @@ from echonet.cli import main
 from echonet.config import _HASH_EXCLUDED, PipelineConfig
 from echonet.graph import UndirectedGraph
 from conftest import columns
-from echonet.records import CSV_COLUMNS, parse_tweet_stream, read_records, record_to_json
-from oracles import brute_force_detect, brute_force_k_cliques, named
+from echonet.records import CSV_COLUMNS, ParseStats, read_records
+from oracles import (brute_force_detect, brute_force_k_cliques, named, parse_tweet_stream,
+                     record_to_dict, table_columns)
 
 ROOT = Path(__file__).parent.parent
 FIXTURE = str(ROOT / "fixtures" / "sample_tweets.jsonl")
@@ -176,14 +177,19 @@ def graph_files(tmp_path, rows, nodes="abc"):
     return str(nodes_path), str(edges_path)
 
 
-def load_error(tmp_path, rows):
+def load_error(tmp_path, rows, damaged="undirected_edges.csv", tail=b""):
+    """The message of the InputFileError that loading the graph files of
+    `rows` raises once `tail` is appended to the file `damaged`, from the line
+    on: it must name that file first."""
     nodes_path, edges_path = graph_files(tmp_path, rows)
+    with open(tmp_path / damaged, "ab") as fh:
+        fh.write(tail)
     with pytest.raises(ValueError) as info:
         pipeline.load_undirected_graph(nodes_path, edges_path)
     assert type(info.value) is pipeline.InputFileError
-    message = str(info.value)
-    assert message.startswith(f"{edges_path}: line ")
-    return message[len(edges_path) + 2:]
+    message, path = str(info.value), str(tmp_path / damaged)
+    assert message.startswith(f"{path}: line ")
+    return message[len(path) + 2:]
 
 
 def test_loading_an_edge_whose_node_is_not_in_nodes_txt_names_file_line_and_node(tmp_path):
@@ -214,6 +220,15 @@ def test_loading_a_weight_that_is_not_a_positive_integer_fails(tmp_path, weight)
 def test_loading_a_weight_of_2_to_the_63_or_more_fails(tmp_path, weight):
     assert load_error(tmp_path, ["a,b,1", f"a,c,{weight}"]) == (
         f"line 3: the weight {weight!r} of 'a', 'c' is 2**63 or more")
+
+
+@pytest.mark.parametrize("damaged, tail, expected", [
+    ("nodes.txt", b"\xe9", "line 4: byte 0xe9 is not UTF-8"),
+    ("undirected_edges.csv", b"a,c\xff,2\r\n", "line 3: byte 0xff is not UTF-8"),
+], ids=["nodes", "edges"])
+def test_loading_a_graph_file_that_is_not_utf8_names_the_file_and_line(tmp_path, damaged, tail,
+                                                                       expected):
+    assert load_error(tmp_path, ["a,b,1"], damaged, tail) == expected
 
 
 def test_loading_the_largest_int64_weight_keeps_it(tmp_path):
@@ -252,6 +267,18 @@ def test_communities_subcommand_on_an_edge_file_it_cannot_read_is_an_input_error
     graph_files(tmp_path, rows)
     assert main(["communities", "--graph", str(tmp_path), "--outdir", str(tmp_path / "sub"),
                  "--k", "3"]) == 3
+
+
+def test_profiles_subcommand_on_a_stoplist_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert main(["ingest", "--input", FIXTURE, "--outdir", str(out)]) == 0
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_bytes(b"patriot\n\xff\n")
+    capsys.readouterr()
+    assert main(["profiles", "--records", str(out / "filtered.jsonl"), "--stoplist",
+                 str(stoplist), "--outdir", str(tmp_path / "sub")]) == 3
+    assert capsys.readouterr().err == f"error: {stoplist}: line 2: byte 0xff is not UTF-8\n"
+    assert not (tmp_path / "sub" / "term_frequencies.csv").exists()
 
 
 def test_resume_that_reuses_only_ingest_parses_filtered_once(tmp_path, calls):
@@ -610,11 +637,15 @@ def test_ingest_hands_on_what_parsing_filtered_jsonl_yields(mappings, fmt):
         written = pipeline.run_stage("ingest", config, {}, parsed)
         filtered = written["filtered.jsonl"]
         assert columns(parsed[filtered]) == columns(read_records(filtered))
-        # each line is written as the record it holds serializes
+        # each line is written as the record it holds serializes, and the
+        # table holds the columns of those records
         with open(filtered, "rb") as fh:
             lines = fh.readlines()
+        records = list(parse_tweet_stream(lines, ParseStats()))
         assert b"".join(lines).decode("utf-8") == "".join(
-            record_to_json(r) + "\n" for r in parse_tweet_stream(lines))
+            json.dumps(record_to_dict(r), ensure_ascii=False, sort_keys=True) + "\n"
+            for r in records)
+        assert columns(parsed[filtered]) == table_columns(records)
 
 
 @pytest.mark.parametrize("size", [0, pipeline.HASH_BLOCK - 1, pipeline.HASH_BLOCK,

@@ -10,19 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_record
+from conftest import make_record, table_of
 from oracles import description_terms
 from echonet.profiles import (
     DEFAULT_STOPLIST,
     NoDescriptionsError,
     description_term_proportions,
 )
-from echonet.records import CSV_COLUMNS, RecordTable, read_records
+from echonet.records import CSV_COLUMNS, read_records
 
 
 def proportions(records, stoplist, top_n):
     """`description_term_proportions` of the table that holds `records`."""
-    return description_term_proportions(RecordTable.from_records(records), stoplist, top_n)
+    return description_term_proportions(table_of(records), stoplist, top_n)
 
 
 def test_basic_proportion():

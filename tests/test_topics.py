@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import make_record, table_of
 import oracles
 from oracles import NumpyGibbsChain, community_corpus, per_document_perplexity
 from echonet.topics import (
@@ -44,7 +44,7 @@ def test_corpus_member_tweets_only():
         make_record("t2", "a", "no tags"),
         make_record("t3", "c", "#z"),
     ]
-    vocab, docs = build_community_corpus(RecordTable.from_records(records), {"a"})
+    vocab, docs = build_community_corpus(table_of(records), {"a"})
     assert [d.tokens for d in docs] == [(0, 1)]
     assert vocab.token(0) == "x" and vocab.token(1) == "y"
 
@@ -52,7 +52,7 @@ def test_corpus_member_tweets_only():
 def test_corpus_stoplist_forces_empty_error():
     records = [make_record("t1", "a", "#qanon")]
     with pytest.raises(EmptyCorpusError):
-        build_community_corpus(RecordTable.from_records(records), {"a"})
+        build_community_corpus(table_of(records), {"a"})
 
 
 def test_corpus_requires_nonempty_community():
@@ -81,7 +81,7 @@ def test_corpus_matches_the_scan_oracle(tweets, members, per_user):
     community = members | {"stop", "target", "absent"}
     expected_vocab, expected_docs = community_corpus(records, community, TOPIC_STOPTAGS,
                                                      per_user)
-    table = RecordTable.from_records(records)
+    table = table_of(records)
     if not expected_docs:
         with pytest.raises(EmptyCorpusError):
             build_community_corpus(table, community, per_user=per_user)
@@ -123,7 +123,7 @@ def test_corpus_per_user_aggregation():
         make_record("t2", "a", "#y"),
         make_record("t3", "b", "#z"),
     ]
-    vocab, docs = build_community_corpus(RecordTable.from_records(records), {"a", "b"},
+    vocab, docs = build_community_corpus(table_of(records), {"a", "b"},
                                          per_user=True)
     by_id = {d.doc_id: [vocab.token(w) for w in d.tokens] for d in docs}
     assert by_id == {"a": ["x", "y"], "b": ["z"]}
