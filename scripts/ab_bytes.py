@@ -14,12 +14,17 @@ Each checkout runs `echonet run` from its own `src/` on the same inputs:
   fixture and the workloads write only the form `isoformat()` gives back.
 
 Each input runs with its flags alone, then with `--rule standard --k 3`,
-`--k 2`, `--k-min 2` or `--per-user` added. Every file of each pair of
-bundles but `manifest.json`, which carries timings, is compared byte for
-byte. The script prints each file that differs or is on one side only, and
-each run that fails, and exits 1 if there is any. The inputs come from the
-checkout that holds this script; the bundles go under `--work`, a temporary
-directory by default.
+`--k 2`, `--k-min 2` or `--per-user` added. Each input also runs, with its
+flags alone, through the stage subcommands `ingest`, `graph`, `communities`,
+`topics` and `profiles` in order, into one outdir (`stages`), each given the
+flags it takes. Each of those stages after `ingest` reads back what the one
+before it wrote, which `run` hands on in memory, so this bundle must equal
+that checkout's `run` bundle as well as the other checkout's. Every file of
+each pair of bundles but `manifest.json`, which carries timings, is compared
+byte for byte. The script prints each file that differs or is on one side
+only, and each run that fails, and exits 1 if there is any. The inputs come
+from the checkout that holds this script; the bundles go under `--work`, a
+temporary directory by default.
 """
 
 from __future__ import annotations
@@ -50,6 +55,15 @@ EXTRA_FLAGS = {
     "kmin2": ["--k-min", "2"],
     "per-user": ["--per-user"],
 }
+# the flags of `run` that each stage subcommand takes, in stage order
+STAGE_FLAGS = {
+    "ingest": {"--input", "--keywords"},
+    "graph": {"--tau", "--min-weight"},
+    "communities": {"--k", "--rule", "--k-min", "--k-max", "--max-cliques"},
+    "topics": {"--k", "--rule", "--n-topics", "--alpha", "--beta", "--iters", "--per-user"},
+    "profiles": set(),
+}
+COMMON_FLAGS = {"--seed", "--threads"}
 CSV_COLUMNS = ("tweet_id", "user_id", "created_at", "text", "retweet_of_user_id",
                "user_description", "hashtags")
 
@@ -118,25 +132,51 @@ def make_inputs(workdir: Path) -> dict[str, tuple[str, list[str]]]:
     return inputs
 
 
-def run(checkout: Path, input_path: str, flags: list[str], outdir: Path) -> int:
+def echonet(checkout: Path, argv: list[str]) -> int:
+    """Run `echonet *argv` from the checkout's `src/`; print its stderr if it fails."""
     cmd = [sys.executable, "-c", "import sys; from echonet.cli import main; sys.exit(main())",
-           "run", "--input", input_path, "--outdir", str(outdir), *flags]
+           *argv]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode:
-        print(f"{checkout}: {' '.join(cmd[3:])} exited {proc.returncode}\n{proc.stderr}")
+        print(f"{checkout}: {' '.join(argv)} exited {proc.returncode}\n{proc.stderr}")
     return proc.returncode
 
 
-def compare(parent: Path, change: Path, label: str) -> tuple[int, list[str]]:
-    """(files compared, lines naming each file that differs or is on one side only)."""
-    names = {p.name for p in parent.iterdir()} | {p.name for p in change.iterdir()}
+def run(checkout: Path, input_path: str, flags: list[str], outdir: Path) -> int:
+    return echonet(checkout, ["run", "--input", input_path, "--outdir", str(outdir), *flags])
+
+
+def run_stages(checkout: Path, input_path: str, flags: list[str], outdir: Path) -> int:
+    """Run each stage subcommand in order into `outdir`, with the flags of
+    `flags` it takes; the exit code of the first that fails, else 0."""
+    groups: list[list[str]] = []  # each flag with the values that follow it
+    for arg in flags:
+        if arg.startswith("--"):
+            groups.append([arg])
+        else:
+            groups[-1].append(arg)
+    for stage, takes in STAGE_FLAGS.items():
+        argv = [arg for group in groups if group[0] in takes | COMMON_FLAGS for arg in group]
+        if stage == "ingest":
+            argv += ["--input", input_path]
+        code = echonet(checkout, [stage, *argv, "--outdir", str(outdir)])
+        if code:
+            return code
+    return 0
+
+
+def compare(a_dir: Path, b_dir: Path, label: str,
+            sides: tuple[str, str] = ("parent", "change")) -> tuple[int, list[str]]:
+    """(files compared, lines naming each file that differs or is on one side
+    only); `sides` names the two directories in those lines."""
+    names = {p.name for d in (a_dir, b_dir) if d.is_dir() for p in d.iterdir()}
     names.discard("manifest.json")
     problems = []
     for name in sorted(names):
-        a, b = parent / name, change / name
+        a, b = a_dir / name, b_dir / name
         if not a.exists() or not b.exists():
-            problems.append(f"only in {'change' if b.exists() else 'parent'}: {label}/{name}")
+            problems.append(f"only in {sides[b.exists()]}: {label}/{name}")
         elif a.read_bytes() != b.read_bytes():
             problems.append(f"differs: {label}/{name}")
     return len(names), problems
@@ -166,6 +206,21 @@ def main(argv=None) -> int:
                 compared += n
                 problems += found
                 print(f"{label}: {n} files, {len(found)} differ", flush=True)
+            label = f"{name}/stages"
+            outdirs = {side: workdir / side / label for side in ("parent", "change")}
+            codes = {side: run_stages(getattr(args, side).resolve(), path, flags, outdirs[side])
+                     for side in outdirs}
+            if any(codes.values()):
+                problems.append(f"stages failed: {label} (exit codes {codes})")
+                continue
+            pairs = [(outdirs["parent"], outdirs["change"], label, ("parent", "change"))]
+            pairs += [(workdir / side / name / "flags", outdirs[side], f"{side}/{label}",
+                       ("run", "stages")) for side in outdirs]
+            for pair in pairs:
+                n, found = compare(*pair)
+                compared += n
+                problems += found
+                print(f"{pair[2]}: {n} files, {len(found)} differ", flush=True)
     print("\n".join(problems))
     print(f"{compared} files compared, {len(problems)} problems")
     return 1 if problems else 0

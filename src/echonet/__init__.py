@@ -9,11 +9,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .records import (  # noqa: F401
-    CorpusStats,
-    corpus_summary,
-    keyword_filter,
-)
+from .records import corpus_summary, keyword_filter  # noqa: F401
 from .graph import (  # noqa: F401
     RetweetGraph,
     UndirectedGraph,

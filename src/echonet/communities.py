@@ -31,16 +31,12 @@ class CliqueBudgetExceeded(RuntimeError):
 @dataclass
 class CommunityCover:
     k: int
-    rule: str
     communities: list[frozenset[str]]
     source_clique_count: int
 
 
 @dataclass
 class SweepResult:
-    k_min: int
-    k_max: int
-    rule: str
     community_counts: dict[int, int] = field(default_factory=dict)
     clique_counts: dict[int, int] = field(default_factory=dict)
 
@@ -308,7 +304,7 @@ def percolate(cliques: Iterable[Iterable[str]], k: int, rule: str = "standard") 
     for c in clique_list:
         if len(c) != k:
             raise ValueError(f"clique {list(c)} does not have {k} members")
-    return CommunityCover(k, rule, _percolate(clique_list, k, rule), len(clique_list))
+    return CommunityCover(k, _percolate(clique_list, k, rule), len(clique_list))
 
 
 def detect_communities(
@@ -331,7 +327,7 @@ def detect_communities(
         raise ValueError("k must be >= 2")
     count = _clique_counts(maximal, k, k, max_cliques)[k]
     active = sorted(mc for mc in maximal if len(mc) >= k)
-    return CommunityCover(k, rule, _percolate(active, k, rule), count)
+    return CommunityCover(k, _percolate(active, k, rule), count)
 
 
 def community_count_sweep(
@@ -348,7 +344,7 @@ def community_count_sweep(
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
     counts = _clique_counts(maximal, k_min, k_max, max_cliques)
-    result = SweepResult(k_min=k_min, k_max=k_max, rule=rule, clique_counts=counts)
+    result = SweepResult(clique_counts=counts)
     for k in range(k_min, k_max + 1):
         active = [c for c in maximal if len(c) >= k]
         result.community_counts[k] = len(_percolate(active, k, rule))

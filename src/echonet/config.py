@@ -1,22 +1,14 @@
-"""Pipeline configuration: file form, validation, semantic hashing."""
+"""Pipeline configuration: file form and validation."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .communities import RULES
 from .records import DEFAULT_KEYWORDS
-
-# CPython's own BLAKE2 (what `hashlib.blake2b` is too); importing `hashlib`
-# would also map OpenSSL's libcrypto into the process, about 3.4 MB of
-# resident memory per run
-from _blake2 import blake2b
-
-# fields that affect output bytes; everything else is execution plumbing
-_HASH_EXCLUDED = {"outdir", "threads", "resume"}
 
 
 @dataclass
@@ -74,17 +66,6 @@ class PipelineConfig:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    def semantic_hash(self) -> str:
-        payload = {k: v for k, v in self.to_dict().items() if k not in _HASH_EXCLUDED}
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return new_digest(blob).hexdigest()
-
-
-def new_digest(data: bytes = b"") -> blake2b:
-    """A BLAKE2b-256 hash of `data` (64 hex characters), the digest echonet
-    records of its config, its input and every file it writes."""
-    return blake2b(data, digest_size=32)
 
 
 _DEFAULTS = PipelineConfig()

@@ -12,7 +12,7 @@ where a file is written.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -85,53 +85,6 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-@dataclass
-class DegreeStats:
-    min: float
-    max: float
-    mean: float
-    variance: float
-    skew: float
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "DegreeStats":
-        x = np.asarray(values, dtype=float)
-        mean = float(x.mean())
-        centered = x - mean
-        m2 = float((centered**2).mean())
-        m3 = float((centered**3).mean())
-        skew = m3 / m2**1.5 if m2 > 0 else 0.0
-        return cls(
-            min=float(x.min()),
-            max=float(x.max()),
-            mean=mean,
-            variance=m2,
-            skew=skew,
-        )
-
-
-@dataclass
-class DegreeSummary:
-    node_count: int
-    unique_edge_count: int
-    weighted_edge_sum: int
-    out_weighted: DegreeStats
-    in_weighted: DegreeStats
-    out_unweighted: DegreeStats
-    in_unweighted: DegreeStats
-
-    def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "unique_edge_count": self.unique_edge_count,
-            "weighted_edge_sum": self.weighted_edge_sum,
-            # the unweighted pair is the one comparable to published mean
-            # figures of the form unique_edge_count / node_count
-            "unweighted": {"out": asdict(self.out_unweighted), "in": asdict(self.in_unweighted)},
-            "weighted": {"out": asdict(self.out_weighted), "in": asdict(self.in_weighted)},
-        }
-
-
 def build_retweet_graph(table: RecordTable) -> RetweetGraph:
     """Aggregate retweet events into edge weights; self-retweets dropped. The
     table's 32-bit user codes are renumbered to int64 node ids in name order.
@@ -185,19 +138,31 @@ def node_degrees(g: RetweetGraph) -> NodeDegrees:
     )
 
 
-def degree_summary(d: NodeDegrees) -> DegreeSummary:
-    """Moments of the four degree distributions of `d`, a `node_degrees` result."""
+def _moments(values: np.ndarray) -> dict:
+    """The min, max, mean, variance and skew of `values`, as floats."""
+    x = np.asarray(values, dtype=float)
+    mean = float(x.mean())
+    centered = x - mean
+    m2 = float((centered**2).mean())
+    m3 = float((centered**3).mean())
+    return {"min": float(x.min()), "max": float(x.max()), "mean": mean, "variance": m2,
+            "skew": m3 / m2**1.5 if m2 > 0 else 0.0}
+
+
+def degree_summary(d: NodeDegrees) -> dict:
+    """`network_stats.json`: the counts of `d`, a `node_degrees` result, and
+    the moments of its four degree distributions."""
     if not d.nodes:
         raise ValueError("degree_summary requires a nonempty graph")
-    return DegreeSummary(
-        node_count=len(d.nodes),
-        unique_edge_count=int(d.out_unweighted.sum()),
-        weighted_edge_sum=int(d.out_weighted.sum()),
-        out_weighted=DegreeStats.from_values(d.out_weighted),
-        in_weighted=DegreeStats.from_values(d.in_weighted),
-        out_unweighted=DegreeStats.from_values(d.out_unweighted),
-        in_unweighted=DegreeStats.from_values(d.in_unweighted),
-    )
+    return {
+        "node_count": len(d.nodes),
+        "unique_edge_count": int(d.out_unweighted.sum()),
+        "weighted_edge_sum": int(d.out_weighted.sum()),
+        # the unweighted pair is the one comparable to published mean
+        # figures of the form unique_edge_count / node_count
+        "unweighted": {"out": _moments(d.out_unweighted), "in": _moments(d.in_unweighted)},
+        "weighted": {"out": _moments(d.out_weighted), "in": _moments(d.in_weighted)},
+    }
 
 
 def degree_histogram(d: NodeDegrees) -> list[tuple[str, int, int, int]]:

@@ -25,15 +25,20 @@ import os
 import sys
 import time
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable
 
 import numpy as np
 
+# CPython's own BLAKE2 (what `hashlib.blake2b` is too); importing `hashlib`
+# would also map OpenSSL's libcrypto into the process, about 3.4 MB of
+# resident memory per run
+from _blake2 import blake2b
+
 from . import __version__
 from .communities import community_count_sweep, detect_communities, maximal_clique_list
-from .config import PipelineConfig, new_digest
+from .config import PipelineConfig
 from .graph import (
     ROLE_LABELS,
     RetweetGraph,
@@ -121,12 +126,14 @@ def _json_text(payload) -> str:
 
 
 def _read_json(path: str):
-    """The JSON value in the file `path`; InputFileError if it is not JSON."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise InputFileError(f"{path}: not JSON: {exc}") from exc
+    """The JSON value in the file `path`; InputFileError if it is not JSON or
+    not UTF-8 (see `_open_utf8`)."""
+    with _open_utf8(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise InputFileError(f"{path}: not JSON: {exc}") from exc
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
@@ -146,8 +153,9 @@ def _load_csv(path: str, columns: dict[str, Callable]) -> list[tuple]:
     """The `columns` of the CSV file `path`, one tuple a row, each field
     converted by its column's function. Raises InputFileError, naming the
     file and the line, if the header lacks a column, or a row has another
-    number of fields than the header or a field its function refuses."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    number of fields than the header or a field its function refuses, or a
+    byte that is not UTF-8 (see `_open_utf8`)."""
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -158,6 +166,8 @@ def _load_csv(path: str, columns: dict[str, Callable]) -> list[tuple]:
                     raise ValueError(f"{len(row)} fields, not {len(header)}")
                 rows.append(tuple(cast(row[i]) for i, cast in zip(at, columns.values())))
             return rows
+        except UnicodeDecodeError:
+            raise  # for `_open_utf8`, which names the line
         except (ValueError, csv.Error) as exc:
             raise InputFileError(f"{path}: line {reader.line_num}: {exc}") from exc
 
@@ -198,10 +208,15 @@ class StageFiles:
 
     def records(self, template: str) -> RecordTable:
         """The records of the file `template` names: parsed on first use, then
-        taken from `parsed`."""
+        taken from `parsed`. As `ingest` wrote it, it holds only records; if
+        not, InputFileError names it and the count of lines that are not."""
         path = self.path(template)
         if path not in self.parsed:
-            self.parsed[path] = read_records(path)
+            stats = ParseStats()
+            table = read_records(path, stats)
+            if stats.malformed:
+                raise InputFileError(f"{path}: {stats.malformed} line(s) are not records")
+            self.parsed[path] = table
         return self.parsed[path]
 
 
@@ -223,17 +238,15 @@ def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
     with files.create(FILTERED) as fh:
         kept = read_records(config.input, parse_stats, config.keywords, fh.write)
     files.parsed[files.path(FILTERED)] = kept  # what parsing the file back yields
-    stats = asdict(corpus_summary(kept))
-    stats["malformed_lines"] = parse_stats.malformed
-    stats["input_records"] = parse_stats.records
-    _write_json(files, "ingest_stats.json", stats)
+    counts = {"input_records": parse_stats.records, "malformed_lines": parse_stats.malformed}
+    _write_json(files, "ingest_stats.json", {**corpus_summary(kept), **counts})
 
 
 def write_graph_outputs(
     g: RetweetGraph, ug: UndirectedGraph, tau: float, files: StageFiles
 ) -> None:
     degrees = node_degrees(g)
-    _write_json(files, "network_stats.json", degree_summary(degrees).to_dict())
+    _write_json(files, "network_stats.json", degree_summary(degrees))
     _write_csv(files, "degree_histogram.csv", ["weighting", "degree", "out_count", "in_count"],
                degree_histogram(degrees))
     _write_csv(files, "roles.csv", ["user_id", "in_deg", "out_deg", "score", "label"],
@@ -480,6 +493,12 @@ def run_stage(
 HASH_BLOCK = 1 << 16  # bytes read at a time by _file_digest
 
 
+def new_digest(data: bytes = b"") -> blake2b:
+    """A BLAKE2b-256 hash of `data` (64 hex characters), the digest echonet
+    records of its config, its input and every file it writes."""
+    return blake2b(data, digest_size=32)
+
+
 def _file_digest(path: str) -> str:
     """The file's BLAKE2b-256 (`new_digest`), read through one reused buffer."""
     digest = new_digest()
@@ -491,11 +510,22 @@ def _file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
+def _config_slice(config: PipelineConfig, fields) -> dict:
+    """The values of the config `fields`, as `config.to_dict()` gives them."""
+    values = config.to_dict()
+    return {f: values[f] for f in fields}
+
+
+def config_hash(config: PipelineConfig) -> str:
+    """The digest of the config fields that the stage table lists, which shape the bundle."""
+    hashed = _config_slice(config, {f for stage in TABLE.values() for f in stage.fields})
+    return new_digest(json.dumps(hashed, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _stage_key(stage: Stage, config: PipelineConfig) -> dict:
     """What a stage's outputs depend on besides the stages before it: its
     config slice and, for a stage that reads the input file, that file's digest."""
-    values = config.to_dict()
-    key = {"config": {f: values[f] for f in stage.fields}}
+    key = {"config": _config_slice(config, stage.fields)}
     if "input" in stage.fields:
         key["input_blake2b"] = _file_digest(config.input)
     return key
@@ -596,7 +626,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     manifest = {
         "tool": "echonet",
         "version": __version__,
-        "config_hash": config.semantic_hash(),
+        "config_hash": config_hash(config),
         "config": config.to_dict(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "stages": [],

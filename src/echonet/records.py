@@ -67,14 +67,6 @@ class RecordError(ValueError):
 
 
 @dataclass
-class CorpusStats:
-    tweet_count: int = 0
-    unique_user_count: int = 0
-    retweet_count: int = 0
-    records_with_description: int = 0
-
-
-@dataclass
 class ParseStats:
     malformed: int = 0  # lines and CSV rows that failed a check
     records: int = 0  # well-formed records read
@@ -447,11 +439,12 @@ def read_records(
     return table
 
 
-def corpus_summary(table: RecordTable) -> CorpusStats:
+def corpus_summary(table: RecordTable) -> dict[str, int]:
+    """The record counts of `table` that `ingest_stats.json` holds."""
     records_by_author = np.bincount(np.frombuffer(table.user_id, dtype=np.intc))
-    return CorpusStats(
-        tweet_count=len(table),
-        unique_user_count=int(np.count_nonzero(records_by_author)),
-        retweet_count=len(table) - table.retweet_of_user_id.count(-1),
-        records_with_description=table.records_with_description,
-    )
+    return {
+        "tweet_count": len(table),
+        "unique_user_count": int(np.count_nonzero(records_by_author)),
+        "retweet_count": len(table) - table.retweet_of_user_id.count(-1),
+        "records_with_description": table.records_with_description,
+    }

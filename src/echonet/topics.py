@@ -25,28 +25,6 @@ class Document:
     tokens: tuple[int, ...]
 
 
-class Vocabulary:
-    """Bijection between hashtag strings and dense indices."""
-
-    def __init__(self):
-        self._index: dict[str, int] = {}
-        self._tokens: list[str] = []
-
-    def add(self, token: str) -> int:
-        idx = self._index.get(token)
-        if idx is None:
-            idx = len(self._tokens)
-            self._index[token] = idx
-            self._tokens.append(token)
-        return idx
-
-    def token(self, index: int) -> str:
-        return self._tokens[index]
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-
 @dataclass
 class TopicModel:
     n_topics: int
@@ -71,33 +49,37 @@ def build_community_corpus(
     community: Iterable[str],
     per_user: bool = False,
     community_id: Optional[int] = None,
-) -> tuple[Vocabulary, list[Document]]:
+) -> tuple[list[str], list[Document]]:
     """One document per member tweet that carries a topic tag (or per member
     with such a tweet, with per_user) holding its topic tags: its hashtags
-    minus `records.TOPIC_STOPTAGS`, which the table's tagged rows hold."""
+    minus `records.TOPIC_STOPTAGS`, which the table's tagged rows hold.
+    Returns the vocabulary, each tag once in order of first use, and the
+    documents, whose token `w` is the tag `vocab[w]`."""
     members = set(community)
     if not members:
         raise ValueError("community must be nonempty")
-    vocab = Vocabulary()
-    docs: list[Document] = []
+    tagged: list[tuple[str, Sequence[str]]] = []  # (doc id, its tags) per document
     per_user_tags: dict[int, list[str]] = {}  # user code -> tags
     for row in table.rows_of(members).tolist():
         tags = table.hashtags[row]
         if per_user:
             per_user_tags.setdefault(table.tagged_user_id[row], []).extend(tags)
         else:
-            docs.append(Document(doc_id=table.tweet_id[row], tokens=tuple(map(vocab.add, tags))))
+            tagged.append((table.tweet_id[row], tags))
     if per_user:
         for user in sorted(members & table.user_codes.keys()):
             tags = per_user_tags.get(table.user_codes[user])
             if tags:
-                docs.append(Document(doc_id=user, tokens=tuple(map(vocab.add, tags))))
-    if not docs:
+                tagged.append((user, tags))
+    if not tagged:
         raise EmptyCorpusError(
             f"community {community_id if community_id is not None else sorted(members)[:3]}: "
             "no documents with hashtags after filtering"
         )
-    return vocab, docs
+    vocab: dict[str, int] = {}  # tag -> token, in order of first use
+    docs = [Document(doc_id, tuple([vocab.setdefault(tag, len(vocab)) for tag in tags]))
+            for doc_id, tags in tagged]
+    return list(vocab), docs
 
 
 class GibbsSampler:
@@ -197,7 +179,7 @@ class GibbsSampler:
 
 def fit_lda(
     corpus: Sequence[Document],
-    vocab: Vocabulary,
+    vocab: Sequence[str],
     n_topics: int,
     alpha: float,
     beta: float,
@@ -223,7 +205,7 @@ def topic_word_distribution(model: TopicModel) -> np.ndarray:
 
 
 def topic_keywords(
-    model: TopicModel, vocab: Vocabulary, top_n: int
+    model: TopicModel, vocab: Sequence[str], top_n: int
 ) -> list[list[tuple[str, float]]]:
     """Per topic, its top_n (token, probability) pairs; ties broken by vocab index."""
     if top_n < 1:
@@ -232,7 +214,7 @@ def topic_keywords(
     topics = []
     for t in range(model.n_topics):
         ranked = sorted(range(model.vocab_size), key=lambda w: (-phi[t, w], w))
-        topics.append([(vocab.token(w), float(phi[t, w])) for w in ranked[:top_n]])
+        topics.append([(vocab[w], float(phi[t, w])) for w in ranked[:top_n]])
     return topics
 
 

@@ -64,7 +64,7 @@ def main():
     print(json.dumps({
         "nodes": len(g.nodes),
         "edges": len(g.keys),
-        "node_count": summary.node_count,
+        "node_count": summary["node_count"],
         "communities_at_3": sweep.community_counts[3],
         "seconds": time.monotonic() - start,
         "peak_rss_kb": _peak_rss_kb(),

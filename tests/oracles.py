@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from echonet.graph import DegreeStats, DegreeSummary, UndirectedGraph
+from echonet.graph import UndirectedGraph, _moments
 from echonet.profiles import TermFrequencyTable
 from echonet.records import TOPIC_STOPTAGS, RecordError
 
@@ -194,15 +194,13 @@ def degree_summary(g):
     out_w, in_w = _degree_maps(g, True)
     out_u, in_u = _degree_maps(g, False)
     as_vec = lambda d: np.array([d[v] for v in order], dtype=float)
-    return DegreeSummary(
-        node_count=len(g.nodes),
-        unique_edge_count=len(g.edges),
-        weighted_edge_sum=sum(g.edges.values()),
-        out_weighted=DegreeStats.from_values(as_vec(out_w)),
-        in_weighted=DegreeStats.from_values(as_vec(in_w)),
-        out_unweighted=DegreeStats.from_values(as_vec(out_u)),
-        in_unweighted=DegreeStats.from_values(as_vec(in_u)),
-    )
+    return {
+        "node_count": len(g.nodes),
+        "unique_edge_count": len(g.edges),
+        "weighted_edge_sum": sum(g.edges.values()),
+        "unweighted": {"out": _moments(as_vec(out_u)), "in": _moments(as_vec(in_u))},
+        "weighted": {"out": _moments(as_vec(out_w)), "in": _moments(as_vec(in_w))},
+    }
 
 
 def degree_histogram(g):

@@ -113,9 +113,9 @@ def test_criterion_1_table_arithmetic():
     for _ in range(50):
         g = random_retweet_graph(rng, max_nodes=100, max_edges=1000)
         s = degree_summary(node_degrees(g))
-        expected = s.unique_edge_count / s.node_count
-        assert abs(s.out_unweighted.mean - expected) < 1e-9
-        assert abs(s.in_unweighted.mean - expected) < 1e-9
+        expected = s["unique_edge_count"] / s["node_count"]
+        assert abs(s["unweighted"]["out"]["mean"] - expected) < 1e-9
+        assert abs(s["unweighted"]["in"]["mean"] - expected) < 1e-9
     # the published arithmetic is consistent with this identity:
     # 430036 unique edges / 98352 nodes = 4.3724... which rounds to 4.37
     assert round(430036 / 98352, 2) == 4.37
@@ -130,8 +130,8 @@ def test_criterion_2_handshake():
         assert d.out_weighted.sum() == d.in_weighted.sum() == g.weights.sum()
         assert d.out_unweighted.sum() == d.in_unweighted.sum() == len(g.keys)
         s = degree_summary(d)
-        assert s.out_weighted.mean == s.in_weighted.mean
-        assert s.out_unweighted.mean == s.in_unweighted.mean
+        assert s["weighted"]["out"]["mean"] == s["weighted"]["in"]["mean"]
+        assert s["unweighted"]["out"]["mean"] == s["unweighted"]["in"]["mean"]
 
 
 @criterion(3, "k-clique enumeration matches exhaustive subset oracle, k in 2..6")

@@ -211,6 +211,8 @@ def test_report_on_a_manifest_it_cannot_read_is_an_input_error(tmp_path, capsys,
      json.dumps([{"community_id": 0, "size": 1, "members": [["a"]]}]), "entry 0"),
     ("roles.csv", "user_id,in_deg,out_deg,score\nu1,1.0,0.0,1.0\n", "'label'"),
     ("roles.csv", "user_id,in_deg,out_deg,score,label\nu1,1.0,0.0,1.0,leader\n", "label"),
+    ("roles.csv", b"user_id,in_deg,out_deg,score,label\nu1,1.0,0.0,1.0,producer\n"
+                  b"u\xff2,0.0,1.0,-1.0,distributor\n", "line 3: byte 0xff is not UTF-8"),
     ("sweep_standard.csv", "k,community_count,clique_count\n3,two,240\n", "line 2"),
     ("topics_community0.json", json.dumps({"community_id": 0, "perplexity": "4.8",
                                            "topics": []}), "'perplexity'"),
@@ -220,13 +222,14 @@ def test_report_on_a_manifest_it_cannot_read_is_an_input_error(tmp_path, capsys,
 ], ids=["stats-empty", "stats-not-an-object", "count-not-an-int", "network-without-edges",
         "network-without-moments", "communities-an-int", "communities-an-object",
         "communities-member-not-a-string", "roles-without-label", "roles-unknown-label",
+        "roles-not-utf8",
         "sweep-count-not-an-int", "topics-perplexity-not-a-number", "topics-keyword-without-token",
         "terms-short-row"])
 def test_report_on_a_file_it_cannot_print_is_an_input_error(tmp_path, capsys, name, text, field):
     out = tmp_path / "bundle"
     out.mkdir()
     (out / "manifest.json").write_text(json.dumps({**_HEAD, "files": [name], "stages": []}))
-    (out / name).write_text(text)
+    (out / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert run_cli("report", "--outdir", str(out)) == 3
     err = capsys.readouterr().err
     assert str(out / name) in err

@@ -7,6 +7,7 @@ import pytest
 
 from echonet.cli import main
 from echonet.config import PipelineConfig, validate_config
+from echonet.pipeline import config_hash
 
 FIXTURE = str(Path(__file__).parent.parent / "fixtures" / "sample_tweets.jsonl")
 
@@ -37,14 +38,14 @@ def test_from_dict_rejects_unknown_fields():
 
 def test_hash_changes_with_semantic_fields_only():
     base = PipelineConfig()
-    assert base.semantic_hash() == PipelineConfig().semantic_hash()
-    assert dataclasses.replace(base, tau=0.6).semantic_hash() != base.semantic_hash()
-    assert dataclasses.replace(base, k=5).semantic_hash() != base.semantic_hash()
-    assert dataclasses.replace(base, seed=1).semantic_hash() != base.semantic_hash()
+    assert config_hash(base) == config_hash(PipelineConfig())
+    assert config_hash(dataclasses.replace(base, tau=0.6)) != config_hash(base)
+    assert config_hash(dataclasses.replace(base, k=5)) != config_hash(base)
+    assert config_hash(dataclasses.replace(base, seed=1)) != config_hash(base)
     # execution plumbing does not change output bytes
-    assert dataclasses.replace(base, threads=8).semantic_hash() == base.semantic_hash()
-    assert dataclasses.replace(base, resume=True).semantic_hash() == base.semantic_hash()
-    assert dataclasses.replace(base, outdir="elsewhere").semantic_hash() == base.semantic_hash()
+    assert config_hash(dataclasses.replace(base, threads=8)) == config_hash(base)
+    assert config_hash(dataclasses.replace(base, resume=True)) == config_hash(base)
+    assert config_hash(dataclasses.replace(base, outdir="elsewhere")) == config_hash(base)
 
 
 def test_fuzzed_configs_match_stage_preconditions():

@@ -72,12 +72,13 @@ def test_build_weight_recount_oracle():
 def test_degree_summary_single_edge():
     g = graph_from_events([("u", "v")] * 3)
     summary = degree_summary(node_degrees(g))
-    assert summary.out_weighted.max == 3
-    assert summary.out_unweighted.max == 1
-    assert summary.in_weighted.max == 3
-    assert summary.out_weighted.mean == summary.in_weighted.mean == 1.5
-    assert summary.unique_edge_count == 1
-    assert summary.weighted_edge_sum == 3
+    weighted, unweighted = summary["weighted"], summary["unweighted"]
+    assert weighted["out"]["max"] == 3
+    assert unweighted["out"]["max"] == 1
+    assert weighted["in"]["max"] == 3
+    assert weighted["out"]["mean"] == weighted["in"]["mean"] == 1.5
+    assert summary["unique_edge_count"] == 1
+    assert summary["weighted_edge_sum"] == 3
 
 
 def test_degree_summary_empty_graph():
@@ -87,7 +88,7 @@ def test_degree_summary_empty_graph():
 
 def test_degree_summary_schema_fields():
     g = graph_from_events([("a", "b")])
-    d = degree_summary(node_degrees(g)).to_dict()
+    d = degree_summary(node_degrees(g))
     assert set(d) == {
         "node_count",
         "unique_edge_count",
@@ -111,16 +112,16 @@ def test_degree_summary_moment_oracle():
     out_u = [len({v for u, v in events if u == n}) for n in nodes]
     in_u = [len({u for u, v in events if v == n}) for n in nodes]
     for stats, vec in (
-        (summary.out_weighted, out_w),
-        (summary.in_weighted, in_w),
-        (summary.out_unweighted, out_u),
-        (summary.in_unweighted, in_u),
+        (summary["weighted"]["out"], out_w),
+        (summary["weighted"]["in"], in_w),
+        (summary["unweighted"]["out"], out_u),
+        (summary["unweighted"]["in"], in_u),
     ):
         mn, mx, mean, var, skew = moments(vec)
-        assert stats.min == mn and stats.max == mx
-        assert stats.mean == pytest.approx(mean, abs=1e-12)
-        assert stats.variance == pytest.approx(var, rel=1e-12)
-        assert stats.skew == pytest.approx(skew, rel=1e-9)
+        assert stats["min"] == mn and stats["max"] == mx
+        assert stats["mean"] == pytest.approx(mean, abs=1e-12)
+        assert stats["variance"] == pytest.approx(var, rel=1e-12)
+        assert stats["skew"] == pytest.approx(skew, rel=1e-9)
 
 
 def test_handshake_invariant():
@@ -128,9 +129,9 @@ def test_handshake_invariant():
     for _ in range(50):
         g, _ = random_digraph(rng, rng.randint(2, 60), rng.randint(1, 500))
         s = degree_summary(node_degrees(g))
-        assert s.out_weighted.mean == s.in_weighted.mean
-        assert s.out_unweighted.mean == s.in_unweighted.mean
-        assert s.out_unweighted.mean == s.unique_edge_count / s.node_count
+        assert s["weighted"]["out"]["mean"] == s["weighted"]["in"]["mean"]
+        assert s["unweighted"]["out"]["mean"] == s["unweighted"]["in"]["mean"]
+        assert s["unweighted"]["out"]["mean"] == s["unique_edge_count"] / s["node_count"]
 
 
 def test_degree_summary_relabel_invariant():
@@ -273,8 +274,8 @@ def test_degree_reports_and_symmetrize_equal_the_dict_based_oracles():
         tau = rng.choice([0.1, 0.5, 1.0, 1])
         degrees = node_degrees(g)
         assert degree_summary(degrees) == oracles.degree_summary(by_name), trial
-        assert (json.dumps(degree_summary(degrees).to_dict())
-                == json.dumps(oracles.degree_summary(by_name).to_dict()))
+        assert (json.dumps(degree_summary(degrees))
+                == json.dumps(oracles.degree_summary(by_name)))
         hist = degree_histogram(degrees)
         assert [tuple(map(repr, row)) for row in hist] == [
             tuple(map(repr, row)) for row in oracles.degree_histogram(by_name)], trial

@@ -3,7 +3,6 @@ maximal cliques enumerated once, and the bundle left holding only the files of
 the latest run, also after the run was killed and resumed."""
 
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 from echonet import communities, pipeline
 from echonet.cli import main
-from echonet.config import _HASH_EXCLUDED, PipelineConfig
+from echonet.config import PipelineConfig
 from echonet.graph import UndirectedGraph
 from conftest import columns
 from echonet.records import CSV_COLUMNS, ParseStats, read_records
@@ -469,18 +468,44 @@ def test_report_names_a_missing_communities_file(tmp_path, fresh_run, capsys):
     assert "MISSING FILES: communities_k4_standard.json" in capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize("text", ["not json\n", '{"0": {"community_id": 0, "members": []}}',
-                                  '[{"community_id": 0}]',
-                                  '[{"community_id": 0, "size": 1, "members": [["a"]]}]'],
-                         ids=["not-json", "not-a-list", "no-members", "member-not-a-string"])
+@pytest.mark.parametrize("text, detail", [
+    (b"not json\n", "not JSON"),
+    (b'{"0": {"community_id": 0, "members": []}}', "not a list"),
+    (b'[{"community_id": 0}]', "'members'"),
+    (b'[{"community_id": 0, "size": 1, "members": [["a"]]}]', "not a string"),
+    (b'[{"community_id": 0,\n  "members": ["a\xff"]}]\n', "line 2: byte 0xff is not UTF-8"),
+], ids=["not-json", "not-a-list", "no-members", "member-not-a-string", "not-utf8"])
 def test_topics_subcommand_on_a_communities_file_it_cannot_read_is_an_input_error(
-    tmp_path, fresh_run, capsys, text
+    tmp_path, fresh_run, capsys, text, detail
 ):
     bad = tmp_path / "communities.json"
-    bad.write_text(text)
+    bad.write_bytes(text)
     assert main(["topics", "--records", str(fresh_run[0] / "filtered.jsonl"),
                  "--communities", str(bad), "--outdir", str(tmp_path / "sub")]) == 3
-    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and detail in err
+
+
+@pytest.mark.parametrize("stage, flag", [("graph", "--input"), ("profiles", "--records"),
+                                         ("topics", "--records")],
+                         ids=["graph", "profiles", "topics"])
+def test_a_record_file_read_back_with_lines_that_are_not_records_is_an_input_error(
+    tmp_path, fresh_run, capsys, stage, flag
+):
+    """A file that `ingest` wrote holds only records, so a stage that reads
+    one back names the lines that are not, rather than drop them unsaid."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(fresh_run[0], bundle)
+    records = bundle / "filtered.jsonl"
+    with open(records, "ab") as fh:
+        fh.write(b'{"tweet_id": "x"\n\xff\n')
+    sub = tmp_path / "sub"
+    argv = [stage, flag, str(records), "--outdir", str(sub)]
+    if stage == "topics":
+        argv += ["--communities", str(bundle / "communities_k4_standard.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {records}: 2 line(s) are not records\n"
+    assert not sub.exists() or not os.listdir(sub)
 
 
 @pytest.mark.parametrize("outputs", [["nodes.txt"], {"nodes\u0000.txt": "0"}],
@@ -687,13 +712,19 @@ def test_tracer_rebinds_every_name_it_patches_and_restores_it(tmp_path):
     assert len(fits) == 2 and all(tokens > 0 and iterations == 50 for tokens, iterations in fits)
 
 
-def test_stage_table_and_config_hash_name_the_same_fields():
-    """The fields that shape a bundle's outputs, listed twice: a field only
-    the hash names changes `config_hash` for nothing, and one only a stage
-    names is not in the hash of a config that changes its outputs."""
-    staged = {name for stage in pipeline.TABLE.values() for name in stage.fields}
-    hashed = {f.name for f in dataclasses.fields(PipelineConfig)} - _HASH_EXCLUDED
-    assert staged == hashed
+def test_manifest_records_the_config_hash_of_earlier_releases(tmp_path, monkeypatch):
+    """`config_hash` digests the fields the stage table lists, as the hash of
+    every config field but `outdir`, `threads` and `resume` did, and to the
+    same value: a bundle written before keeps its hash."""
+    assert pipeline.config_hash(PipelineConfig()) == (
+        "e59385bcd097561e6ae8a1b09170e96662243cd341ada63c9820ac5d7a0027ea")
+    monkeypatch.chdir(ROOT)  # the input path is hashed as given
+    out = tmp_path / "out"
+    assert main(["run", "--input", "fixtures/sample_tweets.jsonl", "--outdir", str(out),
+                 *RUN_ARGS]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_hash"] == (
+        "cbf8b19f47ca8b0108b72f35f376866d25f900f56a7d606ae959f74617d61776")
 
 
 def test_readme_demo_prints_the_sweep_table(tmp_path, capsys):

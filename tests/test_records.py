@@ -8,7 +8,6 @@ import os
 import random
 import tempfile
 import tracemalloc
-from dataclasses import asdict
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -145,12 +144,13 @@ def test_corpus_summary_basic():
         make_record("3", "b"),
     ]
     stats = corpus_summary(table_of(records))
-    assert (stats.tweet_count, stats.unique_user_count, stats.retweet_count) == (3, 2, 1)
+    assert stats == {"tweet_count": 3, "unique_user_count": 2, "retweet_count": 1,
+                     "records_with_description": 0}
 
 
 def test_corpus_summary_empty():
     stats = corpus_summary(RecordTable())
-    assert asdict(stats) == {
+    assert stats == {
         "tweet_count": 0,
         "unique_user_count": 0,
         "retweet_count": 0,
@@ -172,10 +172,10 @@ def test_corpus_summary_recount_oracle():
     ]
     stats = corpus_summary(table_of(records))
     # independent hash-set recount
-    assert stats.tweet_count == len(records)
-    assert stats.unique_user_count == len({r.user_id for r in records})
-    assert stats.retweet_count == sum(1 for r in records if r.retweet_of_user_id)
-    assert stats.records_with_description == sum(
+    assert stats["tweet_count"] == len(records)
+    assert stats["unique_user_count"] == len({r.user_id for r in records})
+    assert stats["retweet_count"] == sum(1 for r in records if r.retweet_of_user_id)
+    assert stats["records_with_description"] == sum(
         1 for r in records if r.user_description and r.user_description.strip()
     )
 

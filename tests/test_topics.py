@@ -17,7 +17,6 @@ from echonet.topics import (
     EmptyCorpusError,
     GibbsSampler,
     TopicModel,
-    Vocabulary,
     build_community_corpus,
     doc_topic_distribution,
     fit_lda,
@@ -29,10 +28,8 @@ from echonet.records import TOPIC_STOPTAGS, ParseStats, RecordTable, read_record
 
 
 def vocab_of(tokens):
-    v = Vocabulary()
-    for t in tokens:
-        v.add(t)
-    return v
+    """Each distinct token once, in order of first use, as a corpus's vocabulary."""
+    return list(dict.fromkeys(tokens))
 
 
 # ---------------------------------------------------------------- corpus
@@ -46,7 +43,7 @@ def test_corpus_member_tweets_only():
     ]
     vocab, docs = build_community_corpus(table_of(records), {"a"})
     assert [d.tokens for d in docs] == [(0, 1)]
-    assert vocab.token(0) == "x" and vocab.token(1) == "y"
+    assert vocab == ["x", "y"]
 
 
 def test_corpus_stoplist_forces_empty_error():
@@ -87,7 +84,7 @@ def test_corpus_matches_the_scan_oracle(tweets, members, per_user):
             build_community_corpus(table, community, per_user=per_user)
         return
     vocab, docs = build_community_corpus(table, community, per_user=per_user)
-    assert [vocab.token(i) for i in range(len(vocab))] == expected_vocab
+    assert vocab == expected_vocab
     assert [(d.doc_id, d.tokens) for d in docs] == expected_docs
 
 
@@ -125,7 +122,7 @@ def test_corpus_per_user_aggregation():
     ]
     vocab, docs = build_community_corpus(table_of(records), {"a", "b"},
                                          per_user=True)
-    by_id = {d.doc_id: [vocab.token(w) for w in d.tokens] for d in docs}
+    by_id = {d.doc_id: [vocab[w] for w in d.tokens] for d in docs}
     assert by_id == {"a": ["x", "y"], "b": ["z"]}
 
 
