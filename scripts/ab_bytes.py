@@ -7,7 +7,9 @@ Each checkout runs `echonet run` from its own `src/` on the same inputs:
 - the `retweet-scale`, `clique-sweep` and `topic-fit` workloads of
   `perfbench/workloads.py` at seed 5, with their benchmark flags, and the
   `retweet-scale` corpus converted to CSV (`retweet-scale-csv`), so that the
-  CSV reader runs at scale;
+  CSV reader runs at scale, and with escapes in every third line
+  (`retweet-scale-escaped`, see `escape_lines`), so that lines that hold a
+  backslash, which are written through `_encode`, run at scale too;
 - `fixtures/sample_tweets.jsonl` with `--k 4 --n-topics 2 --iters 50`, as
   JSONL, converted to CSV, and with each `created_at` rewritten in turn in
   one of six other forms that name the same instant (`fixture-times`): the
@@ -113,6 +115,24 @@ def rewrite_times(src: Path, dst: Path) -> None:
             fout.write(json.dumps(obj).encode() + b"\n")
 
 
+def escape_lines(src: Path, dst: Path) -> None:
+    """Write each JSON object line of `src` again with `ensure_ascii=True`,
+    the text of every third one with " é", a quote and a tab added, so that
+    the line holds escapes; any other line is copied as it is."""
+    with open(src, "rb") as fin, open(dst, "wb") as fout:
+        for i, line in enumerate(fin):
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                obj = None
+            if not isinstance(obj, dict):
+                fout.write(line)
+                continue
+            if i % 3 == 0 and isinstance(obj.get("text"), str):
+                obj["text"] += ' é"\t'
+            fout.write(json.dumps(obj, ensure_ascii=True).encode() + b"\n")
+
+
 def make_inputs(workdir: Path) -> dict[str, tuple[str, list[str]]]:
     """Input name -> (path, base flags)."""
     inputs = {}
@@ -122,6 +142,9 @@ def make_inputs(workdir: Path) -> dict[str, tuple[str, list[str]]]:
     scale_csv = workdir / "inputs" / "retweet-scale.csv"
     jsonl_to_csv(Path(inputs["retweet-scale"][0]), scale_csv)
     inputs["retweet-scale-csv"] = (str(scale_csv), FLAGS["retweet-scale"])
+    escaped = workdir / "inputs" / "retweet-scale-escaped.jsonl"
+    escape_lines(Path(inputs["retweet-scale"][0]), escaped)
+    inputs["retweet-scale-escaped"] = (str(escaped), FLAGS["retweet-scale"])
     csv_path = workdir / "inputs" / "fixture.csv"
     jsonl_to_csv(FIXTURE, csv_path)
     inputs["fixture-jsonl"] = (str(FIXTURE), FIXTURE_FLAGS)

@@ -77,7 +77,7 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> list[str]
         f"  change  median {cm:.6g}  q1 {c1:.6g}  q3 {c3:.6g}",
         f"  change won {won} of {len(parent)} pairs, lost {lost}; "
         f"{'gain' if gain else 'no gain'} by the 9-of-10 and IQR rule; "
-        f"change worse by {worse:+.1%}, {bound}",
+        f"change {'better' if worse < 0 else 'worse'} by {abs(worse):.1%}, {bound}",
     ]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
 
@@ -144,6 +145,9 @@ def _redirects(stage: Stage, args: argparse.Namespace) -> dict[str, str]:
 
 
 def main(argv=None) -> int:
+    # The objects the imports made live until the process exits: frozen, no
+    # later collection, nor the one at interpreter shutdown, walks them again.
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)

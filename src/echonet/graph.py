@@ -12,14 +12,26 @@ where a file is written.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .records import RecordTable
 
 CHUNK = 1 << 12  # array items turned into Python values at a time
+ROWS = 1 << 8  # rows of a CSV file made into one string at a time
+
+_CSV_SPECIAL = re.compile(r'[,"\r\n]').search
+
+
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it as a field: between quotes, each
+    quote doubled, if it holds a comma, a quote or a line break; else
+    `text` itself, the same object."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL(text) else text
 
 
 @dataclass
@@ -68,13 +80,15 @@ class UndirectedGraph(_Graph):
                 adj[v].add(u)
         return adj
 
-    def named_edges(self) -> Iterator[tuple[str, str, int]]:
-        """Each edge as (u, v, weight) by name, in the order of `keys`."""
-        names, n = self.nodes, len(self.nodes)
-        for s in range(0, len(self.keys), CHUNK):
-            us, vs = np.divmod(self.keys[s:s + CHUNK], n)
-            for u, v, w in zip(us.tolist(), vs.tolist(), self.weights[s:s + CHUNK].tolist()):
-                yield names[u], names[v], w
+    def edge_csv(self) -> Iterator[str]:
+        """The rows of undirected_edges.csv, `u,v,weight` by name in the
+        order of `keys`, as `csv.writer` writes them, ROWS rows a string.
+        Each name is made a field once, not once per row."""
+        names, n = list(map(_csv_field, self.nodes)), len(self.nodes)
+        for s in range(0, len(self.keys), ROWS):
+            us, vs = np.divmod(self.keys[s:s + ROWS], n)
+            yield "".join([f"{names[u]},{names[v]},{w}\r\n" for u, v, w in
+                           zip(us.tolist(), vs.tolist(), self.weights[s:s + ROWS].tolist())])
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -207,6 +221,14 @@ def _role_rows(names, order, in_w, out_w, score, label):
         for k, i, o, sc, lb in zip(ids.tolist(), in_w[ids].tolist(), out_w[ids].tolist(),
                                    score[ids].tolist(), label[ids].tolist()):
             yield names[k], i, o, sc, ROLE_LABELS[lb]
+
+
+def role_csv(rows: Iterable[tuple[str, float, float, float, str]]) -> Iterator[str]:
+    """The `classify_roles` rows as `csv.writer` writes them, ROWS rows a string."""
+    rows = iter(rows)
+    while chunk := [f"{_csv_field(user)},{i!r},{o!r},{sc!r},{label}\r\n"
+                    for user, i, o, sc, label in islice(rows, ROWS)]:
+        yield "".join(chunk)
 
 
 def symmetrize(g: RetweetGraph, min_weight: int = 1) -> UndirectedGraph:

@@ -48,6 +48,7 @@ from .graph import (
     degree_histogram,
     degree_summary,
     node_degrees,
+    role_csv,
     symmetrize,
 )
 from .profiles import DEFAULT_STOPLIST, NoDescriptionsError, description_term_proportions
@@ -232,6 +233,13 @@ def _write_csv(files: StageFiles, template: str, header: list[str], rows, **extr
         writer.writerows(rows)
 
 
+def _write_csv_text(files: StageFiles, template: str, header: list[str], text) -> None:
+    """`_write_csv` of rows that come as the strings of `text`, as `csv.writer` writes them."""
+    with files.create(template, newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(text)
+
+
 def stage_ingest(config: PipelineConfig, files: StageFiles) -> None:
     """Parse, keyword-filter and summarize the input records."""
     parse_stats = ParseStats()
@@ -249,9 +257,9 @@ def write_graph_outputs(
     _write_json(files, "network_stats.json", degree_summary(degrees))
     _write_csv(files, "degree_histogram.csv", ["weighting", "degree", "out_count", "in_count"],
                degree_histogram(degrees))
-    _write_csv(files, "roles.csv", ["user_id", "in_deg", "out_deg", "score", "label"],
-               classify_roles(degrees, tau))
-    _write_csv(files, EDGES, ["u", "v", "weight"], ug.named_edges())
+    _write_csv_text(files, "roles.csv", ["user_id", "in_deg", "out_deg", "score", "label"],
+                    role_csv(classify_roles(degrees, tau)))
+    _write_csv_text(files, EDGES, ["u", "v", "weight"], ug.edge_csv())
     with files.create(NODES) as fh:
         fh.writelines(node + "\n" for node in ug.nodes)
 
@@ -342,15 +350,21 @@ def stage_communities(config: PipelineConfig, files: StageFiles) -> None:
 def load_communities(path: str) -> list[dict]:
     """The entries of a communities file, by community id. Raises
     InputFileError, naming the file, if it is not a JSON list of objects that
-    each have an integer `community_id` and a list of string `members`."""
+    each have an integer `community_id` and a list of string `members`, or,
+    naming the id too, if two entries have one `community_id`: each entry's
+    outputs are named by its id, so a later one would overwrite them."""
     entries = _read_json(path)
     if not isinstance(entries, list):
         raise InputFileError(f"{path}: not a list of communities")
+    ids = set()
     for i, entry in enumerate(entries):
-        _field(path, entry, "community_id", int, f" of entry {i}")
+        cid = _field(path, entry, "community_id", int, f" of entry {i}")
         members = _field(path, entry, "members", list, f" of entry {i}")
         if not all(isinstance(member, str) for member in members):
             raise InputFileError(f"{path}: a member of entry {i} is not a string")
+        if cid in ids:
+            raise InputFileError(f"{path}: community_id {cid} is repeated in entry {i}")
+        ids.add(cid)
     return sorted(entries, key=lambda entry: entry["community_id"])
 
 

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 HASHTAG_RE = re.compile(r"#([A-Za-z0-9_]+)")
+_find_hashtags = HASHTAG_RE.findall
 
 # a JSON string literal, escaped as json.dumps(..., ensure_ascii=False) escapes it
 _encode = json.encoder.encode_basestring
@@ -224,14 +225,19 @@ def _ingest(
                 line = item.decode("utf-8").strip()
                 if not line:
                     continue
-                # decoded strictly: only an escape gives a lone surrogate
-                suspect = "\\ud" in line or "\\uD" in line
+                # Decoded strictly, a line holds a lone surrogate only through
+                # an escape, and an escape only where it holds a backslash; the
+                # scanner refuses a control character inside a string. So no
+                # string of a line without a backslash holds a character that
+                # JSON escapes: a quote, a backslash or a control character.
+                escaped = "\\" in line
+                suspect = escaped and ("\\ud" in line or "\\uD" in line)
                 # json.loads(line) on a stripped line: one value that ends the line
                 obj, end = _scan_json(line, 0)
                 if end != len(line):
                     raise RecordError("extra data after the JSON value")
             else:
-                obj, suspect = item, True
+                obj, escaped, suspect = item, True, True
             if not isinstance(obj, dict):
                 raise RecordError("record is not an object")
             get = obj.get
@@ -248,8 +254,18 @@ def _ingest(
             if not isinstance(text, str):  # empty text is legal
                 raise RecordError("missing or invalid field: text")
             hashtags = get("hashtags")
+            lowered = None
             if hashtags is None:
-                hashtags = extract_hashtags(text)
+                if "#" not in text:
+                    hashtags = ()
+                elif text.isascii():
+                    # lower() changes only A-Z in ASCII text, so the tags of
+                    # the lowered text are the lowered tags; a text that is not
+                    # ASCII may lower into new ones, as "\u212a" into "k"
+                    lowered = text.lower()
+                    hashtags = tuple(_find_hashtags(lowered))
+                else:
+                    hashtags = extract_hashtags(text)
             elif isinstance(hashtags, (list, tuple)):
                 hashtags = _normalize_hashtags(hashtags)
             else:
@@ -290,24 +306,35 @@ def _ingest(
             continue
         parsed += 1
         if keywords is not None and tag_terms.isdisjoint(hashtags):
-            lowered = text.lower()
+            if lowered is None:
+                lowered = text.lower()
             for term in text_terms:
                 if term in lowered:
                     break
             else:
                 continue
         if write is not None:
+            # One template for both kinds of line: on a line with no backslash
+            # each string is written between quotes q as read (see above); on
+            # any other, as `_encode` writes it, quotes included, and q is empty.
+            if escaped:
+                q, tags = "", [*map(_encode, hashtags)]
+                body, tid, uid = _encode(text), _encode(tweet_id), _encode(user_id)
+                rt, bio = retweet_of and _encode(retweet_of), description and _encode(description)
+            else:
+                q, tags, body, tid, uid = '"', hashtags, text, tweet_id, user_id
+                rt, bio = retweet_of, description
             # keys in sorted order, default separators; created_at is written as
             # created.isoformat(), which is the input text when that is in the
             # form isoformat() gives back, and holds no character JSON escapes
             write("".join((
                 '{"created_at": "',
                 created_at if _canonical_time(created_at) else created.isoformat(),
-                '", "hashtags": [', ", ".join(map(_encode, hashtags)) if hashtags else "",
-                "]" if retweet_of is None else '], "retweet_of_user_id": ' + _encode(retweet_of),
-                ', "text": ', _encode(text), ', "tweet_id": ', _encode(tweet_id),
-                "" if description is None else ', "user_description": ' + _encode(description),
-                ', "user_id": ', _encode(user_id), "}\n",
+                '", "hashtags": [', q + (q + ", " + q).join(tags) + q if tags else "",
+                "]" if rt is None else '], "retweet_of_user_id": ' + q + rt + q,
+                ', "text": ', q, body, q, ', "tweet_id": ', q, tid, q,
+                "" if bio is None else ', "user_description": ' + q + bio + q,
+                ', "user_id": ', q, uid, q, "}\n",
             )))
         author = code_of(user_id)
         if author is None:  # a user not yet named: its code and per-user slots

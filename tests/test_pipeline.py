@@ -5,6 +5,7 @@ the latest run, also after the run was killed and resumed."""
 import csv
 import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -23,11 +24,12 @@ from hypothesis import strategies as st
 from echonet import communities, pipeline
 from echonet.cli import main
 from echonet.config import PipelineConfig
-from echonet.graph import UndirectedGraph
+from echonet.graph import RetweetGraph, UndirectedGraph, symmetrize
 from conftest import columns
 from echonet.records import CSV_COLUMNS, ParseStats, read_records
-from oracles import (brute_force_detect, brute_force_k_cliques, named, parse_tweet_stream,
-                     record_to_dict, table_columns)
+import oracles
+from oracles import (brute_force_detect, brute_force_k_cliques, named, package_graph,
+                     parse_tweet_stream, record_to_dict, table_columns)
 
 ROOT = Path(__file__).parent.parent
 FIXTURE = str(ROOT / "fixtures" / "sample_tweets.jsonl")
@@ -474,7 +476,11 @@ def test_report_names_a_missing_communities_file(tmp_path, fresh_run, capsys):
     (b'[{"community_id": 0}]', "'members'"),
     (b'[{"community_id": 0, "size": 1, "members": [["a"]]}]', "not a string"),
     (b'[{"community_id": 0,\n  "members": ["a\xff"]}]\n', "line 2: byte 0xff is not UTF-8"),
-], ids=["not-json", "not-a-list", "no-members", "member-not-a-string", "not-utf8"])
+    # each entry's outputs are named by its id, so the second would overwrite the first's
+    (b'[{"community_id": 0, "members": ["a"]}, {"community_id": 1, "members": ["b"]},'
+     b' {"community_id": 1, "members": ["c"]}]', "community_id 1 is repeated in entry 2"),
+], ids=["not-json", "not-a-list", "no-members", "member-not-a-string", "not-utf8",
+        "repeated-id"])
 def test_topics_subcommand_on_a_communities_file_it_cannot_read_is_an_input_error(
     tmp_path, fresh_run, capsys, text, detail
 ):
@@ -671,6 +677,36 @@ def test_ingest_hands_on_what_parsing_filtered_jsonl_yields(mappings, fmt):
             json.dumps(record_to_dict(r), ensure_ascii=False, sort_keys=True) + "\n"
             for r in records)
         assert columns(parsed[filtered]) == table_columns(records)
+
+
+# -- the graph stage writes its CSV files as csv.writer writes their rows --
+
+_NODE = st.text(st.sampled_from([",", '"', " ", "\r", "\n", "a", "B", "7", "é", "名", "\u3000"]),
+                min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=st.dictionaries(st.tuples(_NODE, _NODE).filter(lambda p: p[0] != p[1]),
+                             st.integers(1, 3), max_size=12),
+       loners=st.lists(_NODE, min_size=1, max_size=3), tau=st.sampled_from([0.25, 0.5, 1.0]))
+def test_graph_csv_files_are_the_bytes_csv_writer_writes(edges, loners, tau):
+    """Names with commas, quotes, line breaks, spaces at either end and text
+    that is not ASCII are quoted as csv.writer quotes them."""
+    g = package_graph(RetweetGraph, loners, edges)
+    ug = symmetrize(g)
+    want = {"roles.csv": (["user_id", "in_deg", "out_deg", "score", "label"],
+                          oracles.classify_roles(named(g), tau)),
+            "undirected_edges.csv": (["u", "v", "weight"],
+                                     [(u, v, w) for (u, v), w in named(ug).edges.items()])}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = pipeline.StageFiles(pipeline.TABLE["graph"], PipelineConfig(outdir=tmp))
+        pipeline.write_graph_outputs(g, ug, tau, files)
+        for name, (header, rows) in want.items():
+            text = io.StringIO(newline="")
+            writer = csv.writer(text)
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert Path(tmp, name).read_bytes() == text.getvalue().encode("utf-8"), name
 
 
 @pytest.mark.parametrize("size", [0, pipeline.HASH_BLOCK - 1, pipeline.HASH_BLOCK,

@@ -62,6 +62,9 @@ def _instant(text):
 
 def test_hashtags_derived_from_text():
     assert json.loads(record_to_json(json.loads(GOOD_LINE)))["hashtags"] == ["qanon", "wwg1wga"]
+    # tags are found before lowering: the Kelvin sign and "\u0130" lower into ASCII
+    text = "#\u212aelvin #\u0130stanbul #OK"
+    assert json.loads(record_to_json(_tweet(text)))["hashtags"] == ["ok"]
 
 
 def test_empty_source(tmp_path):
@@ -501,9 +504,12 @@ def test_parser_gives_the_json_loads_oracles_records_and_counts(lines):
     _check_jsonl(lines, False, None)
 
 
-# texts for the parity corpora: hits and misses of '#' and bare keyword terms
+# texts for the parity corpora: hits and misses of '#' and bare keyword terms, and
+# texts that are not ASCII whose lowercase is ASCII ("\u212a", the Kelvin sign,
+# lowers to "k") or longer ("\u0130" lowers to "i" and a combining dot)
 _PARITY_TEXT = st.sampled_from(["", "QAnon rising", "the #Q drop", "save #MAGA now", "quantum",
-                                "#qanonx", "#Save_ours"]) | st.text(max_size=8)
+                                "#qanonx", "#Save_ours", "#\u212aelvin", "#\u0130stanbul"]
+                               ) | st.text(max_size=8)
 _PARITY_MAPPING = st.fixed_dictionaries(
     {"tweet_id": st.text(min_size=1, max_size=4), "user_id": st.sampled_from(["u1", "u2", "Ü"]),
      "created_at": _CREATED_AT, "text": _PARITY_TEXT},
@@ -540,6 +546,12 @@ def _reference(lines, stats, keywords):
                 for tweet_id, created, bio in [("a", "2020-06-01T00:00:07+00:00", "a bio"),
                                                ("b", "2020-06-01T00:00:07", "Ünï")]],
          bom=False, keywords=None)
+# a record written as a plain line, with no escape, and the same record with a
+# quote added to its text, whose line holds one escape, "\""
+@example(lines=[json.dumps(_tweet(text, user_id="Ünï", retweet_of_user_id="u1",
+                                  user_description="Ünï bio"), ensure_ascii=False)
+                for text in ("QAnon #Save_ours", 'QAnon #Save_ours "x"')],
+         bom=False, keywords=["qanon"])
 def test_read_records_gives_the_oracles_lines_columns_and_counts(lines, bom, keywords):
     _check_jsonl(lines, bom, keywords)
 
