@@ -21,9 +21,12 @@ flags alone, through the stage subcommands `ingest`, `graph`, `communities`,
 `topics` and `profiles` in order, into one outdir (`stages`), each given the
 flags it takes. Each of those stages after `ingest` reads back what the one
 before it wrote, which `run` hands on in memory, so this bundle must equal
-that checkout's `run` bundle as well as the other checkout's. Every file of
-each pair of bundles but `manifest.json`, which carries timings, is compared
-byte for byte. The script prints each file that differs or is on one side
+that checkout's `run` bundle as well as the other checkout's. The `topic-fit`
+input also runs with `--threads 2` added (`threads2`), so that the topic
+fits run in a worker pool at scale; that bundle must equal the same
+checkout's bundle of the flags alone as well as the other checkout's.
+Every file of each pair of bundles but `manifest.json`, which carries
+timings, is compared byte for byte. The script prints each file that differs or is on one side
 only, and each run that fails, and exits 1 if there is any. The inputs come
 from the checkout that holds this script; the bundles go under `--work`, a
 temporary directory by default.
@@ -66,6 +69,8 @@ STAGE_FLAGS = {
     "profiles": set(),
 }
 COMMON_FLAGS = {"--seed", "--threads"}
+# the input whose topic fits also run in a pool of two workers
+THREADS_INPUT = "topic-fit"
 CSV_COLUMNS = ("tweet_id", "user_id", "created_at", "text", "retweet_of_user_id",
                "user_description", "hashtags")
 
@@ -213,11 +218,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     holder = (contextlib.nullcontext(str(args.work)) if args.work
               else tempfile.TemporaryDirectory(prefix="ab_bytes_"))
+    compared, problems = 0, []
+
+    def check(pairs) -> None:
+        nonlocal compared
+        for pair in pairs:
+            n, found = compare(*pair)
+            compared += n
+            problems.extend(found)
+            print(f"{pair[2]}: {n} files, {len(found)} differ", flush=True)
+
     with holder as work:
         workdir = Path(work)
-        compared, problems = 0, []
         for name, (path, flags) in make_inputs(workdir).items():
-            for extra_name, extra in EXTRA_FLAGS.items():
+            extras = dict(EXTRA_FLAGS)
+            if name == THREADS_INPUT:
+                extras["threads2"] = ["--threads", "2"]
+            for extra_name, extra in extras.items():
                 label = f"{name}/{extra_name}"
                 outdirs = {side: workdir / side / label for side in ("parent", "change")}
                 codes = {side: run(getattr(args, side).resolve(), path, flags + extra,
@@ -225,10 +242,11 @@ def main(argv=None) -> int:
                 if any(codes.values()):
                     problems.append(f"run failed: {label} (exit codes {codes})")
                     continue
-                n, found = compare(outdirs["parent"], outdirs["change"], label)
-                compared += n
-                problems += found
-                print(f"{label}: {n} files, {len(found)} differ", flush=True)
+                pairs = [(outdirs["parent"], outdirs["change"], label)]
+                if extra_name == "threads2":
+                    pairs += [(workdir / side / name / "flags", outdirs[side], f"{side}/{label}",
+                               ("threads1", "threads2")) for side in outdirs]
+                check(pairs)
             label = f"{name}/stages"
             outdirs = {side: workdir / side / label for side in ("parent", "change")}
             codes = {side: run_stages(getattr(args, side).resolve(), path, flags, outdirs[side])
@@ -236,14 +254,9 @@ def main(argv=None) -> int:
             if any(codes.values()):
                 problems.append(f"stages failed: {label} (exit codes {codes})")
                 continue
-            pairs = [(outdirs["parent"], outdirs["change"], label, ("parent", "change"))]
-            pairs += [(workdir / side / name / "flags", outdirs[side], f"{side}/{label}",
-                       ("run", "stages")) for side in outdirs]
-            for pair in pairs:
-                n, found = compare(*pair)
-                compared += n
-                problems += found
-                print(f"{pair[2]}: {n} files, {len(found)} differ", flush=True)
+            check([(outdirs["parent"], outdirs["change"], label)]
+                  + [(workdir / side / name / "flags", outdirs[side], f"{side}/{label}",
+                      ("run", "stages")) for side in outdirs])
     print("\n".join(problems))
     print(f"{compared} files compared, {len(problems)} problems")
     return 1 if problems else 0

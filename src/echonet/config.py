@@ -62,11 +62,6 @@ class PipelineConfig:
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 _DEFAULTS = PipelineConfig()
 

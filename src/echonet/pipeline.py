@@ -350,15 +350,19 @@ def stage_communities(config: PipelineConfig, files: StageFiles) -> None:
 def load_communities(path: str) -> list[dict]:
     """The entries of a communities file, by community id. Raises
     InputFileError, naming the file, if it is not a JSON list of objects that
-    each have an integer `community_id` and a list of string `members`, or,
-    naming the id too, if two entries have one `community_id`: each entry's
-    outputs are named by its id, so a later one would overwrite them."""
+    each have an integer `community_id` of 0 or more (echonet numbers them
+    from 0, and a fit is seeded with `seed + community_id`) and a list of
+    string `members`, or, naming the id too, if two entries have one
+    `community_id`: each entry's outputs are named by its id, so a later one
+    would overwrite them."""
     entries = _read_json(path)
     if not isinstance(entries, list):
         raise InputFileError(f"{path}: not a list of communities")
     ids = set()
     for i, entry in enumerate(entries):
         cid = _field(path, entry, "community_id", int, f" of entry {i}")
+        if cid < 0:
+            raise InputFileError(f"{path}: community_id {cid} of entry {i} is negative")
         members = _field(path, entry, "members", list, f" of entry {i}")
         if not all(isinstance(member, str) for member in members):
             raise InputFileError(f"{path}: a member of entry {i} is not a string")
@@ -396,7 +400,7 @@ def stage_topics(config: PipelineConfig, files: StageFiles) -> None:
         # imported here: at module level it would add to every run's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.threads, len(jobs))) as pool:
             models = list(pool.map(_fit_one_community, jobs))
     else:
         models = [_fit_one_community(job) for job in jobs]
@@ -441,7 +445,8 @@ def stage_profiles(config: PipelineConfig, files: StageFiles) -> None:
         print(f"profiles: {exc}; writing an empty table", file=sys.stderr)
         rows = []
     else:
-        rows = [(rank, term, repr(prop), count) for rank, term, prop, count in table.to_rows()]
+        rows = [(rank, term, repr(prop), round(prop * table.user_base))
+                for rank, (term, prop) in enumerate(table.terms, 1)]
     _write_csv(files, "term_frequencies.csv", ["rank", "term", "proportion", "user_count"], rows)
 
 
@@ -566,7 +571,9 @@ def load_manifest(outdir: str) -> dict:
     `stages` one object per stage with a string `name`, a number `seconds`
     and, if present, a number `peak_rss_kb`. Raises InputFileError, naming
     the file and the field, if one is missing or of another type, or if the
-    file is not an echonet manifest at all."""
+    file is not an echonet manifest at all. A file name must be plain: not
+    empty, "." or "..", and without a path separator or NUL, so that none
+    points out of `outdir`."""
     path = os.path.join(outdir, MANIFEST)
     manifest = _read_json(path)
     if not isinstance(manifest, dict) or manifest.get("tool") != "echonet" or not all(
@@ -574,8 +581,10 @@ def load_manifest(outdir: str) -> dict:
         raise InputFileError(f"{path}: not an echonet manifest")
     for key in ("version", "config_hash", "created_utc"):
         _field(path, manifest, key, str)
-    if not all(isinstance(name, str) for name in manifest["files"]):
-        raise InputFileError(f"{path}: an entry of 'files' is not a file name")
+    for name in manifest["files"]:
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or any(c in name for c in ("/", "\0", os.sep, os.altsep or "/"))):
+            raise InputFileError(f"{path}: entry {name!r} of 'files' is not a plain file name")
     for i, stage in enumerate(manifest["stages"]):
         _field(path, stage, "name", str, f" of stage {i}")
         _field(path, stage, "seconds", float, f" of stage {i}")
@@ -596,11 +605,11 @@ def _previous_manifest(outdir: str) -> tuple[dict[str, dict], list[str]]:
 
 def _remove_stale(outdir: str, listed: list[str], written: list[str]) -> None:
     """Delete each file an earlier manifest listed that this run did not write,
-    such as the communities file of another `--k`. Only plain file names in
-    `outdir` are touched."""
+    such as the communities file of another `--k`. `listed` comes from
+    `load_manifest`, so it holds only plain file names in `outdir`."""
     for name in set(listed) - set(written):
         path = os.path.join(outdir, name)
-        if name == os.path.basename(name) and name != MANIFEST and os.path.isfile(path):
+        if name != MANIFEST and os.path.isfile(path):
             os.remove(path)
 
 

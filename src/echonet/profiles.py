@@ -27,12 +27,6 @@ class TermFrequencyTable:
     terms: list[tuple[str, float]]  # (term, proportion), non-increasing
     user_base: int
 
-    def to_rows(self) -> list[tuple[int, str, float, int]]:
-        return [
-            (rank + 1, term, prop, round(prop * self.user_base))
-            for rank, (term, prop) in enumerate(self.terms)
-        ]
-
 
 def description_term_proportions(
     table: RecordTable,

@@ -1,4 +1,5 @@
 import codecs
+import concurrent.futures
 import csv
 import hashlib
 import itertools
@@ -181,10 +182,14 @@ _HEAD = {"tool": "echonet", "version": "0.1.0", "config_hash": "ab" * 32,
         {"name": "ingest", "seconds": 0.5}, {"name": "graph", "seconds": "1"}]}),
      "'seconds' of stage 1"),
     (json.dumps({**_HEAD, "files": [], "stages": [["ingest"]]}), "stage 0"),
+    # report would read a listed name from wherever it points
+    (json.dumps({**_HEAD, "files": ["sweep_d/../../outside.csv"], "stages": []}),
+     "'sweep_d/../../outside.csv' of 'files'"),
+    (json.dumps({**_HEAD, "files": [".."], "stages": []}), "'..' of 'files'"),
 ], ids=["not-json", "foreign", "not-an-object", "files-not-a-list", "file-not-a-name",
         "no-version",
         "config-hash-not-a-string", "stage-without-seconds", "seconds-not-a-number",
-        "stage-not-an-object"])
+        "stage-not-an-object", "file-with-a-separator", "file-dot-dot"])
 def test_report_on_a_manifest_it_cannot_read_is_an_input_error(tmp_path, capsys, text, field):
     out = tmp_path / "bundle"
     out.mkdir()
@@ -322,7 +327,7 @@ def test_config_file_with_flag_override(tmp_path):
     config_path = tmp_path / "config.json"
     cfg = PipelineConfig(input=FIXTURE, outdir=str(tmp_path / "o1"), k=4,
                          n_topics=2, iterations=50)
-    cfg.to_file(str(config_path))
+    config_path.write_text(json.dumps(cfg.to_dict()))
     assert run_cli("run", "--config", str(config_path)) == 0
     assert (tmp_path / "o1" / "communities_k4_standard.json").exists()
     # flag wins over file
@@ -339,6 +344,40 @@ def test_threads_give_identical_topic_outputs(tmp_path):
     for name in bundle_files(a):
         if name.startswith(("topics_", "doc_topics_")):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_topics_start_no_more_workers_than_communities(tmp_path, monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    bundle = tmp_path / "bundle"
+    assert run_cli("run", "--input", FIXTURE, "--outdir", str(bundle), *RUN_ARGS) == 0
+    assert len(json.loads((bundle / "communities_k4_standard.json").read_text())) == 2
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    for threads in ("1", "64"):
+        assert run_cli("topics", "--records", str(bundle / "filtered.jsonl"),
+                       "--communities", str(bundle / "communities_k4_standard.json"),
+                       "--outdir", str(tmp_path / threads), "--threads", threads,
+                       *RUN_ARGS) == 0
+    assert asked == [2]
+    names = [n for n in bundle_files(tmp_path / "1") if n.startswith(("topics_", "doc_topics_"))]
+    assert len(names) == 4
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "64" / name).read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -479,8 +479,11 @@ def test_report_names_a_missing_communities_file(tmp_path, fresh_run, capsys):
     # each entry's outputs are named by its id, so the second would overwrite the first's
     (b'[{"community_id": 0, "members": ["a"]}, {"community_id": 1, "members": ["b"]},'
      b' {"community_id": 1, "members": ["c"]}]', "community_id 1 is repeated in entry 2"),
+    # a fit is seeded with seed + community_id, so a negative id is refused for every --seed
+    (b'[{"community_id": 0, "members": ["a"]}, {"community_id": -5, "members": ["b"]}]',
+     "community_id -5 of entry 1 is negative"),
 ], ids=["not-json", "not-a-list", "no-members", "member-not-a-string", "not-utf8",
-        "repeated-id"])
+        "repeated-id", "negative-id"])
 def test_topics_subcommand_on_a_communities_file_it_cannot_read_is_an_input_error(
     tmp_path, fresh_run, capsys, text, detail
 ):
@@ -553,28 +556,31 @@ def test_resume_reruns_every_stage_of_a_bundle_with_sha256_digests(tmp_path, fre
 def test_rerun_deletes_only_plain_files_in_the_outdir(tmp_path):
     out = tmp_path / "bundle"
     out.mkdir()
-    (tmp_path / "outside.txt").write_text("x")
     (out / "sub").mkdir()
     (out / "stale.csv").write_text("x")
-    listed = ["../outside.txt", "sub", "stale.csv", "manifest.json"]
+    listed = ["sub", "stale.csv", "manifest.json"]
     manifest = {**MANIFEST_HEAD, "stages": [], "files": listed}
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
-    assert (tmp_path / "outside.txt").exists() and (out / "sub").is_dir()
+    assert (out / "sub").is_dir()
     assert not (out / "stale.csv").exists()
 
 
 @pytest.mark.parametrize("manifest", [
     {**MANIFEST_HEAD, "stages": [], "files": ["stale.csv", 7]},
     {"tool": "echonet", "stages": [], "files": ["stale.csv"]},
-], ids=["file-not-a-name", "no-version"])
+    # a name that is not plain could point out of the outdir
+    {**MANIFEST_HEAD, "stages": [], "files": ["stale.csv", "../outside.txt"]},
+], ids=["file-not-a-name", "no-version", "file-outside-the-outdir"])
 def test_rerun_keeps_the_files_of_a_manifest_that_load_manifest_refuses(tmp_path, manifest):
     out = tmp_path / "bundle"
     out.mkdir()
+    (tmp_path / "outside.txt").write_text("x")
     (out / "stale.csv").write_text("x")
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert main(["run", "--input", FIXTURE, "--outdir", str(out), *RUN_ARGS]) == 0
     assert (out / "stale.csv").read_text() == "x"
+    assert (tmp_path / "outside.txt").read_text() == "x"
 
 
 def test_rerun_keeps_the_files_another_tools_manifest_lists(tmp_path):
