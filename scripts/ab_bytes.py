@@ -1,65 +1,55 @@
-"""Byte-identity check of two checkouts over a matrix of `echonet run` bundles.
+"""Byte-identity check of this tree's `echonet run` bundles against the recorded digests.
 
-    python3 scripts/ab_bytes.py PARENT_DIR CHANGE_DIR [--work DIR]
+    python3 scripts/ab_bytes.py [--work DIR]
 
-Each checkout runs `echonet run` from its own `src/` on the same inputs:
+The inputs: the `retweet-scale`, `clique-sweep` and `topic-fit` workloads of
+`perfbench/workloads.py` at seed 5, with their benchmark flags; the
+`retweet-scale` corpus as CSV (`retweet-scale-csv`), and with escapes in
+every third line (`retweet-scale-escaped`, see `escape_lines`), so that the
+CSV reader and lines written through `_encode` run at scale; and the
+fixture's three inputs of `tests/bundles.py` with `--k 4 --n-topics 2
+--iters 50`. Each runs from this tree's `src/` with its flags alone and with
+each other set of `EXTRA_FLAGS`: 40 `run` bundles. The BLAKE2b-256 of each
+of their data files is compared with `tests/bundle_digests.json`, the record.
 
-- the `retweet-scale`, `clique-sweep` and `topic-fit` workloads of
-  `perfbench/workloads.py` at seed 5, with their benchmark flags, and the
-  `retweet-scale` corpus converted to CSV (`retweet-scale-csv`), so that the
-  CSV reader runs at scale, and with escapes in every third line
-  (`retweet-scale-escaped`, see `escape_lines`), so that lines that hold a
-  backslash, which are written through `_encode`, run at scale too;
-- `fixtures/sample_tweets.jsonl` with `--k 4 --n-topics 2 --iters 50`, as
-  JSONL, converted to CSV, and with each `created_at` rewritten in turn in
-  one of six other forms that name the same instant (`fixture-times`): the
-  fixture and the workloads write only the form `isoformat()` gives back.
+Within the tree, each input's `stages` bundle, and `topic-fit`'s `threads2`
+bundle, must equal its `run` bundle of the flags alone, file by file.
+`stages` runs the stage subcommands in order into one outdir, each given the
+flags it takes, so that each stage reads back what the one before it wrote;
+`threads2` adds `--threads 2`, so that the topic fits run in a worker pool.
 
-Each input runs with its flags alone, then with `--rule standard --k 3`,
-`--k 2`, `--k-min 2` or `--per-user` added. Each input also runs, with its
-flags alone, through the stage subcommands `ingest`, `graph`, `communities`,
-`topics` and `profiles` in order, into one outdir (`stages`), each given the
-flags it takes. Each of those stages after `ingest` reads back what the one
-before it wrote, which `run` hands on in memory, so this bundle must equal
-that checkout's `run` bundle as well as the other checkout's. The `topic-fit`
-input also runs with `--threads 2` added (`threads2`), so that the topic
-fits run in a worker pool at scale; that bundle must equal the same
-checkout's bundle of the flags alone as well as the other checkout's.
-Every file of each pair of bundles but `manifest.json`, which carries
-timings, is compared byte for byte. The script prints each file that differs or is on one side
-only, and each run that fails, and exits 1 if there is any. The inputs come
-from the checkout that holds this script; the bundles go under `--work`, a
-temporary directory by default.
+The script prints each file that differs, is missing or is not in the
+record, and each run that fails, and exits 1 if there is any. A Python or
+numpy version other than the record's is a version mismatch, exit 3, never
+a pass: the workload generators draw from `random.Random`, whose streams
+CPython does not promise across versions. Re-record at the parent commit.
+
+The inputs and bundles go under `--work`, a temporary directory by default,
+and this tree's own record goes to `--work`/bundle_digests.json. To
+re-record, say after an artifact changed on purpose, run with `--work DIR`
+and copy `DIR/bundle_digests.json` over `tests/bundle_digests.json`.
+`scripts/paper_scale.py` imports `run` and `compare` to compare two checkouts.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import subprocess
 import sys
 import tempfile
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / name) for name in ("perfbench", "tests", "src")]
 
+from bundles import (EXTRA_FLAGS, RECORD, VERSIONS, bundle_digests, diff,  # noqa: E402
+                     fixture_inputs, jsonl_to_csv)
 from workloads import FLAGS, write_workload  # noqa: E402
 
 SEED = 5
-FIXTURE = ROOT / "fixtures" / "sample_tweets.jsonl"
-FIXTURE_FLAGS = ["--k", "4", "--n-topics", "2", "--iters", "50"]
-EXTRA_FLAGS = {
-    "flags": [],
-    "standard-k3": ["--rule", "standard", "--k", "3"],
-    "k2": ["--k", "2"],
-    "kmin2": ["--k-min", "2"],
-    "per-user": ["--per-user"],
-}
 # the flags of `run` that each stage subcommand takes, in stage order
 STAGE_FLAGS = {
     "ingest": {"--input", "--keywords"},
@@ -68,56 +58,6 @@ STAGE_FLAGS = {
     "topics": {"--k", "--rule", "--n-topics", "--alpha", "--beta", "--iters", "--per-user"},
     "profiles": set(),
 }
-COMMON_FLAGS = {"--seed", "--threads"}
-# the input whose topic fits also run in a pool of two workers
-THREADS_INPUT = "topic-fit"
-CSV_COLUMNS = ("tweet_id", "user_id", "created_at", "text", "retweet_of_user_id",
-               "user_description", "hashtags")
-
-
-def jsonl_to_csv(src: Path, dst: Path) -> None:
-    """Write each JSON object line of `src` as a CSV row of `dst`, hashtags
-    joined by '|'; a line that is not a JSON object is left out."""
-    with open(src, encoding="utf-8", errors="surrogateescape") as fin, \
-            open(dst, "w", encoding="utf-8", errors="surrogateescape", newline="") as fout:
-        writer = csv.writer(fout)
-        writer.writerow(CSV_COLUMNS)
-        for line in fin:
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(obj, dict):
-                continue
-            if isinstance(obj.get("hashtags"), list):
-                obj["hashtags"] = "|".join(map(str, obj["hashtags"]))
-            writer.writerow(["" if obj.get(c) is None else obj[c] for c in CSV_COLUMNS])
-
-
-def time_forms(when: datetime) -> list[str]:
-    """Texts of an aware instant with whole seconds, each read as that
-    instant: "Z", no offset, ".000000", "-00:00", another offset, a week date."""
-    utc = when.astimezone(timezone.utc).replace(tzinfo=None).isoformat()
-    text = when.isoformat()
-    year, week, day = when.isocalendar()
-    return [utc + "Z", utc, text[:19] + ".000000" + text[19:], utc + "-00:00",
-            when.astimezone(timezone(timedelta(hours=-4, minutes=-30))).isoformat(),
-            f"{year:04d}-W{week:02d}-{day}{text[10:]}"]
-
-
-def rewrite_times(src: Path, dst: Path) -> None:
-    """Write `src` with the `created_at` of its i-th JSON object line as the
-    (i mod 6)-th of `time_forms`; any other line is copied as it is."""
-    with open(src, "rb") as fin, open(dst, "wb") as fout:
-        for i, line in enumerate(fin):
-            try:
-                obj = json.loads(line)
-                when = datetime.fromisoformat(obj["created_at"])
-            except (ValueError, TypeError, KeyError):
-                fout.write(line)
-                continue
-            obj["created_at"] = time_forms(when)[i % 6]
-            fout.write(json.dumps(obj).encode() + b"\n")
 
 
 def escape_lines(src: Path, dst: Path) -> None:
@@ -150,14 +90,7 @@ def make_inputs(workdir: Path) -> dict[str, tuple[str, list[str]]]:
     escaped = workdir / "inputs" / "retweet-scale-escaped.jsonl"
     escape_lines(Path(inputs["retweet-scale"][0]), escaped)
     inputs["retweet-scale-escaped"] = (str(escaped), FLAGS["retweet-scale"])
-    csv_path = workdir / "inputs" / "fixture.csv"
-    jsonl_to_csv(FIXTURE, csv_path)
-    inputs["fixture-jsonl"] = (str(FIXTURE), FIXTURE_FLAGS)
-    inputs["fixture-csv"] = (str(csv_path), FIXTURE_FLAGS)
-    times_path = workdir / "inputs" / "fixture-times.jsonl"
-    rewrite_times(FIXTURE, times_path)
-    inputs["fixture-times"] = (str(times_path), FIXTURE_FLAGS)
-    return inputs
+    return {**inputs, **fixture_inputs(workdir / "inputs")}
 
 
 def echonet(checkout: Path, argv: list[str]) -> int:
@@ -175,20 +108,15 @@ def run(checkout: Path, input_path: str, flags: list[str], outdir: Path) -> int:
     return echonet(checkout, ["run", "--input", input_path, "--outdir", str(outdir), *flags])
 
 
-def run_stages(checkout: Path, input_path: str, flags: list[str], outdir: Path) -> int:
+def run_stages(input_path: str, flags: list[str], outdir: Path) -> int:
     """Run each stage subcommand in order into `outdir`, with the flags of
-    `flags` it takes; the exit code of the first that fails, else 0."""
-    groups: list[list[str]] = []  # each flag with the values that follow it
-    for arg in flags:
-        if arg.startswith("--"):
-            groups.append([arg])
-        else:
-            groups[-1].append(arg)
+    `flags`, each of which takes one value, that it takes; the exit code of
+    the first that fails, else 0."""
     for stage, takes in STAGE_FLAGS.items():
-        argv = [arg for group in groups if group[0] in takes | COMMON_FLAGS for arg in group]
+        argv = [arg for pair in zip(flags[::2], flags[1::2]) if pair[0] in takes for arg in pair]
         if stage == "ingest":
             argv += ["--input", input_path]
-        code = echonet(checkout, [stage, *argv, "--outdir", str(outdir)])
+        code = echonet(ROOT, [stage, *argv, "--outdir", str(outdir)])
         if code:
             return code
     return 0
@@ -196,70 +124,52 @@ def run_stages(checkout: Path, input_path: str, flags: list[str], outdir: Path) 
 
 def compare(a_dir: Path, b_dir: Path, label: str,
             sides: tuple[str, str] = ("parent", "change")) -> tuple[int, list[str]]:
-    """(files compared, lines naming each file that differs or is on one side
-    only); `sides` names the two directories in those lines."""
-    names = {p.name for d in (a_dir, b_dir) if d.is_dir() for p in d.iterdir()}
-    names.discard("manifest.json")
-    problems = []
-    for name in sorted(names):
-        a, b = a_dir / name, b_dir / name
-        if not a.exists() or not b.exists():
-            problems.append(f"only in {sides[b.exists()]}: {label}/{name}")
-        elif a.read_bytes() != b.read_bytes():
-            problems.append(f"differs: {label}/{name}")
-    return len(names), problems
+    """(data files compared, lines naming each that differs or is on one side
+    only); `sides` names the two bundle directories in those lines."""
+    a, b = (bundle_digests(d) if d.is_dir() else {} for d in (a_dir, b_dir))
+    problems = [f"only in {sides[name in b]}: {label}/{name}"
+                for name in sorted(a.keys() ^ b.keys())]
+    problems += [f"differs: {label}/{name}" for name in sorted(a.keys() & b.keys())
+                 if a[name] != b[name]]
+    return len(a.keys() | b.keys()), problems
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--work", type=Path, help="directory for inputs and bundles")
+    parser.add_argument("--work", type=Path,
+                        help="directory for the inputs, the bundles and this tree's record")
     args = parser.parse_args(argv)
     holder = (contextlib.nullcontext(str(args.work)) if args.work
               else tempfile.TemporaryDirectory(prefix="ab_bytes_"))
-    compared, problems = 0, []
-
-    def check(pairs) -> None:
-        nonlocal compared
-        for pair in pairs:
-            n, found = compare(*pair)
-            compared += n
-            problems.extend(found)
-            print(f"{pair[2]}: {n} files, {len(found)} differ", flush=True)
-
+    found = {**VERSIONS, "bundles": {}}
+    problems = []
     with holder as work:
         workdir = Path(work)
         for name, (path, flags) in make_inputs(workdir).items():
-            extras = dict(EXTRA_FLAGS)
-            if name == THREADS_INPUT:
+            extras = dict(EXTRA_FLAGS, stages=None)  # None: the stage subcommands in order
+            if name == "topic-fit":
                 extras["threads2"] = ["--threads", "2"]
-            for extra_name, extra in extras.items():
-                label = f"{name}/{extra_name}"
-                outdirs = {side: workdir / side / label for side in ("parent", "change")}
-                codes = {side: run(getattr(args, side).resolve(), path, flags + extra,
-                                   outdirs[side]) for side in outdirs}
-                if any(codes.values()):
-                    problems.append(f"run failed: {label} (exit codes {codes})")
-                    continue
-                pairs = [(outdirs["parent"], outdirs["change"], label)]
-                if extra_name == "threads2":
-                    pairs += [(workdir / side / name / "flags", outdirs[side], f"{side}/{label}",
-                               ("threads1", "threads2")) for side in outdirs]
-                check(pairs)
-            label = f"{name}/stages"
-            outdirs = {side: workdir / side / label for side in ("parent", "change")}
-            codes = {side: run_stages(getattr(args, side).resolve(), path, flags, outdirs[side])
-                     for side in outdirs}
-            if any(codes.values()):
-                problems.append(f"stages failed: {label} (exit codes {codes})")
-                continue
-            check([(outdirs["parent"], outdirs["change"], label)]
-                  + [(workdir / side / name / "flags", outdirs[side], f"{side}/{label}",
-                      ("run", "stages")) for side in outdirs])
+            for kind, extra in extras.items():
+                label = f"{name}/{kind}"
+                outdir = workdir / label
+                if (run_stages(path, flags, outdir) if extra is None
+                        else run(ROOT, path, flags + extra, outdir)):
+                    problems.append(f"run failed: {label}")
+                elif kind in EXTRA_FLAGS:
+                    found["bundles"][label] = bundle_digests(outdir)
+                    print(f"{label}: {len(found['bundles'][label])} files", flush=True)
+                else:  # must equal the bundle of the flags alone
+                    n, differ = compare(workdir / name / "flags", outdir, label, ("run", kind))
+                    problems += differ
+                    print(f"{label}: {n} files, {len(differ)} differ from {name}/flags", flush=True)
+        (workdir / "bundle_digests.json").write_text(
+            json.dumps(found, indent=1, sort_keys=True) + "\n")
+    record = json.loads(RECORD.read_text())
+    problems += diff(record, found)
     print("\n".join(problems))
-    print(f"{compared} files compared, {len(problems)} problems")
-    return 1 if problems else 0
+    files = sum(map(len, found["bundles"].values()))
+    print(f"{files} files checked against {RECORD.name}, {len(problems)} problems")
+    return 3 if any(record[key] != found[key] for key in VERSIONS) else 1 if problems else 0
 
 
 if __name__ == "__main__":

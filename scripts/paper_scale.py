@@ -13,10 +13,10 @@ run`, added after those: `--k 3` overrides their `--k 4` and gives 178
 communities, not 1, so `topics` builds many corpora. The script prints each
 run's stage seconds and the peak RSS its manifest records after `ingest`,
 after `graph` and at most, then each side's medians. Every file of a pair's
-bundles but `manifest.json` is compared byte for byte; the script exits 1 if
-a run fails or a file differs or is on one side only. `--work` is a
-temporary directory by default; the corpus takes about 200 MB and each
-side's bundle about 150 MB.
+bundles but `manifest.json` is compared by its BLAKE2b-256; the script
+exits 1 if a run fails or a file differs or is on one side only. `--work`
+is a temporary directory by default; the corpus takes about 200 MB and
+each side's bundle about 150 MB.
 """
 
 from __future__ import annotations

@@ -550,11 +550,21 @@ def _stage_key(stage: Stage, config: PipelineConfig) -> dict:
     return key
 
 
+def _plain_name(name) -> bool:
+    """`name` is a string that names a file in the directory it is joined to,
+    and nothing outside it: not empty, "." or "..", and without a path
+    separator or NUL."""
+    return isinstance(name, str) and name not in ("", ".", "..") and not any(
+        c in name for c in ("/", "\0", os.sep, os.altsep or "/"))
+
+
 def _reusable(previous: dict | None, key: dict, outdir: str) -> bool:
     """An earlier run recorded this stage under the same key, and every output
-    it recorded still has the digest it was written with."""
+    it recorded, each under a plain file name, still has the digest it was
+    written with."""
     outputs = previous.get("outputs") if previous else None
-    if not isinstance(outputs, dict) or any(previous.get(k) != v for k, v in key.items()):
+    if (not isinstance(outputs, dict) or not all(map(_plain_name, outputs))
+            or any(previous.get(k) != v for k, v in key.items())):
         return False
     try:
         return all(
@@ -571,9 +581,8 @@ def load_manifest(outdir: str) -> dict:
     `stages` one object per stage with a string `name`, a number `seconds`
     and, if present, a number `peak_rss_kb`. Raises InputFileError, naming
     the file and the field, if one is missing or of another type, or if the
-    file is not an echonet manifest at all. A file name must be plain: not
-    empty, "." or "..", and without a path separator or NUL, so that none
-    points out of `outdir`."""
+    file is not an echonet manifest at all, or if a file name is not plain
+    (see `_plain_name`)."""
     path = os.path.join(outdir, MANIFEST)
     manifest = _read_json(path)
     if not isinstance(manifest, dict) or manifest.get("tool") != "echonet" or not all(
@@ -582,8 +591,7 @@ def load_manifest(outdir: str) -> dict:
     for key in ("version", "config_hash", "created_utc"):
         _field(path, manifest, key, str)
     for name in manifest["files"]:
-        if (not isinstance(name, str) or name in ("", ".", "..")
-                or any(c in name for c in ("/", "\0", os.sep, os.altsep or "/"))):
+        if not _plain_name(name):
             raise InputFileError(f"{path}: entry {name!r} of 'files' is not a plain file name")
     for i, stage in enumerate(manifest["stages"]):
         _field(path, stage, "name", str, f" of stage {i}")

@@ -517,18 +517,28 @@ def test_a_record_file_read_back_with_lines_that_are_not_records_is_an_input_err
     assert not sub.exists() or not os.listdir(sub)
 
 
-@pytest.mark.parametrize("outputs", [["nodes.txt"], {"nodes\u0000.txt": "0"}],
-                         ids=["list", "nul-in-name"])
-def test_resume_reruns_a_stage_whose_recorded_outputs_are_malformed(tmp_path, fresh_run, outputs):
+@pytest.mark.parametrize(("stage", "outputs"), [
+    (1, ["nodes.txt"]),
+    (1, {"nodes\u0000.txt": "0"}),
+    (4, {"../outside.csv": None}),
+], ids=["list", "nul-in-name", "outside-the-bundle"])
+def test_resume_reruns_a_stage_whose_recorded_outputs_are_malformed(
+        tmp_path, fresh_run, stage, outputs):
+    """An `outputs` digest of None is that of `../outside.csv`, a copy of the
+    bundle's `term_frequencies.csv` next to the bundle."""
     fresh, _ = fresh_run
     out = tmp_path / "bundle"
     shutil.copytree(fresh, out)
+    shutil.copy(out / "term_frequencies.csv", tmp_path / "outside.csv")
+    digest = pipeline.new_digest((out / "term_frequencies.csv").read_bytes()).hexdigest()
+    if isinstance(outputs, dict):
+        outputs = {name: value or digest for name, value in outputs.items()}
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["stages"][1]["outputs"] = outputs
+    manifest["stages"][stage]["outputs"] = outputs
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert main(["run", "--input", FIXTURE, "--outdir", str(out), "--resume", *RUN_ARGS]) == 0
     resumed = [s["resumed"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
-    assert resumed == [True, False, False, False, False]
+    assert resumed == [True] * stage + [False] * (len(pipeline.STAGES) - stage)
     assert data_files(out) == data_files(fresh)
 
 
