@@ -48,15 +48,14 @@ sys.path[:0] = [str(ROOT / name) for name in ("perfbench", "tests", "src")]
 from bundles import (EXTRA_FLAGS, RECORD, VERSIONS, bundle_digests, diff,  # noqa: E402
                      fixture_inputs, jsonl_to_csv)
 from workloads import FLAGS, write_workload  # noqa: E402
+from echonet.cli import FIELD_FLAGS, RUN_FIELDS  # noqa: E402
+from echonet.pipeline import TABLE  # noqa: E402
 
 SEED = 5
 # the flags of `run` that each stage subcommand takes, in stage order
 STAGE_FLAGS = {
-    "ingest": {"--input", "--keywords"},
-    "graph": {"--tau", "--min-weight"},
-    "communities": {"--k", "--rule", "--k-min", "--k-max", "--max-cliques"},
-    "topics": {"--k", "--rule", "--n-topics", "--alpha", "--beta", "--iters", "--per-user"},
-    "profiles": set(),
+    name: {FIELD_FLAGS[f][0] for f in stage.fields if f in RUN_FIELDS}
+    for name, stage in TABLE.items()
 }
 
 

@@ -118,7 +118,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
         try:
             config = PipelineConfig.from_file(args.config)
-        except FileNotFoundError as exc:
+        except OSError as exc:
             raise ConfigError(str(exc)) from exc
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad config file: {exc}") from exc
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.cause if isinstance(exc, StageError) else exc
         if isinstance(cause, (FileNotFoundError, IsADirectoryError, PermissionError,
-                              InputFileError)):
+                              FileExistsError, NotADirectoryError, InputFileError)):
             return EXIT_INPUT
         return EXIT_STAGE
     return EXIT_OK

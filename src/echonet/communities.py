@@ -6,8 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,17 +27,15 @@ class CliqueBudgetExceeded(RuntimeError):
         self.k, self.count, self.max_cliques = k, count, max_cliques
 
 
-@dataclass
-class CommunityCover:
+class CommunityCover(NamedTuple):
     k: int
     communities: list[frozenset[str]]
     source_clique_count: int
 
 
-@dataclass
-class SweepResult:
-    community_counts: dict[int, int] = field(default_factory=dict)
-    clique_counts: dict[int, int] = field(default_factory=dict)
+class SweepResult(NamedTuple):
+    community_counts: dict[int, int]
+    clique_counts: dict[int, int]
 
 
 def degeneracy_order(adj: Mapping[Hashable, set]) -> list:
@@ -344,8 +341,8 @@ def community_count_sweep(
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
     counts = _clique_counts(maximal, k_min, k_max, max_cliques)
-    result = SweepResult(clique_counts=counts)
-    for k in range(k_min, k_max + 1):
-        active = [c for c in maximal if len(c) >= k]
-        result.community_counts[k] = len(_percolate(active, k, rule))
-    return result
+    return SweepResult(
+        {k: len(_percolate([c for c in maximal if len(c) >= k], k, rule))
+         for k in range(k_min, k_max + 1)},
+        counts,
+    )

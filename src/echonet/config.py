@@ -46,6 +46,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config file must hold a JSON object, not {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

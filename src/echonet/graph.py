@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -121,8 +121,7 @@ def build_retweet_graph(table: RecordTable) -> RetweetGraph:
     return RetweetGraph(nodes, keys[starts], weights)
 
 
-@dataclass(frozen=True)
-class NodeDegrees:
+class NodeDegrees(NamedTuple):
     """A digraph's nodes in sorted order, so that a node's index orders it as
     its name does, and its four degree vectors (int64) by that index."""
 

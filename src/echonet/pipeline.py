@@ -27,7 +27,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -450,8 +450,7 @@ def stage_profiles(config: PipelineConfig, files: StageFiles) -> None:
     _write_csv(files, "term_frequencies.csv", ["rank", "term", "proportion", "user_count"], rows)
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One link of the chain. `fields` are the config fields that shape its
     outputs. `reads` and `writes` map the template of each bundle file it
     uses to the flag of its subcommand that points that file elsewhere (None:

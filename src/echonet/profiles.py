@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .records import RecordTable
 
@@ -22,8 +22,7 @@ class NoDescriptionsError(ValueError):
     """No user in the records has a nonempty profile description."""
 
 
-@dataclass
-class TermFrequencyTable:
+class TermFrequencyTable(NamedTuple):
     terms: list[tuple[str, float]]  # (term, proportion), non-increasing
     user_base: int
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -19,14 +18,12 @@ class EmptyCorpusError(ValueError):
     """No usable documents remain for a community after filtering."""
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     tokens: tuple[int, ...]
 
 
-@dataclass
-class TopicModel:
+class TopicModel(NamedTuple):
     n_topics: int
     alpha: float
     beta: float

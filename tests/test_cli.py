@@ -309,9 +309,15 @@ def test_exit_code_config_error(capsys):
     assert "tau" in capsys.readouterr().err
 
 
-def test_exit_code_input_error(tmp_path):
-    assert run_cli("run", "--input", str(tmp_path / "missing.jsonl"),
-                   "--outdir", str(tmp_path / "out")) == 3
+@pytest.mark.parametrize("argv", [
+    ["run", "--input", "{tmp}/missing.jsonl", "--outdir", "{tmp}/out"],
+    ["run", "--input", FIXTURE, "--outdir", "{tmp}/file"],  # FileExistsError
+    ["run", "--input", FIXTURE, "--outdir", "{tmp}/file/sub"],  # NotADirectoryError
+    ["report", "--outdir", "{tmp}/file"],
+])
+def test_exit_code_input_error(tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 3
 
 
 def test_exit_code_stage_failure(tmp_path):
@@ -490,6 +496,9 @@ def _exit_code(argv):
     ([], {"keywords": "qanon"}, "keywords"),
     (["--seed", "-1"], None, "seed"),
     ([], {"seed": -3}, "seed"),
+    ([], [1, 2], "JSON object"),
+    ([], "x", "JSON object"),
+    (["--config", "."], None, "Is a directory"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, flags, config_file, field):
     argv = ["run", "--input", FIXTURE, "--outdir", str(tmp_path / "out"),

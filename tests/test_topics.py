@@ -344,9 +344,10 @@ def test_relabeling_invariance():
     ]
     model = fit_lda(corpus, vocab, 3, 0.5, 0.05, 15, seed=5)
     perm = [2, 0, 1]
-    permuted = fit_lda(corpus, vocab, 3, 0.5, 0.05, 15, seed=5)
-    permuted.topic_word_counts = model.topic_word_counts[perm]
-    permuted.doc_topic_counts = model.doc_topic_counts[:, perm]
+    permuted = fit_lda(corpus, vocab, 3, 0.5, 0.05, 15, seed=5)._replace(
+        topic_word_counts=model.topic_word_counts[perm],
+        doc_topic_counts=model.doc_topic_counts[:, perm],
+    )
     a = topic_keywords(model, vocab, 8)
     b = topic_keywords(permuted, vocab, 8)
     assert sorted(map(tuple, a)) == sorted(map(tuple, b))
@@ -359,7 +360,7 @@ def test_perplexity_uniform_model_equals_vocab_size():
     vocab = vocab_of("abcde")
     model = fit_lda([Document("d", (0,))], vocab, 2, 1.0, 0.1, 5, seed=0)
     # force uniform phi
-    model.topic_word_counts = np.zeros_like(model.topic_word_counts)
+    model = model._replace(topic_word_counts=np.zeros_like(model.topic_word_counts))
     held_out = [Document("h", (0, 2, 4, 4))]
     assert held_out_perplexity(model, held_out) == pytest.approx(5.0, rel=1e-9)
 
